@@ -6,14 +6,18 @@ import re
 import pytest
 
 from invarc.abstraction import abstract_program
+from invarc.cli import build_pipeline
 from invarc.encoder import MEM, encode_program
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
+from invarc.invariants import emit_query, enumerate_candidates
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
 from invarc.solver import run_solver
 
-from conftest import CORPUS, corpus_entry
+from conftest import CORPUS, GOLDEN, corpus_entry, corpus_source
+
+CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.c"))
 
 
 def encode(src, entry):
@@ -48,6 +52,22 @@ def test_reemission_byte_identical():
         s1 = encode(path.read_text(), entry).script.render()
         s2 = encode(path.read_text(), entry).script.render()
         assert s1 == s2, path.name
+
+
+def cli_script(name):
+    """The script the CLI renders for a corpus program: the encoding
+    plus one query block per candidate pair, named as the CLI names
+    them."""
+    *_, ab, enc = build_pipeline(corpus_source(name), corpus_entry(name))
+    for i, c in enumerate(enumerate_candidates(ab, enc)):
+        emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
+    return enc.script.render()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_script_matches_golden(name):
+    golden = GOLDEN / "smt" / name.replace(".c", ".smt2")
+    assert cli_script(name) == golden.read_text(), name
 
 
 def test_ssa_single_assignment():
