@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .diagnostics import InconsistentInput
 from .frontend.ast import Binary, Call, Index, Member, Name, Unary
 from . import normalize as N
-from .pollution import build_dependency_graph, propagate, _BaseAnalysis
+from .pollution import build_dependency_graph, propagate, _BaseAnalysis, \
+    _store_bases
 
 
 @dataclass
@@ -86,12 +87,7 @@ class _Abstractor:
         if isinstance(s, N.NStore):
             ptr_bad = _atom_polluted(s.ptr, p)
             val_bad = _atom_polluted(s.value, p)
-            bases = set()
-            for v in N.atom_vars(s.ptr):
-                try:
-                    bases |= self.analysis.bases(v)
-                except Exception:
-                    pass
+            bases = _store_bases(s, self.analysis)
             bases_bad = bool(bases) and bases <= p
             if ptr_bad or val_bad or bases_bad:
                 self.removed.append(s.span)

@@ -3,7 +3,9 @@ solve, report.
 
 Exit codes: 0 analysis completed (regardless of verdicts), 1 usage
 error, 2 parse/type error in the input program, 3 solver infrastructure
-error.
+error.  An error in the analysis of a file is one line on stderr,
+`FILE:LINE:COL: error: MESSAGE`, without `LINE:COL` where it has no
+position in the source.
 
 The solver is looked for only when a program has a query for it, and
 then once per run.  A program without queries is analysed, and exits 0,
@@ -21,8 +23,8 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 
-from .diagnostics import InvarcError, ParseFailure, ProtocolError, \
-    RejectedConstruct, SolverNotFound, StepBudgetExceeded, FrontendTypeError
+from .diagnostics import InvarcError, ProtocolError, SolverNotFound, \
+    StepBudgetExceeded, FrontendTypeError
 from .frontend import parse_translation_unit
 from .frontend.ast import IntType, LongType, ast_text
 from .frontend.classify import classify_constructs
@@ -88,11 +90,6 @@ def build_pipeline(source_text, entry=None):
     ab = abstract_program(prog, polluted, graph)
     enc = encode_program(ab.program, ab.havocked)
     return ast, report, prog, graph, ab, enc
-
-
-def analyze(cfg):
-    reports = [_analyze_one(cfg, path) for path in cfg.inputs]
-    return reports[-1]
 
 
 def _analyze_one(cfg, path):
@@ -262,20 +259,15 @@ def main(argv=None):
                     timeout_ms=args.timeout_ms, fmt=args.fmt,
                     dumps=tuple(args.dump), oracle=args.oracle,
                     domain=domain, keep_artifacts=args.keep_artifacts)
-    try:
-        analyze(cfg)
-    except FileNotFoundError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except (ParseFailure, RejectedConstruct, FrontendTypeError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (SolverNotFound, ProtocolError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 3
-    except InvarcError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    for path in cfg.inputs:
+        try:
+            _analyze_one(cfg, path)
+        except FileNotFoundError as e:
+            sys.stderr.write(f"error: {e}\n")
+            return 1
+        except InvarcError as e:
+            sys.stderr.write(f"{e.render(path)}\n")
+            return 3 if isinstance(e, (SolverNotFound, ProtocolError)) else 2
     return 0
 
 

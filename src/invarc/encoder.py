@@ -14,15 +14,15 @@ is left unconstrained, which weakens but never unsounds a verdict.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagnostics import EncodeError, UnboundVariable, UnsupportedOperator, \
-    UnsupportedType
+from .diagnostics import EncodeError, InvarcError, UnboundVariable, \
+    UnsupportedOperator, UnsupportedType
 from .frontend.ast import (
-    ArrayType, Binary, BoolType, DoubleType, FuncPtrType, FunctionDef,
-    Index, IntLit, FloatLit, Member, Name, NullLit, PointerType, StructType,
-    Unary, VOID,
+    ArrayType, Binary, DoubleType, Index, IntLit, FloatLit, Member, Name,
+    NullLit, PointerType, StructType, Unary, VOID,
 )
 from . import normalize as N
 
@@ -30,16 +30,6 @@ from . import normalize as N
 class _Unencodable(Exception):
     """Internal signal: fall back to an unconstrained symbol."""
 
-
-class Unmodelable:
-    """Sentinel value returned by encode_member_address for shapes the
-    address record cannot represent."""
-
-    def __repr__(self):
-        return "Unmodelable"
-
-
-UNMODELABLE = Unmodelable()
 
 MEM = "%mem"   # pseudo-variable for the threaded memory record
 
@@ -91,6 +81,52 @@ def join_arith(a, b):
     if a.sort == "Real" or b.sort == "Real":
         return as_real(a), as_real(b), "Real"
     return a, b, a.sort
+
+
+def coerce(t, sort):
+    """`t` as a term of `sort`, widening Int to Real; None if it cannot
+    be."""
+    if t.sort == sort:
+        return t
+    if sort == "Real" and t.sort == "Int":
+        return as_real(t)
+    return None
+
+
+def zero(sort):
+    """The zero value of a scalar sort: 0, 0.0 or the null address."""
+    if sort == "Int":
+        return "0"
+    if sort == "Real":
+        return "0.0"
+    if sort == "Addr":
+        return NULL_ADDR.text
+    raise _Unencodable(f"no zero of sort {sort}")
+
+
+def offset_addr(p, off, op="+"):
+    """The address `p` moved by `off` cells, forward (`+`) or back
+    (`-`)."""
+    return Term(f"(mk-addr (addr-base {p.text})"
+                f" ({op} (addr-off {p.text}) {off}))", "Addr")
+
+
+def mem_with(m, addr, val):
+    """The memory record `m` with `val` stored at `addr` in the array of
+    its sort."""
+    fld = _MEM_FIELD.get(val.sort)
+    if fld is None:
+        raise _Unencodable("value sort has no memory array")
+    parts = [f"(store ({f} {m.text}) {addr.text} {val.text})" if f == fld
+             else f"({f} {m.text})" for f in _MEM_FIELD.values()]
+    return Term(f"(mk-mem {' '.join(parts)})", "Mem")
+
+
+def merge(cond, names, e1, e2):
+    """The ite on `cond` of each of `names` whose terms differ between
+    the environments `e1` and `e2`."""
+    return {v: Term(f"(ite {cond} {e1[v].text} {e2[v].text})", e1[v].sort)
+            for v in names if e1[v].text != e2[v].text}
 
 
 @dataclass
@@ -177,6 +213,24 @@ def struct_sort(name):
     return f"T${name}"
 
 
+def sort_of(ctype, structs):
+    """Solver sort of a C type; `structs` maps struct names to their
+    definitions.  Integers, booleans and function pointers are Int."""
+    if isinstance(ctype, DoubleType):
+        return "Real"
+    if isinstance(ctype, PointerType):
+        return "Addr"
+    if isinstance(ctype, StructType):
+        if ctype.name not in structs:
+            raise UnsupportedType(f"unknown struct {ctype.name}")
+        return struct_sort(ctype.name)
+    if isinstance(ctype, ArrayType):
+        return f"(Array Int {sort_of(ctype.elem, structs)})"
+    if ctype == VOID:
+        raise UnsupportedType("void has no solver sort")
+    return "Int"
+
+
 class Encoder:
     def __init__(self, prog, havocked=None):
         self.prog = prog
@@ -199,21 +253,7 @@ class Encoder:
     # -- sorts --------------------------------------------------------------
 
     def sort_of(self, ctype):
-        if isinstance(ctype, DoubleType):
-            return "Real"
-        if isinstance(ctype, (PointerType,)):
-            return "Addr"
-        if isinstance(ctype, FuncPtrType):
-            return "Int"
-        if isinstance(ctype, StructType):
-            if ctype.name not in self.structs:
-                raise UnsupportedType(f"unknown struct {ctype.name}")
-            return struct_sort(ctype.name)
-        if isinstance(ctype, ArrayType):
-            return f"(Array Int {self.sort_of(ctype.elem)})"
-        if ctype == VOID:
-            raise UnsupportedType("void has no solver sort")
-        return "Int"
+        return sort_of(ctype, self.structs)
 
     # -- symbols ------------------------------------------------------------
 
@@ -258,6 +298,11 @@ class Encoder:
     def base_const(self, var):
         return self.script.add_base(f"base${var}", "base")
 
+    def cell(self, var, off):
+        """The address of the cell at offset `off` of the memory-resident
+        variable `var`."""
+        return Term(f"(mk-addr {self.base_const(var)} {off})", "Addr")
+
     def fn_addr_const(self, fname):
         return self.script.add_base(f"addr${fname}", "fnaddr")
 
@@ -265,18 +310,7 @@ class Encoder:
         return self.env[MEM]
 
     def mem_store(self, addr_term, val_term):
-        fld = _MEM_FIELD.get(val_term.sort)
-        if fld is None:
-            raise _Unencodable("value sort has no memory array")
-        m = self.mem()
-        parts = []
-        for f in ("mem-int", "mem-real", "mem-ptr"):
-            inner = f"({f} {m.text})"
-            if f == fld:
-                inner = f"(store {inner} {addr_term.text} {val_term.text})"
-            parts.append(inner)
-        new = Term(f"(mk-mem {' '.join(parts)})", "Mem")
-        self.bind(MEM, new)
+        self.bind(MEM, mem_with(self.mem(), addr_term, val_term))
         self._reread_at_scalars()
 
     def havoc_mem(self):
@@ -309,26 +343,15 @@ class Encoder:
             if v in self.havocked:
                 continue
             sort = self.sort_of(self.prog.decls[v].ctype)
-            addr = Term(f"(mk-addr {self.base_const(v)} 0)", "Addr")
-            self.bind(v, self.mem_select(addr, sort))
+            self.bind(v, self.mem_select(self.cell(v, 0), sort))
 
     def _mirror_at_scalar(self, var):
         """After assigning an address-taken scalar, write its cell."""
         if var not in self.at_vars:
             return
-        sort = self.env[var].sort
-        if sort not in ("Int", "Real"):
+        if self.env[var].sort not in ("Int", "Real"):
             return
-        addr = Term(f"(mk-addr {self.base_const(var)} 0)", "Addr")
-        fld = _MEM_FIELD[sort]
-        m = self.mem()
-        parts = []
-        for f in ("mem-int", "mem-real", "mem-ptr"):
-            inner = f"({f} {m.text})"
-            if f == fld:
-                inner = f"(store {inner} {addr.text} {self.env[var].text})"
-            parts.append(inner)
-        self.bind(MEM, Term(f"(mk-mem {' '.join(parts)})", "Mem"))
+        self.bind(MEM, mem_with(self.mem(), self.cell(var, 0), self.env[var]))
 
     # -- program ------------------------------------------------------------
 
@@ -344,9 +367,8 @@ class Encoder:
             self.unconstrained(name, sort)
         # link address-taken scalars to their initial cells
         for v in self._at_scalar_vars():
-            addr = Term(f"(mk-addr {self.base_const(v)} 0)", "Addr")
-            self.script.assert_(
-                f"(= {self.env[v].text} {self.mem_select(addr, self.env[v].sort).text})")
+            cell = self.mem_select(self.cell(v, 0), self.env[v].sort)
+            self.script.assert_(f"(= {self.env[v].text} {cell.text})")
         entry_env = dict(self.env)
         self.encode_stmts(self.prog.body)
         return Encoding(script=self.script, entry_env=entry_env,
@@ -395,19 +417,12 @@ class Encoder:
             return
         sort = self.env[s.lhs].sort
         try:
-            term = self.rhs_term(s, sort)
+            term = coerce(self.rhs_term(s, sort), sort)
         except _Unencodable:
             term = None
         if term is None:
             self.unconstrained(s.lhs, sort)
         else:
-            if term.sort != sort:
-                if sort == "Real" and term.sort == "Int":
-                    term = as_real(term)
-                else:
-                    self.unconstrained(s.lhs, sort)
-                    self._mirror_at_scalar(s.lhs)
-                    return
             self.bind(s.lhs, term)
         self._mirror_at_scalar(s.lhs)
 
@@ -431,7 +446,7 @@ class Encoder:
             return Term(f"(- {t.text})", t.sort)
         if op == "not":
             t = self.atom_term(s.args[0])
-            return Term(f"(ite (= {t.text} {self._zero(t)}) 1 0)", "Int")
+            return Term(f"(ite (= {t.text} {zero(t.sort)}) 1 0)", "Int")
         if op in N.BINARY_OPS:
             return self.binop_term(s, op)
         if op == "deref":
@@ -449,7 +464,7 @@ class Encoder:
             base = s.args[0].name if isinstance(s.args[0], N.VarRef) else None
             if base is None or base not in self.at_vars:
                 raise _Unencodable("address of unregistered variable")
-            return Term(f"(mk-addr {self.base_const(base)} 0)", "Addr")
+            return self.cell(base, 0)
         if op == "elem_addr":
             return self.elem_addr_term(s)
         if op == "member_addr":
@@ -458,20 +473,10 @@ class Encoder:
             p = self.atom_term(s.args[0])
             if p.sort != "Addr":
                 raise _Unencodable("member address through non-address")
-            ordn = self._flat_ordinal_via_ptr(s.args[0], s.fld)
-            return Term(
-                f"(mk-addr (addr-base {p.text})"
-                f" (+ (addr-off {p.text}) {ordn}))", "Addr")
+            return offset_addr(p, self._flat_ordinal_via_ptr(s.args[0], s.fld))
         if op == "funcaddr":
             return Term(self.fn_addr_const(s.func), "Int")
         raise _Unencodable(f"op {op}")
-
-    def _zero(self, t):
-        if t.sort == "Real":
-            return "0.0"
-        if t.sort == "Addr":
-            return NULL_ADDR.text
-        return "0"
 
     def binop_term(self, s, op):
         a = self.atom_term(s.args[0])
@@ -480,9 +485,7 @@ class Encoder:
             p, i = (a, b) if a.sort == "Addr" else (b, a)
             if i.sort != "Int":
                 raise _Unencodable("pointer arithmetic with non-integer")
-            off = f"(+ (addr-off {p.text}) {i.text})" if op == "+" \
-                else f"(- (addr-off {p.text}) {i.text})"
-            return Term(f"(mk-addr (addr-base {p.text}) {off})", "Addr")
+            return offset_addr(p, i.text, op)
         if op in ("+", "-", "*"):
             a, b, sort = join_arith(a, b)
             return Term(f"({op} {a.text} {b.text})", sort)
@@ -505,16 +508,16 @@ class Encoder:
             return Term(text, "Int")
         if op in ("&&", "||"):
             fn = "and" if op == "&&" else "or"
-            ca = f"(distinct {a.text} {self._zero(a)})"
-            cb = f"(distinct {b.text} {self._zero(b)})"
+            ca = f"(distinct {a.text} {zero(a.sort)})"
+            cb = f"(distinct {b.text} {zero(b.sort)})"
             return Term(f"(ite ({fn} {ca} {cb}) 1 0)", "Int")
         raise UnsupportedOperator(op)
 
     def guarded_div(self, s, text, divisor, sort):
         """Bind division results only when the divisor is nonzero, so a
         verdict can never lean on division-by-zero behavior."""
+        z = zero(divisor.sort)
         sym = self.fresh(f"div${s.lhs}", sort)
-        z = "0.0" if divisor.sort == "Real" else "0"
         self.script.assert_(
             f"(=> (distinct {divisor.text} {z}) (= {sym.text} {text}))")
         return sym
@@ -533,9 +536,8 @@ class Encoder:
             sort = self.sort_of_safe(mt)
             if sort not in ("Int", "Real", "Addr"):
                 raise _Unencodable("aggregate member not memory-resident")
-            ordn = sd.member_ordinal(fld)
-            addr = Term(f"(mk-addr {self.base_const(name)} {ordn})", "Addr")
-            return self.mem_select(addr, sort)
+            return self.mem_select(self.cell(name, sd.member_ordinal(fld)),
+                                   sort)
         rec = self.env.get(name)
         if rec is None:
             raise _Unencodable("struct value untracked")
@@ -559,29 +561,23 @@ class Encoder:
                 sort = self.sort_of_safe(decl.ctype.elem)
                 if sort not in ("Int", "Real", "Addr"):
                     raise _Unencodable("array elements not memory-resident")
-                addr = Term(
-                    f"(mk-addr {self.base_const(arr.name)} {i.text})", "Addr")
-                return self.mem_select(addr, sort)
+                return self.mem_select(self.cell(arr.name, i.text), sort)
         p = self.atom_term(arr)
         if p.sort != "Addr":
             raise _Unencodable("index of non-pointer")
         if want_sort not in ("Int", "Real", "Addr"):
             raise _Unencodable("element not memory-resident")
-        addr = Term(f"(mk-addr (addr-base {p.text})"
-                    f" (+ (addr-off {p.text}) {i.text}))", "Addr")
-        return self.mem_select(addr, want_sort)
+        return self.mem_select(offset_addr(p, i.text), want_sort)
 
     def elem_addr_term(self, s):
         a, i = s.args
         it = self.atom_term(i)
         if isinstance(a, N.VarRef) and a.name in self.at_vars:
-            return Term(f"(mk-addr {self.base_const(a.name)} {it.text})",
-                        "Addr")
+            return self.cell(a.name, it.text)
         p = self.atom_term(a)
         if p.sort != "Addr":
             raise _Unencodable("element address of non-pointer")
-        return Term(f"(mk-addr (addr-base {p.text})"
-                    f" (+ (addr-off {p.text}) {it.text}))", "Addr")
+        return offset_addr(p, it.text)
 
     def member_addr_term(self, s):
         base = s.args[0].name if isinstance(s.args[0], N.VarRef) else None
@@ -593,9 +589,8 @@ class Encoder:
         sd = self.structs[decl.ctype.name]
         mt = sd.member_type(s.fld)
         if self.sort_of_safe(mt) not in ("Int", "Real", "Addr"):
-            return None  # nested shape: unmodelable, havoc the result
-        ordn = sd.member_ordinal(s.fld)
-        return Term(f"(mk-addr {self.base_const(base)} {ordn})", "Addr")
+            raise _Unencodable("member address of a nested shape")
+        return self.cell(base, sd.member_ordinal(s.fld))
 
     def _flat_ordinal_via_ptr(self, ptr_atom, fld):
         decl = self.prog.decls.get(ptr_atom.name)
@@ -627,12 +622,9 @@ class Encoder:
                     and base in self.env:
                 i = self.atom_term(d[2])
                 esort = self.sort_of(decl.ctype.elem)
-                v = self.atom_term(s.value, esort)
-                if v.sort != esort:
-                    if esort == "Real" and v.sort == "Int":
-                        v = as_real(v)
-                    else:
-                        raise _Unencodable("element sort mismatch")
+                v = coerce(self.atom_term(s.value, esort), esort)
+                if v is None:
+                    raise _Unencodable("element sort mismatch")
                 arr = self.env[base]
                 self.bind(base, Term(
                     f"(store {arr.text} {i.text} {v.text})", arr.sort))
@@ -644,12 +636,9 @@ class Encoder:
                     and base in self.env:
                 sd = self.structs[decl.ctype.name]
                 fsort = self.sort_of(sd.member_type(fld))
-                v = self.atom_term(s.value, fsort)
-                if v.sort != fsort:
-                    if fsort == "Real" and v.sort == "Int":
-                        v = as_real(v)
-                    else:
-                        raise _Unencodable("member sort mismatch")
+                v = coerce(self.atom_term(s.value, fsort), fsort)
+                if v is None:
+                    raise _Unencodable("member sort mismatch")
                 rec = self.env[base]
                 parts = []
                 for m, _t in sd.members:
@@ -664,10 +653,7 @@ class Encoder:
         p = self.atom_term(s.ptr)
         if p.sort != "Addr":
             raise _Unencodable("store through non-address")
-        v = self.atom_term(s.value)
-        if v.sort not in _MEM_FIELD:
-            raise _Unencodable("stored value not memory-representable")
-        self.mem_store(p, v)
+        self.mem_store(p, self.atom_term(s.value))
 
     # -- branches -----------------------------------------------------------
 
@@ -678,7 +664,7 @@ class Encoder:
         try:
             return self.expr_bool(c)
         except (_Unencodable, UnboundVariable, UnsupportedOperator,
-                UnsupportedType, KeyError):
+                UnsupportedType):
             return None
 
     def expr_bool(self, e):
@@ -698,7 +684,7 @@ class Encoder:
         if isinstance(e, Unary) and e.op == "!":
             return f"(not {self.expr_bool(e.operand)})"
         t = self.expr_term(e)
-        return f"(distinct {t.text} {self._zero(t)})"
+        return f"(distinct {t.text} {zero(t.sort)})"
 
     def expr_term(self, e):
         """Terms for the renamed AST expressions kept in conditions."""
@@ -744,9 +730,7 @@ class Encoder:
                 if p.sort != "Addr":
                     raise _Unencodable("arrow through non-address")
                 fake = N.VarRef(e.obj.ident)
-                ordn = self._flat_ordinal_via_ptr(fake, e.name)
-                addr = Term(f"(mk-addr (addr-base {p.text})"
-                            f" (+ (addr-off {p.text}) {ordn}))", "Addr")
+                addr = offset_addr(p, self._flat_ordinal_via_ptr(fake, e.name))
                 sort = self.sort_of_safe(getattr(e, "ctype", None)) or "Int"
                 return self.mem_select(addr, sort)
         if isinstance(e, Index):
@@ -768,19 +752,12 @@ class Encoder:
             cond = self.guard_const()
         pre = dict(self.env)
         self.encode_stmts(s.then)
-        then_env = self.env
-        self.env = dict(pre)
+        then_env, self.env = self.env, dict(pre)
         self.encode_stmts(s.els)
-        else_env = self.env
-        merged = dict(pre)
-        self.env = merged
-        for v in pre:
-            t1, t2 = then_env[v], else_env[v]
-            if t1.text == t2.text:
-                merged[v] = t1
-            else:
-                self.bind(v, Term(
-                    f"(ite {cond} {t1.text} {t2.text})", t1.sort))
+        else_env, self.env = self.env, dict(pre)
+        # a variable on which the arms agree was assigned in neither
+        for v, t in merge(cond, pre, then_env, else_env).items():
+            self.bind(v, t)
 
     # -- loops --------------------------------------------------------------
 
@@ -816,14 +793,9 @@ class Encoder:
         head = dict(self.env)
         self.encode_stmts(s.body)
         bend = dict(self.env)
-        exit_env = dict(head)
-        self.env = exit_env
-        for v in sorted(modified):
-            if bend[v].text == head[v].text:
-                continue
-            self.bind(v, Term(
-                f"(ite {guard} {bend[v].text} {head[v].text})",
-                head[v].sort))
+        self.env = dict(head)
+        for v, t in merge(guard, sorted(modified), bend, head).items():
+            self.bind(v, t)
         self.loops.append(LoopRecord(
             loop_id=s.loop_id, span=s.span, modified=modified, guard=guard,
             pre=pre, head=head, bend=bend, exit=dict(self.env)))
@@ -841,19 +813,13 @@ class Encoder:
 
     def encode_dispatch(self, s):
         sort = self.env[s.lhs].sort if s.lhs in self.env else "Int"
-        if sort not in ("Int", "Real"):
-            if s.lhs in self.env:
-                self.unconstrained(s.lhs, sort)
-            self.havoc_mem()
-            return
-        rsort = self.res_sort(sort)
-        fp = self.env.get(s.fp)
-        if fp is None or fp.sort != "Int":
-            if s.lhs in self.env:
-                self.unconstrained(s.lhs, sort)
-            self.havoc_mem()
-            return
         try:
+            if sort not in ("Int", "Real"):
+                raise _Unencodable("result neither Int nor Real")
+            rsort = self.res_sort(sort)
+            fp = self.env.get(s.fp)
+            if fp is None or fp.sort != "Int":
+                raise _Unencodable("function pointer untracked")
             args = [self.atom_term(a) for a in s.args]
         except _Unencodable:
             if s.lhs in self.env:
@@ -890,10 +856,8 @@ class Encoder:
         fdef = self.ast.function(fname)
         texts = []
         for p, a in zip(fdef.params, args):
-            want = self.sort_of_safe(p.ctype)
-            if want == "Real" and a.sort == "Int":
-                a = as_real(a)
-            if want != a.sort:
+            a = coerce(a, self.sort_of_safe(p.ctype))
+            if a is None:
                 return None
             texts.append(a.text)
         for g in self.fn_globals.get(fname, ()):
@@ -911,7 +875,7 @@ class Encoder:
         result = None
         try:
             result = self._encode_function(fname)
-        except (_Unencodable, EncodeError, UnsupportedType, Exception):
+        except (_Unencodable, InvarcError):
             result = None
         self.fn_cache[fname] = result
         return result
@@ -949,21 +913,19 @@ class Encoder:
                 globals_used.append(name)
                 continue
             psort = self.sort_of_safe(decl.ctype)
-            if psort is None:
+            if psort not in ("Int", "Real", "Addr"):
                 return None
-            fenv[name] = Term(self._zero_term(psort), psort)
+            fenv[name] = Term(zero(psort), psort)
         params.append("(fp$mem Mem)")
         fenv[MEM] = Term("fp$mem", "Mem")
         self.fn_globals[fname] = globals_used
         fenv = _FnBody(self, sub).run(fenv)
         if fenv is None:
             return None
-        ret = fenv.get(sub.ret_var)
-        if ret is None:
+        if sub.ret_var not in fenv:
             return None
-        if ret.sort == "Int" and ret_sort == "Real":
-            ret = as_real(ret)
-        if ret.sort != ret_sort:
+        ret = coerce(fenv[sub.ret_var], ret_sort)
+        if ret is None:
             return None
         rsort = self.res_sort(ret_sort)
         defname = f"fn${fname}"
@@ -971,15 +933,6 @@ class Encoder:
             f"(define-fun {defname} ({' '.join(params)}) {rsort}"
             f" (mk-res${ret_sort} {ret.text} {fenv[MEM].text}))")
         return defname
-
-    def _zero_term(self, sort):
-        if sort == "Real":
-            return "0.0"
-        if sort == "Addr":
-            return NULL_ADDR.text
-        if sort == "Int":
-            return "0"
-        raise _Unencodable("no default term")
 
 
 class _FnBody:
@@ -1001,14 +954,22 @@ class _FnBody:
             fenv = self.stmt(s, fenv)
         return fenv
 
-    def stmt(self, s, fenv):
+    @contextmanager
+    def over(self, fenv):
+        """The encoder, reading its variables from `fenv` for the
+        duration."""
         enc = self.enc
+        saved, enc.env = enc.env, fenv
+        try:
+            yield enc
+        finally:
+            enc.env = saved
+
+    def stmt(self, s, fenv):
         if isinstance(s, N.NAssign):
-            saved = enc.env
-            enc.env = fenv
-            try:
-                decl = self.sub.decls.get(s.lhs)
-                want = enc.sort_of_safe(decl.ctype) if decl else None
+            decl = self.sub.decls.get(s.lhs)
+            want = self.enc.sort_of_safe(decl.ctype) if decl else None
+            with self.over(fenv) as enc:
                 if s.op == "/" or s.op == "%":
                     # no fresh constants inside a definition: use the
                     # funnelled operators directly
@@ -1022,56 +983,27 @@ class _FnBody:
                     term = Term(f"({fn} {a.text} {b.text})", sort)
                 else:
                     term = enc.rhs_term(s, want)
-                if term is None:
-                    raise _Unencodable("unmodelable member address")
-                if want == "Real" and term.sort == "Int":
-                    term = as_real(term)
-                out = dict(fenv)
-                out[s.lhs] = term
-                return out
-            finally:
-                enc.env = saved
+            if want == "Real" and term.sort == "Int":
+                term = as_real(term)
+            return {**fenv, s.lhs: term}
         if isinstance(s, N.NStore):
-            saved = enc.env
-            enc.env = fenv
-            try:
+            with self.over(fenv) as enc:
                 p = enc.atom_term(s.ptr)
                 v = enc.atom_term(s.value)
-            finally:
-                enc.env = saved
-            if p.sort != "Addr" or v.sort not in _MEM_FIELD:
+            if p.sort != "Addr":
                 raise _Unencodable("store in function body")
-            m = fenv[MEM]
-            parts = []
-            for f in ("mem-int", "mem-real", "mem-ptr"):
-                inner = f"({f} {m.text})"
-                if f == _MEM_FIELD[v.sort]:
-                    inner = f"(store {inner} {p.text} {v.text})"
-                parts.append(inner)
-            out = dict(fenv)
-            out[MEM] = Term(f"(mk-mem {' '.join(parts)})", "Mem")
-            return out
+            return {**fenv, MEM: mem_with(fenv[MEM], p, v)}
         if isinstance(s, N.NNop):
             return fenv
         if isinstance(s, N.NIf):
-            saved = enc.env
-            enc.env = fenv
-            try:
+            with self.over(fenv) as enc:
                 cond = enc.cond_term(s.cond)
-            finally:
-                enc.env = saved
             if cond is None:
                 raise _Unencodable("condition in function body")
             e1 = self.stmts(s.then, dict(fenv))
             e2 = self.stmts(s.els, dict(fenv))
-            out = dict(fenv)
-            for v in fenv:
-                t1, t2 = e1[v], e2[v]
-                if t1.text == t2.text:
-                    out[v] = t1
-                else:
-                    out[v] = Term(f"(ite {cond} {t1.text} {t2.text})",
-                                  t1.sort)
+            out = {v: e1[v] for v in fenv}
+            out.update(merge(cond, fenv, e1, e2))
             return out
         raise _Unencodable(f"{type(s).__name__} in function body")
 
@@ -1093,7 +1025,8 @@ def encode_types(struct_defs, script):
                 emit(by_name[base.name])
         fields = []
         for m, t in sd.members:
-            fields.append(f"({struct_sort(sd.name)}${m} {_sort(t, by_name)})")
+            fields.append(
+                f"({struct_sort(sd.name)}${m} {sort_of(t, by_name)})")
         script.datatypes.append(
             f"(declare-datatype {struct_sort(sd.name)}"
             f" ((mk${sd.name} {' '.join(fields)})))")
@@ -1101,36 +1034,6 @@ def encode_types(struct_defs, script):
     for sd in struct_defs:
         emit(sd)
     return script
-
-
-def _sort(t, by_name):
-    if isinstance(t, DoubleType):
-        return "Real"
-    if isinstance(t, StructType):
-        if t.name not in by_name:
-            raise UnsupportedType(f"unknown struct {t.name}")
-        return struct_sort(t.name)
-    if isinstance(t, ArrayType):
-        return f"(Array Int {_sort(t.elem, by_name)})"
-    if isinstance(t, (PointerType,)):
-        return "Addr"
-    if isinstance(t, FuncPtrType):
-        return "Int"
-    return "Int"
-
-
-def encode_member_address(enc, base_var, fld):
-    """Address record for &base.fld, or the Unmodelable sentinel when the
-    member is not a flat scalar."""
-    decl = enc.prog.decls.get(base_var)
-    if decl is None or not isinstance(decl.ctype, StructType):
-        return UNMODELABLE
-    sd = enc.structs[decl.ctype.name]
-    mt = sd.member_type(fld)
-    if enc.sort_of_safe(mt) not in ("Int", "Real", "Addr"):
-        return UNMODELABLE
-    ordn = sd.member_ordinal(fld)
-    return Term(f"(mk-addr {enc.base_const(base_var)} {ordn})", "Addr")
 
 
 def encode_program(prog, havocked=None):

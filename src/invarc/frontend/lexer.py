@@ -41,7 +41,7 @@ REJECTED_KEYWORDS = {
 PUNCT = [
     "->", "++", "--", "+=", "-=", "*=", "/=", "%=", "&&", "||",
     "==", "!=", "<=", ">=",
-    "{", "}", "(", ")", "[", "]", ";", ",", ".",
+    "{", "}", "(", ")", "[", "]", ";", ",", "...", ".",
     "+", "-", "*", "/", "%", "<", ">", "=", "&", "!", "|",
 ]
 

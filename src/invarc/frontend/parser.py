@@ -6,6 +6,9 @@ Grammar highlights:
     assignment statements.
   * Assignment is a statement, not an expression.
   * Function-pointer declarators are limited to ``RET (*name)(T1, ...)``.
+  * Statements, expressions and unary operators nest at most
+    ``MAX_NESTING`` deep together, so that no later stage runs out of
+    stack on a deep input.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ from .ast import (
 )
 from .lexer import lex
 
+MAX_NESTING = 64
+
 
 class Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
         self._tmp = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -51,6 +57,15 @@ class Parser:
                 f"unexpected {t.text!r}" if t.kind != "eof" else "unexpected end of input",
                 t.span, expected=(text,))
         return self.toks[self.pos - 1]
+
+    def enter(self):
+        """Go one nesting level deeper, failing past MAX_NESTING; the
+        caller comes back with `self.depth -= 1`.  A parse failure ends
+        the parse, so the levels it leaves open do not matter."""
+        if self.depth >= MAX_NESTING:
+            raise ParseFailure(f"nesting deeper than {MAX_NESTING} levels",
+                               self.peek().span)
+        self.depth += 1
 
     def expect_ident(self):
         t = self.peek()
@@ -222,6 +237,12 @@ class Parser:
         return CompoundStmt(stmts=stmts, span=start.span)
 
     def parse_stmt(self):
+        self.enter()
+        s = self._parse_stmt()
+        self.depth -= 1
+        return s
+
+    def _parse_stmt(self):
         t = self.peek()
         if self.at("{"):
             return self.parse_compound()
@@ -347,7 +368,10 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_expr_prec(0)
+        self.enter()
+        e = self.parse_expr_prec(0)
+        self.depth -= 1
+        return e
 
     _BINOPS = [
         ("||",),
@@ -375,7 +399,9 @@ class Parser:
         t = self.peek()
         if t.kind == "punct" and t.text in ("-", "!", "&", "*", "+"):
             self.pos += 1
+            self.enter()
             inner = self.parse_unary()
+            self.depth -= 1
             if t.text == "+":
                 return inner
             return Unary(op=t.text, operand=inner, span=t.span)

@@ -814,26 +814,6 @@ def to_simple_assignments(ast, report, entry, depth_limit=32,
     return prog
 
 
-def renormalize_temp_count(prog):
-    """Number of fresh temporaries a second lowering pass would introduce.
-
-    Every statement leaf is already in simple form, so this counts the
-    non-atom positions (always zero for a well-formed NormalizedProgram).
-    """
-    extra = 0
-    for s in prog.walk():
-        if isinstance(s, NAssign):
-            for a in s.args:
-                if not isinstance(a, (VarRef, Lit)):
-                    extra += 1
-        elif isinstance(s, NStore):
-            if not isinstance(s.ptr, (VarRef, Lit)):
-                extra += 1
-            if not isinstance(s.value, (VarRef, Lit)):
-                extra += 1
-    return extra
-
-
 # ---------------------------------------------------------------------------
 # Pretty printer (for --dump normalized and golden tests)
 

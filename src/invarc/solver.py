@@ -32,7 +32,6 @@ class SolverConfig:
     executable: str
     args: tuple = ()
     timeout_ms: int = 10_000
-    max_workers: int = 1
     workdir: str = None
     keep_artifacts: bool = False
 
@@ -41,8 +40,6 @@ class SolverConfig:
             raise ValueError("executable must be non-empty")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
 
 
 def discover_solver(timeout_ms=10_000, workdir=None, keep_artifacts=False):

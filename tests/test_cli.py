@@ -57,7 +57,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("int f( { return 0; }")
     code, _, err = run(capsys, str(bad))
-    assert code == 2 and "error" in err
+    assert code == 2
+    assert err.startswith(f"{bad}:1:8: error: expected type")
+    assert len(err.splitlines()) == 1 and err.count("error:") == 1
+
+
+def test_deep_nesting_exit_code(capsys, tmp_path):
+    deep = tmp_path / "deep.c"
+    deep.write_text("int f(int a) { return " + "(" * 89 + "a" + ")" * 89
+                    + "; }\n")
+    code, _, err = run(capsys, str(deep))
+    assert code == 2
+    assert err == f"{deep}:1:86: error: nesting deeper than 64 levels\n"
 
 
 def test_rejected_construct_exit_code(capsys, tmp_path):
@@ -84,7 +95,8 @@ def test_node_without_z3_solver_is_not_found(capsys, node_only):
     code, _, err = run(capsys, FOO, "--entry", "foo")
     assert code == 3
     assert len(err.splitlines()) == 1
-    assert "no SMT solver found" in err and "z3-solver" in err
+    assert err.startswith(f"{FOO}: error: no SMT solver found")
+    assert "z3-solver" in err and err.count("error:") == 1
     assert "node must not run" not in err
 
 

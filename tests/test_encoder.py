@@ -7,7 +7,7 @@ import pytest
 
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
-from invarc.encoder import MEM, encode_program
+from invarc.encoder import MEM, Encoder, encode_program
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import emit_query, enumerate_candidates
@@ -68,6 +68,17 @@ def cli_script(name):
 def test_script_matches_golden(name):
     golden = GOLDEN / "smt" / name.replace(".c", ".smt2")
     assert cli_script(name) == golden.read_text(), name
+
+
+def test_function_encoder_bug_is_not_swallowed(monkeypatch):
+    """Only an unencodable body falls back to an unconstrained call
+    result; any other exception from the function encoder escapes."""
+    def broken(self, fname):
+        raise KeyError(fname)
+
+    monkeypatch.setattr(Encoder, "_encode_function", broken)
+    with pytest.raises(KeyError):
+        build_pipeline(corpus_source("fp_known.c"), corpus_entry("fp_known.c"))
 
 
 def test_ssa_single_assignment():

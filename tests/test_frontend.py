@@ -8,6 +8,7 @@ from invarc.frontend import parse_translation_unit
 from invarc.frontend.ast import DoubleType, IntType, ast_text, \
     strip_for_compare
 from invarc.frontend.classify import classify_constructs
+from invarc.frontend.parser import MAX_NESTING
 
 from conftest import CORPUS, corpus_source
 
@@ -56,6 +57,56 @@ def test_bad_assignment_type():
 def test_rejected_constructs(snippet, kind):
     with pytest.raises(RejectedConstruct):
         parse_translation_unit(snippet)
+
+
+def test_varargs_rejected_by_name():
+    with pytest.raises(RejectedConstruct) as e:
+        parse_translation_unit("int f(int a, ...) { return a; }")
+    assert e.value.kind == "varargs"
+    assert (e.value.span.line, e.value.span.col) == (1, 14)
+
+
+def parens(n):
+    return "(" * n + "a" + ")" * n
+
+
+def with_body(body):
+    return f"int f(int a, int* p) {{ {body} return a; }}"
+
+
+# A statement and each expression (whole, parenthesised or bracketed)
+# take one level each, as does each unary operator: the bodies below sit
+# exactly at the limit, and one level past it.
+AT_LIMIT = {
+    "parens": f"return {parens(MAX_NESTING - 2)};",
+    "unary": "a = " + "- " * (MAX_NESTING - 2) + "a;",
+    "index": "a = " + "p[" * (MAX_NESTING - 2) + "0"
+             + "]" * (MAX_NESTING - 2) + ";",
+    "blocks": "{" * (MAX_NESTING - 2) + "a = 1;" + "}" * (MAX_NESTING - 2),
+    "ifs": "if (a) " * (MAX_NESTING - 3) + "a = (a);",
+}
+PAST_LIMIT = {
+    "parens": f"return {parens(MAX_NESTING - 1)};",
+    "unary": "a = " + "- " * (MAX_NESTING - 1) + "a;",
+    "index": "a = " + "p[" * (MAX_NESTING - 1) + "0"
+             + "]" * (MAX_NESTING - 1) + ";",
+    "blocks": "{" * (MAX_NESTING - 1) + "a = 1;" + "}" * (MAX_NESTING - 1),
+    "ifs": "if (a) " * (MAX_NESTING - 2) + "a = (a);",
+    "parens-89": f"return {parens(89)};",
+    "parens-3000": f"return {parens(3000)};",
+    "ifs-400": "if (a) " * 400 + "a = 1;",
+}
+
+
+@pytest.mark.parametrize("shape", AT_LIMIT)
+def test_nesting_at_the_limit_parses(shape):
+    parse_translation_unit(with_body(AT_LIMIT[shape]))
+
+
+@pytest.mark.parametrize("shape", PAST_LIMIT)
+def test_nesting_past_the_limit_is_a_parse_failure(shape):
+    with pytest.raises(ParseFailure, match="nesting deeper than 64 levels"):
+        parse_translation_unit(with_body(PAST_LIMIT[shape]))
 
 
 def test_roundtrip_corpus():

@@ -42,8 +42,6 @@ def test_config_validation():
         SolverConfig(executable="", args=())
     with pytest.raises(ValueError):
         SolverConfig(executable="z3", args=(), timeout_ms=0)
-    with pytest.raises(ValueError):
-        SolverConfig(executable="z3", args=(), max_workers=0)
 
 
 def test_discover_env_override(monkeypatch, tmp_path):
