@@ -2,10 +2,12 @@
 solve, report.
 
 Exit codes: 0 analysis completed (regardless of verdicts), 1 usage
-error, 2 parse/type error in the input program, 3 solver infrastructure
-error.  An error in the analysis of a file is one line on stderr,
-`FILE:LINE:COL: error: MESSAGE`, without `LINE:COL` where it has no
-position in the source.
+error or an input file that cannot be read as UTF-8 text, 2 parse/type
+error in the input program, 3 solver infrastructure error, 4 `--oracle`
+found a reported invariant that an execution breaks (every input is
+still analysed and reported).  An error in the analysis of a file is one
+line on stderr, `FILE:LINE:COL: error: MESSAGE`, without `LINE:COL`
+where it has no position in the source.
 
 The solver is looked for only when a program has a query for it, and
 then once per run.  A program without queries is analysed, and exits 0,
@@ -23,8 +25,8 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 
-from .diagnostics import InvarcError, ProtocolError, SolverNotFound, \
-    StepBudgetExceeded, FrontendTypeError
+from .diagnostics import InputError, InvarcError, ProtocolError, \
+    SolverNotFound, StepBudgetExceeded, FrontendTypeError
 from .frontend import parse_translation_unit
 from .frontend.ast import IntType, LongType, ast_text
 from .frontend.classify import classify_constructs
@@ -92,9 +94,23 @@ def build_pipeline(source_text, entry=None):
     return ast, report, prog, graph, ab, enc
 
 
+def _read_source(path):
+    """The text of `path`; an unreadable file raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise InputError(e.strerror or str(e)) from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"not UTF-8 text: byte 0x{e.object[e.start]:02x} "
+                         f"at offset {e.start}") from e
+
+
 def _analyze_one(cfg, path):
+    """Analyse one file and write its report; True when `--oracle` found
+    a violation."""
     out = cfg.out or sys.stdout
-    source = open(path).read()
+    source = _read_source(path)
     ast, report, prog, graph, ab, enc = build_pipeline(source, cfg.entry)
     if "ast" in cfg.dumps:
         out.write(ast_text(ast))
@@ -118,7 +134,8 @@ def _analyze_one(cfg, path):
             out.write(line + "\n")
         if oracle["violations"]:
             out.write("ORACLE VIOLATION\n")
-    return report_obj
+            return True
+    return False
 
 
 def _loop_pairs(events, span, first, second):
@@ -259,16 +276,16 @@ def main(argv=None):
                     timeout_ms=args.timeout_ms, fmt=args.fmt,
                     dumps=tuple(args.dump), oracle=args.oracle,
                     domain=domain, keep_artifacts=args.keep_artifacts)
+    violated = False
     for path in cfg.inputs:
         try:
-            _analyze_one(cfg, path)
-        except FileNotFoundError as e:
-            sys.stderr.write(f"error: {e}\n")
-            return 1
+            violated |= _analyze_one(cfg, path)
         except InvarcError as e:
             sys.stderr.write(f"{e.render(path)}\n")
+            if isinstance(e, InputError):
+                return 1
             return 3 if isinstance(e, (SolverNotFound, ProtocolError)) else 2
-    return 0
+    return 4 if violated else 0
 
 
 if __name__ == "__main__":

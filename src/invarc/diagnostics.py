@@ -41,6 +41,10 @@ class InvarcError(Exception):
         return f"{loc}: {self.severity}: {self.message}"
 
 
+class InputError(InvarcError):
+    """An input file that cannot be read as UTF-8 text."""
+
+
 class ParseFailure(InvarcError):
     """Syntax error: carries the offending span and the expected-token set."""
 

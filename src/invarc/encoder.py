@@ -139,6 +139,7 @@ class SolverScript:
     main: list = field(default_factory=list)
     queries: list = field(default_factory=list)    # (name, [lines])
     _declared: set = field(default_factory=set)
+    _query_names: set = field(default_factory=set)
 
     def declare(self, name, sort):
         if name in self._declared:
@@ -155,8 +156,9 @@ class SolverScript:
         return name
 
     def add_query(self, name, assert_text):
-        if any(q[0] == name for q in self.queries):
+        if name in self._query_names:
             raise EncodeError(f"duplicate query name {name}")
+        self._query_names.add(name)
         self.queries.append((name, [
             "(push 1)",
             f'(echo "QUERY:{name}")',
@@ -245,6 +247,7 @@ class Encoder:
         self.havocked = set(havocked or ())
         self.fn_cache = {}
         self.fn_globals = {}
+        self.fn_writes = {}
         self.res_sorts = set()
         self.at_vars = self._address_taken()
         self.sorts = {}
@@ -772,6 +775,8 @@ class Encoder:
                 if s.lhs:
                     out.add(s.lhs)
                 out.add(MEM)
+                if isinstance(s, N.NFpDispatch):
+                    out.update(self.dispatch_writes(s))
             elif isinstance(s, N.NStore):
                 d = self.prog.designators.get(
                     s.ptr.name if isinstance(s.ptr, N.VarRef) else None)
@@ -825,6 +830,7 @@ class Encoder:
             if s.lhs in self.env:
                 self.unconstrained(s.lhs, sort)
             self.havoc_mem()
+            self.havoc_dispatch_writes(s)
             return
         self.counter += 1
         else_const = f"resx@{self.counter}"
@@ -848,6 +854,24 @@ class Encoder:
         self._mirror_at_scalar(s.lhs)
         self.bind(MEM, Term(f"(memo${sort} {res})", "Mem"))
         self._reread_at_scalars()
+        self.havoc_dispatch_writes(s)
+
+    def dispatch_writes(self, s):
+        """The globals with a symbol that a candidate of the dispatch `s`
+        may assign, sorted."""
+        key = tuple(s.candidates)
+        if key not in self.fn_writes:
+            self.fn_writes[key] = sorted(
+                g for g in N.written_globals(self.ast, s.candidates)
+                if g in self.env)
+        return self.fn_writes[key]
+
+    def havoc_dispatch_writes(self, s):
+        """Leave unconstrained every global the dispatch `s` may have
+        assigned: the encoded call returns only its result and memory."""
+        for g in self.dispatch_writes(s):
+            self.unconstrained(g, self.env[g].sort)
+            self._mirror_at_scalar(g)
 
     def fn_call_term(self, fname, args, ret_sort):
         defname = self.encode_function(fname)

@@ -7,6 +7,7 @@ Rejected constructs that are recognizable at the token level (``goto``,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..diagnostics import ParseFailure, RejectedConstruct, Span
@@ -46,6 +47,22 @@ PUNCT = [
 ]
 
 
+# One alternative per token class, tried in this order at each position.
+# Punctuators keep PUNCT's order, so a longer one wins over its prefix.
+# `\w` is exactly `str.isalnum()` or `_`; a word whose first character is
+# not a letter or `_` (a numeric character such as `½`) is rejected below.
+_MASTER = re.compile("|".join([
+    r"(?P<nl>\n)",
+    r"(?P<ws>[ \t\r]+)",
+    r"(?P<line>//[^\n]*)",
+    r"(?P<block>/\*.*?\*/)",
+    r"(?P<open>/\*)",
+    r"(?P<word>[^\W\d]\w*)",
+    r"(?P<num>\d+(?P<frac>\.\d+)?)",
+    "(?P<punct>" + "|".join(re.escape(p) for p in PUNCT) + ")",
+]), re.DOTALL)
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str   # 'ident', 'int', 'float', 'punct', 'kw', 'eof'
@@ -57,80 +74,55 @@ def lex(source):
     tokens = []
     line, col = 1, 1
     i, n = 0, len(source)
-
-    def span(ln, cl, length=1):
-        return Span(ln, cl, ln, cl + length)
-
+    match = _MASTER.match
     while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+        m = match(source, i)
+        group = m.lastgroup if m else None
+        if group == "nl":
+            i, line, col = i + 1, line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if group == "ws":
+            col += m.end() - i
+            i = m.end()
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+        if group == "line":
+            i = m.end()     # the column stays as it is: a newline follows
             continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise ParseFailure("unterminated comment", span(line, col))
-            for ch in source[i:end + 2]:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
+        if group == "block":
+            text = m.group()
+            i = m.end()
+            breaks = text.count("\n")
+            if breaks:
+                line, col = line + breaks, len(text) - text.rindex("\n")
+            else:
+                col += len(text)
             continue
+        if group == "word" and not (source[i].isalpha() or source[i] == "_"):
+            group = None
+        if group in ("word", "num", "punct"):
+            text = m.group()
+            sp = Span(line, col, line, col + len(text))
+            if group == "word":
+                if text in REJECTED_KEYWORDS:
+                    raise RejectedConstruct(REJECTED_KEYWORDS[text], sp)
+                kind = "kw" if text in KEYWORDS else "ident"
+            elif group == "num":
+                kind = "float" if m.group("frac") else "int"
+            elif text == "...":
+                raise RejectedConstruct("varargs", sp)
+            else:
+                kind = "punct"
+            tokens.append(Token(kind, text, sp))
+            i += len(text)
+            col += len(text)
+            continue
+        c, sp = source[i], Span(line, col, line, col + 1)
+        if group == "open":
+            raise ParseFailure("unterminated comment", sp)
         if c == "#":
-            raise RejectedConstruct("preprocessor residue", span(line, col))
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            sp = span(line, col, j - i)
-            if word in REJECTED_KEYWORDS:
-                raise RejectedConstruct(REJECTED_KEYWORDS[word], sp)
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, sp))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            sp = span(line, col, j - i)
-            tokens.append(Token("float" if is_float else "int", text, sp))
-            col += j - i
-            i = j
-            continue
+            raise RejectedConstruct("preprocessor residue", sp)
         if c in "\"'":
-            raise RejectedConstruct("string/char literal", span(line, col))
-        for p in PUNCT:
-            if source.startswith(p, i):
-                sp = span(line, col, len(p))
-                if p == "...":
-                    raise RejectedConstruct("varargs", sp)
-                tokens.append(Token("punct", p, sp))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseFailure(f"unexpected character {c!r}", span(line, col))
+            raise RejectedConstruct("string/char literal", sp)
+        raise ParseFailure(f"unexpected character {c!r}", sp)
     tokens.append(Token("eof", "", Span(line, col)))
     return tokens

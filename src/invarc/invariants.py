@@ -8,6 +8,19 @@ when the solver proves every required equality (unsat negation);
 anything else, including timeouts and errors, yields unknown.  Without
 a solver the queries are only tried by in-process refutation
 (`refute.py`), which never proves an invariant.
+
+Only queries that can change a verdict are emitted.  The loop induction
+is deliberately one iteration deep: the encoder gives each variable the
+loop modifies a fresh head constant that no assertion defines.  Every
+assertion defines one symbol from symbols declared before it, so every
+assertion that reads the head defines a symbol declared after the head.
+A model of the rest can therefore give the head any value, one other
+than pre's included, and extend to the later symbols through their
+definitions: pre = head is satisfiable, and the `loop` candidate of a
+modified variable is settled as unknown with no query at all.  For a
+variable the loop leaves alone, pre, head and exit are one symbol, and
+only head = body-end is queried; keeping it keeps the candidate sound
+even where `modified_vars` misses a write.
 """
 
 from __future__ import annotations
@@ -69,10 +82,16 @@ def enumerate_candidates(ab, enc):
             if name not in lr.pre:
                 continue
             pre, head = lr.pre[name].text, lr.head[name].text
-            bend, exit_ = lr.bend[name].text, lr.exit[name].text
-            cands.append(Candidate(
-                variable=name, kind="loop", loop_id=lr.loop_id,
-                pairs=[(pre, head), (head, bend), (head, exit_)]))
+            bend = lr.bend[name].text
+            if head != pre:
+                # modified in the loop: (pre, head) is sat, see above
+                loop = Candidate(variable=name, kind="loop",
+                                 loop_id=lr.loop_id, verdict="unknown")
+            else:
+                # exit is head, as only modified variables are merged
+                loop = Candidate(variable=name, kind="loop",
+                                 loop_id=lr.loop_id, pairs=[(head, bend)])
+            cands.append(loop)
             cands.append(Candidate(
                 variable=name, kind="head-bend", loop_id=lr.loop_id,
                 pairs=[(head, bend)]))
@@ -187,6 +206,8 @@ def detect_invariants(ab, enc, solver, program_name="program"):
             f"no solver: {len(undecided)} of {len(queries)} queries were "
             f"not refuted in-process; their candidates are unknown")
     for c in cands:
+        if c.verdict is not None:
+            continue
         raw = [verdicts.get(q, "error") for q in c.query_names]
         c.verdict = combine_verdicts(raw) if raw else "invariant"
         c.time_ms = elapsed if c.query_names else 0.0

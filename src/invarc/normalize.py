@@ -276,6 +276,58 @@ def address_taken_functions(ast):
     return taken
 
 
+def written_globals(ast, fnames):
+    """Globals that the functions `fnames`, or the functions they call,
+    may write: assigned by name (whole, or one element or member), or
+    reachable through a pointer they make, by `&` or by using an array
+    as a value.  A call through a function pointer may reach any
+    address-taken function."""
+    from .frontend.classify import walk_exprs
+    out, seen, todo = set(), set(), list(fnames)
+
+    def stmts(s):
+        if isinstance(s, CompoundStmt):
+            for x in s.stmts:
+                yield from stmts(x)
+        elif isinstance(s, IfStmt):
+            yield from stmts(s.then)
+            yield from stmts(s.els)
+        elif isinstance(s, WhileStmt):
+            yield from stmts(s.body)
+        elif s is not None:
+            yield s
+
+    def add_root(e):
+        while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
+                or (isinstance(e, Member) and not e.arrow):
+            e = e.arr if isinstance(e, Index) else e.obj
+        if isinstance(e, Name) and isinstance(e.decl, VarDecl):
+            out.add(e.ident)
+
+    def visit(e):
+        if isinstance(e, Unary) and e.op == "&":
+            add_root(e.operand)
+        elif isinstance(e, Name) and isinstance(e.ctype, ArrayType):
+            add_root(e)     # an array used anywhere may decay to a pointer
+        elif isinstance(e, Call):
+            callee = e.callee.decl if isinstance(e.callee, Name) else None
+            if isinstance(callee, FunctionDef):
+                todo.append(callee.name)
+            elif not (isinstance(e.callee, Name) and callee is None):
+                todo.extend(address_taken_functions(ast))  # not a library call
+
+    while todo:
+        fn = ast.function(todo.pop())
+        if fn is None or fn.name in seen:
+            continue
+        seen.add(fn.name)
+        walk_exprs(fn.body, visit)
+        for s in stmts(fn.body):
+            if isinstance(s, AssignStmt):
+                add_root(s.target)
+    return out
+
+
 class Inliner:
     def __init__(self, ast, report, depth_limit=32):
         self.ast = ast

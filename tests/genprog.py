@@ -167,3 +167,44 @@ def random_normalized(seed, max_stmts=30):
                     else N.Lit(rng.randint(-3, 3), "int")
                 body.append(N.NAssign(lhs=lhs, op=op, args=[a, b], uid=uid))
     return N.NormalizedProgram(entry="gen", decls=decls, body=body)
+
+
+def fp_global_c(seed):
+    """Calls through a function pointer whose targets write globals, by
+    name, through a pointer or through a callee they inline, in straight
+    code or in a loop; `u` is never written."""
+    rng = random.Random(seed)
+    lines = ["int g;", "int h;", "int u;",
+             "int bump(int x) { h = h + x; return x; }"]
+    n_targets = rng.randint(1, 3)
+    for t in range(n_targets):
+        body = []
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                body.append(f"g = x {rng.choice(_BINOPS)} {rng.randint(-2, 2)};")
+            elif kind == 1:
+                body.append("x = bump(x);")
+            elif kind == 2:
+                body.append(f"if (x < {rng.randint(-1, 1)}) {{ g = 1; }}")
+            elif kind == 3:
+                body.append("{ int *p = &g; *p = x; }")
+            else:
+                body.append(f"x = x + {rng.randint(-1, 1)};")
+        lines.append(f"int t{t}(int x) {{ {' '.join(body)} return x; }}")
+    lines += ["int gen(int a, int b) {",
+              "  int (*fp)(int);",
+              "  fp = &t0;"]
+    for t in range(1, n_targets):
+        lines.append(f"  if (a < {rng.randint(-1, 1)}) {{ fp = &t{t}; }}")
+    lines.append("  int r = u;")
+    if rng.random() < 0.5:
+        lines += ["  int i = 0;",
+                  "  while (i < b) {",
+                  "    r = r + fp(a);",
+                  "    i = i + 1;",
+                  "  }"]
+    else:
+        lines.append("  r = fp(b);")
+    lines += ["  return r;", "}"]
+    return "\n".join(lines)

@@ -5,6 +5,7 @@ import tempfile
 
 import pytest
 
+from invarc import cli
 from invarc.cli import main, parse_domain
 
 from conftest import CORPUS, make_executable
@@ -51,6 +52,43 @@ def test_dump_stages(capsys, solver_cfg):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "/no/such/file.c")
     assert code == 1 and "error" in err
+
+
+def test_directory_input(capsys, tmp_path):
+    code, out, err = run(capsys, str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"{tmp_path}: error: Is a directory\n"
+
+
+def test_non_utf8_input(capsys, tmp_path):
+    bad = tmp_path / "latin1.c"
+    bad.write_bytes(b"int f(int a) { return a; } /* \xff */\n")
+    code, out, err = run(capsys, str(bad))
+    assert code == 1 and out == ""
+    assert err == f"{bad}: error: not UTF-8 text: byte 0xff at offset 30\n"
+
+
+def test_oracle_violation_exit_code(capsys, monkeypatch, tmp_path):
+    # A report that wrongly claims `a` invariant must end in exit 4.
+    src = tmp_path / "inc.c"
+    src.write_text("int f(int a) { a = a + 1; return a; }\n")
+    detect = cli.detect_invariants
+
+    def overclaim(*args, **kw):
+        report = detect(*args, **kw)
+        for c in report.candidates:
+            c.verdict = "invariant"
+        return report
+
+    monkeypatch.setattr(cli, "detect_invariants", overclaim)
+    code, out, _ = run(capsys, str(src), "--solver", "none", "--oracle",
+                       "--domain=-1..1")
+    assert code == 4
+    assert "oracle: a entry-exit: FAIL" in out and "ORACLE VIOLATION" in out
+    monkeypatch.undo()
+    code, out, _ = run(capsys, str(src), "--solver", "none", "--oracle",
+                       "--domain=-1..1")
+    assert code == 0 and "ORACLE VIOLATION" not in out
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

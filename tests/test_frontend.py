@@ -3,11 +3,12 @@
 import pytest
 
 from invarc.diagnostics import FrontendTypeError, ParseFailure, \
-    RejectedConstruct
+    RejectedConstruct, Span
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.ast import DoubleType, IntType, ast_text, \
     strip_for_compare
 from invarc.frontend.classify import classify_constructs
+from invarc.frontend.lexer import lex
 from invarc.frontend.parser import MAX_NESTING
 
 from conftest import CORPUS, corpus_source
@@ -57,6 +58,24 @@ def test_bad_assignment_type():
 def test_rejected_constructs(snippet, kind):
     with pytest.raises(RejectedConstruct):
         parse_translation_unit(snippet)
+
+
+def test_lexer_positions():
+    toks = lex("a /* x\n yz */b\t..1.5 2.x // c")
+    assert [(t.kind, t.text, t.span) for t in toks] == [
+        ("ident", "a", Span(1, 1, 1, 2)), ("ident", "b", Span(2, 7, 2, 8)),
+        ("punct", ".", Span(2, 9, 2, 10)), ("punct", ".", Span(2, 10, 2, 11)),
+        ("float", "1.5", Span(2, 11, 2, 14)), ("int", "2", Span(2, 15, 2, 16)),
+        ("punct", ".", Span(2, 16, 2, 17)), ("ident", "x", Span(2, 17, 2, 18)),
+        # a line comment leaves the column where it began
+        ("eof", "", Span(2, 19))]
+    for text, span in (("a /* b", Span(1, 3, 1, 4)),
+                       ("\n  # x", Span(2, 3, 2, 4)),
+                       ("x = \u00b2;", Span(1, 5, 1, 6)),
+                       ("x = \u00bd;", Span(1, 5, 1, 6))):
+        with pytest.raises(ParseFailure) as e:
+            lex(text)
+        assert e.value.span == span, text
 
 
 def test_varargs_rejected_by_name():

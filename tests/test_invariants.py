@@ -4,9 +4,12 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invarc.abstraction import abstract_program
-from invarc.diagnostics import UnknownSymbol
+from invarc.cli import build_pipeline, check_oracle
+from invarc.diagnostics import EncodeError, UnknownSymbol
 from invarc.encoder import SolverScript, encode_program
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
@@ -16,8 +19,10 @@ from invarc.invariants import (
 )
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
+from invarc.refute import _parse, refute_queries
 
-from conftest import DOCS, corpus_entry, corpus_source
+from conftest import DOCS, ENTRIES, corpus_entry, corpus_source
+from genprog import fp_global_c, loopy_c
 
 
 def build(src, entry):
@@ -57,6 +62,13 @@ def test_identical_symbols_short_circuit():
     s.declare("v@1", "Int")
     assert emit_query(c, s, "q0$v$entry-exit") == []
     assert s.queries == []
+
+
+def test_duplicate_query_name_rejected():
+    s = SolverScript()
+    s.add_query("q", "true")
+    with pytest.raises(EncodeError):
+        s.add_query("q", "false")
 
 
 def test_unknown_symbol_rejected():
@@ -138,3 +150,147 @@ def test_empty_candidate_list(no_solver):
     rep = detect_invariants(ab, enc, lambda: no_solver)
     assert rep.candidates == []
     assert "x" in rep.polluted
+
+
+# --- loop candidates settled without a query --------------------------------
+
+def loop_programs():
+    for name in sorted(ENTRIES):
+        yield name, corpus_source(name), corpus_entry(name)
+    for seed in range(20):
+        yield f"loopy-{seed}", loopy_c(seed), "gen"
+        yield f"fp-global-{seed}", fp_global_c(seed), "gen"
+
+
+def atoms(term):
+    if isinstance(term, str):
+        yield term
+    else:
+        for t in term:
+            yield from atoms(t)
+
+
+def test_loop_heads_of_modified_variables_are_undefined():
+    """Why a settled `loop` candidate is unknown: each assertion defines
+    one symbol, and one that reads a modified variable's loop head
+    defines a symbol declared after the head, so the head is free."""
+    heads = 0
+    for label, src, entry in loop_programs():
+        *_, enc = build_pipeline(src, entry)
+        main = enc.script.main
+        order = {line.split()[1]: i for i, line in enumerate(main)
+                 if line.startswith("(declare-const ")}
+        defs = []
+        for line in main:
+            if not line.startswith("(assert "):
+                continue
+            (_, term), = _parse(line)
+            eq = term[2] if term[0] == "=>" else term
+            assert eq[0] == "=" and eq[1] in order, (label, line)
+            defs.append((eq[1], set(atoms(term))))
+        for lr in enc.loops:
+            for v in lr.modified:
+                head = lr.head[v].text
+                heads += 1
+                for defined, used in defs:
+                    assert defined != head, (label, v)
+                    if head in used:
+                        assert order[defined] > order[head], (label, v)
+    assert heads > 50
+
+
+def test_settled_loop_candidates_are_refuted_by_their_pre_head_query():
+    settled = 0
+    for label, src, entry in loop_programs():
+        *_, ab, enc = build_pipeline(src, entry)
+        loops = {lr.loop_id: lr for lr in enc.loops}
+        names = set()
+        for c in enumerate_candidates(ab, enc):
+            if c.kind != "loop" or c.pairs:
+                continue
+            lr = loops[c.loop_id]
+            assert c.verdict == "unknown" and c.variable in lr.modified
+            name = f"s{len(names)}"
+            enc.script.add_query(name, f"(not (= {lr.pre[c.variable].text}"
+                                       f" {lr.head[c.variable].text}))")
+            names.add(name)
+        assert set(refute_queries(enc.script.render())) == names, label
+        settled += len(names)
+    assert settled > 50
+
+
+# (variable, kind, loop, verdict) per candidate, without a solver
+PINNED = {
+    "foo.c": [
+        ("i", "entry-exit", None, "invariant"), ("i", "loop", 1, "invariant"),
+        ("i", "head-bend", 1, "invariant"), ("cnt", "loop", 1, "unknown"),
+        ("cnt", "head-bend", 1, "unknown")],
+    "sum.c": [
+        ("sum", "loop", 1, "unknown"), ("sum", "head-bend", 1, "unknown"),
+        ("i", "loop", 1, "unknown"), ("i", "head-bend", 1, "unknown")],
+    "sequential_scan.c": [
+        ("scan_direction", "entry-exit", None, "invariant"),
+        ("num_predicates", "entry-exit", None, "invariant"),
+        ("scan_direction", "loop", 1, "invariant"),
+        ("scan_direction", "head-bend", 1, "invariant"),
+        ("num_predicates", "loop", 1, "invariant"),
+        ("num_predicates", "head-bend", 1, "invariant"),
+        ("column_offset", "loop", 1, "unknown"),
+        ("column_offset", "head-bend", 1, "unknown"),
+        ("column_type", "loop", 1, "unknown"),
+        ("column_type", "head-bend", 1, "unknown"),
+        ("i", "loop", 1, "unknown"), ("i", "head-bend", 1, "unknown"),
+        ("scan_direction", "loop", 2, "invariant"),
+        ("scan_direction", "head-bend", 2, "invariant"),
+        ("num_predicates", "loop", 2, "invariant"),
+        ("num_predicates", "head-bend", 2, "invariant"),
+        ("column_offset", "loop", 2, "invariant"),
+        ("column_offset", "head-bend", 2, "invariant"),
+        ("column_type", "loop", 2, "invariant"),
+        ("column_type", "head-bend", 2, "invariant"),
+        ("i", "loop", 2, "unknown"), ("i", "head-bend", 2, "unknown")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_verdicts_without_a_solver_are_pinned(name):
+    *_, ab, enc = build_pipeline(corpus_source(name), corpus_entry(name))
+    rep = detect_invariants(ab, enc, lambda: None)
+    assert [(c.variable, c.kind, c.loop_id, c.verdict)
+            for c in rep.candidates] == PINNED[name]
+
+
+# --- globals written by function-pointer targets ---------------------------
+
+FP_GLOBAL = ("int g;\n"
+             "int setg(int x) { %s return x; }\n"
+             "int main(int a) {\n"
+             "  int (*fp)(int);\n"
+             "  fp = &setg;\n"
+             "%s"
+             "  return r;\n"
+             "}\n")
+STRAIGHT = "  int r = fp(a);\n"
+LOOP = "  int r = 0;\n  while (r < a) { r = fp(a); }\n"
+
+
+@pytest.mark.parametrize("write,call", [
+    ("g = 5;", STRAIGHT), ("g = 5;", LOOP),
+    ("int *p = &g; *p = 5;", STRAIGHT),
+], ids=["straight", "loop", "pointer"])
+def test_global_written_by_fp_target_is_unknown(write, call):
+    *_, ab, enc = build_pipeline(FP_GLOBAL % (write, call), "main")
+    rep = detect_invariants(ab, enc, lambda: None)
+    kinds = [c.kind for c in rep.candidates if c.variable == "g"]
+    assert kinds and all(c.verdict == "unknown"
+                         for c in rep.candidates if c.variable == "g")
+    assert ("loop" in kinds) == (call == LOOP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_fp_targets_writing_globals_are_never_refuted(discovered, seed):
+    ast, _, prog, _, ab, enc = build_pipeline(fp_global_c(seed), "gen")
+    rep = detect_invariants(ab, enc, lambda: discovered[0])
+    oracle = check_oracle(ast, prog.entry, enc, rep, (-2, 2))
+    assert oracle["violations"] == [], oracle["violations"]
