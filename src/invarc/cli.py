@@ -193,8 +193,12 @@ def check_oracle(ast, entry, enc, report_obj, domain):
     for idx, c in enumerate(report_obj.candidates):
         if c.verdict != "invariant":
             continue
-        status = "pass" if not any(v[0] == c.variable and v[1] == c.kind
-                                   for v in violations) else "FAIL"
+        if not checked[idx]:
+            status = "unchecked"     # no execution gave both values
+        elif any(v[0] == c.variable and v[1] == c.kind for v in violations):
+            status = "FAIL"
+        else:
+            status = "pass"
         lines.append(f"oracle: {c.variable} {c.kind}: {status} "
                      f"({checked[idx]} checks)")
     return {"lines": lines, "violations": violations, "runs": runs}

@@ -10,10 +10,18 @@ guarded iteration from havocked head symbols, with the pre/head/body-end
 check.  Address-taken variables live in the memory arrays at distinct
 base addresses; whenever no precise encoding exists the affected symbol
 is left unconstrained, which weakens but never unsounds a verdict.
+
+Each assertion the encoder writes defines one fresh symbol from symbols
+declared before it: `(= s t)`, or `(=> g (= s t))` for a division that
+is bound only when its divisor is nonzero.  `SolverScript` records which
+symbol each defines, and renders only the cone of influence of the
+queries, with the same solver answers as the whole script (the argument
+is in its docstring).
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,9 +137,30 @@ def merge(cond, names, e1, e2):
             for v in names if e1[v].text != e2[v].text}
 
 
+_VERSIONED = re.compile(r"[^\s()]*@[^\s()]*")
+
+
 @dataclass
 class SolverScript:
-    """Ordered SMT-LIB 2 text with named query blocks."""
+    """Ordered SMT-LIB 2 text with named query blocks.
+
+    `render` sends only the cone of influence of the queries: the lines
+    of `main` that a query can reach.  A symbol is live when a query or
+    a define-fun reads it, or a kept line of `main` does.  Each
+    declaration, and each assertion recorded as the definition of a
+    symbol (`assert_(text, defines=sym)`), is kept only when its symbol
+    is live; every other assertion is kept.  The preamble, datatypes,
+    base addresses with their `distinct` assertions and define-funs are
+    kept whole.
+
+    The answers stay the same.  A dropped symbol appears in no kept line,
+    and each dropped definition reads only symbols declared before the
+    one it defines, so any model of the kept lines extends to the
+    dropped symbols, taken in declaration order: a query is `sat` on the
+    sliced script exactly when it is on the whole one.  Slicing only
+    removes assertions, so a query the sliced script proves (`unsat`)
+    holds on the whole script as well.
+    """
 
     datatypes: list = field(default_factory=list)
     bases: dict = field(default_factory=dict)      # const name -> group
@@ -140,14 +169,24 @@ class SolverScript:
     queries: list = field(default_factory=list)    # (name, [lines])
     _declared: set = field(default_factory=set)
     _query_names: set = field(default_factory=set)
+    _owner: dict = field(default_factory=dict)     # main index -> symbol
+    _defined: set = field(default_factory=set)
 
     def declare(self, name, sort):
         if name in self._declared:
             raise EncodeError(f"symbol {name} declared twice")
         self._declared.add(name)
+        self._owner[len(self.main)] = name
         self.main.append(f"(declare-const {name} {sort})")
 
-    def assert_(self, text):
+    def assert_(self, text, defines=None):
+        """Assert `text`; `defines` names the symbol it defines from
+        symbols declared before that symbol, if it does."""
+        if defines is not None:
+            if defines in self._defined:
+                raise EncodeError(f"symbol {defines} defined twice")
+            self._defined.add(defines)
+            self._owner[len(self.main)] = defines
         self.main.append(f"(assert {text})")
 
     def add_base(self, name, group):
@@ -167,9 +206,10 @@ class SolverScript:
             "(pop 1)",
         ]))
 
-    def render(self):
-        out = list(PREAMBLE)
-        out += self.datatypes
+    def base_lines(self):
+        """The base-address constants, each group with its `distinct`
+        assertion."""
+        out = []
         groups = {}
         for name in sorted(self.bases):
             groups.setdefault(self.bases[name], []).append(name)
@@ -181,8 +221,30 @@ class SolverScript:
                 names = ["0"] + names
             if len(names) > 1:
                 out.append(f"(assert (distinct {' '.join(names)}))")
-        out += self.fndefs
-        out += self.main
+        return out
+
+    def cone(self):
+        """The lines of `main` that the queries can reach, in order: one
+        backward pass that reads only the lines it keeps."""
+        # define-funs, and the assertion of each query block
+        roots = self.fndefs + [block[2] for _, block in self.queries]
+        live = set(_VERSIONED.findall("\n".join(roots)))
+        owner = self._owner.get
+        main = self.main
+        kept = []
+        for i in range(len(main) - 1, -1, -1):
+            sym = owner(i)
+            if sym is None or sym in live:
+                line = main[i]
+                kept.append(line)
+                if not line.startswith("(declare-const "):
+                    live.update(_VERSIONED.findall(line))   # what it reads
+        kept.reverse()
+        return kept
+
+    def render(self):
+        out = PREAMBLE + self.datatypes + self.base_lines() + self.fndefs
+        out += self.cone()
         for _, lines in self.queries:
             out += lines
         return "\n".join(out) + "\n"
@@ -268,7 +330,7 @@ class Encoder:
 
     def bind(self, var, term):
         sym = self.fresh(var, term.sort)
-        self.script.assert_(f"(= {sym.text} {term.text})")
+        self.script.assert_(f"(= {sym.text} {term.text})", defines=sym.text)
         self.env[var] = sym
         return sym
 
@@ -371,7 +433,8 @@ class Encoder:
         # link address-taken scalars to their initial cells
         for v in self._at_scalar_vars():
             cell = self.mem_select(self.cell(v, 0), self.env[v].sort)
-            self.script.assert_(f"(= {self.env[v].text} {cell.text})")
+            self.script.assert_(f"(= {self.env[v].text} {cell.text})",
+                                defines=self.env[v].text)
         entry_env = dict(self.env)
         self.encode_stmts(self.prog.body)
         return Encoding(script=self.script, entry_env=entry_env,
@@ -522,7 +585,8 @@ class Encoder:
         z = zero(divisor.sort)
         sym = self.fresh(f"div${s.lhs}", sort)
         self.script.assert_(
-            f"(=> (distinct {divisor.text} {z}) (= {sym.text} {text}))")
+            f"(=> (distinct {divisor.text} {z}) (= {sym.text} {text}))",
+            defines=sym.text)
         return sym
 
     def member_term(self, a, fld, want_sort):
@@ -849,7 +913,7 @@ class Encoder:
         self.counter += 1
         res = f"res@{self.counter}"
         self.script.declare(res, rsort)
-        self.script.assert_(f"(= {res} {term})")
+        self.script.assert_(f"(= {res} {term})", defines=res)
         self.bind(s.lhs, Term(f"(val${sort} {res})", sort))
         self._mirror_at_scalar(s.lhs)
         self.bind(MEM, Term(f"(memo${sort} {res})", "Mem"))

@@ -7,8 +7,11 @@ Grammar highlights:
   * Assignment is a statement, not an expression.
   * Function-pointer declarators are limited to ``RET (*name)(T1, ...)``.
   * Statements, expressions and unary operators nest at most
-    ``MAX_NESTING`` deep together, so that no later stage runs out of
-    stack on a deep input.
+    ``MAX_NESTING`` deep together, and one statement or top-level
+    declaration holds at most ``MAX_OPERATORS`` binary and postfix
+    operators (each of which deepens the tree by one, as in
+    ``a+a+...+a`` or ``p->next->...->next``), so that no later stage
+    runs out of stack on a deep input.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .ast import (
 from .lexer import lex
 
 MAX_NESTING = 64
+MAX_OPERATORS = 128
 
 
 class Parser:
@@ -34,6 +38,7 @@ class Parser:
         self.pos = 0
         self._tmp = 0
         self.depth = 0
+        self.operators = 0       # in the current statement or declaration
 
     # -- token helpers ------------------------------------------------------
 
@@ -66,6 +71,14 @@ class Parser:
             raise ParseFailure(f"nesting deeper than {MAX_NESTING} levels",
                                self.peek().span)
         self.depth += 1
+
+    def operator(self, tok):
+        """Count one binary or postfix operator, failing past
+        MAX_OPERATORS in one statement or top-level declaration."""
+        self.operators += 1
+        if self.operators > MAX_OPERATORS:
+            raise ParseFailure(f"more than {MAX_OPERATORS} operators in one "
+                               "statement", tok.span)
 
     def expect_ident(self):
         t = self.peek()
@@ -150,6 +163,7 @@ class Parser:
         return n
 
     def parse_toplevel_decl(self, ast):
+        self.operators = 0
         base = self.parse_base_type()
         if self.at("(") and self.at("*", 1):
             name, t = self.parse_funcptr_declarator(base)
@@ -237,6 +251,7 @@ class Parser:
         return CompoundStmt(stmts=stmts, span=start.span)
 
     def parse_stmt(self):
+        self.operators = 0
         self.enter()
         s = self._parse_stmt()
         self.depth -= 1
@@ -390,6 +405,7 @@ class Parser:
             t = self.peek()
             if t.kind == "punct" and t.text in self._BINOPS[level]:
                 self.pos += 1
+                self.operator(t)
                 rhs = self.parse_expr_prec(level + 1)
                 lhs = Binary(op=t.text, lhs=lhs, rhs=rhs, span=t.span)
             else:
@@ -411,6 +427,8 @@ class Parser:
         e = self.parse_primary()
         while True:
             t = self.peek()
+            if t.kind == "punct" and t.text in (".", "->", "[", "("):
+                self.operator(t)
             if self.at("."):
                 self.pos += 1
                 m = self.expect_ident()

@@ -386,6 +386,7 @@ def refute_queries(text):
             break
         idle += 1
         model = _Model(script, rng, pool, 0.9 if trial % 2 == 0 else 0.5)
+        # open queries only: a narrower cone than the script's slice
         roots = set(script.checked_refs)
         for _, refs in open_queries.values():
             roots |= refs

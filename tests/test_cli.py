@@ -7,6 +7,7 @@ import pytest
 
 from invarc import cli
 from invarc.cli import main, parse_domain
+from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS
 
 from conftest import CORPUS, make_executable
 
@@ -107,6 +108,59 @@ def test_deep_nesting_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, str(deep))
     assert code == 2
     assert err == f"{deep}:1:86: error: nesting deeper than 64 levels\n"
+
+
+CHAIN_PREFIX = "int f(int a) { return "
+
+
+@pytest.mark.parametrize("operands", [400, 1000])
+def test_long_operator_chain_exit_code(capsys, tmp_path, operands):
+    src = tmp_path / "chain.c"
+    src.write_text(CHAIN_PREFIX + "+".join(["a"] * operands) + "; }\n")
+    code, out, err = run(capsys, str(src))
+    col = len(CHAIN_PREFIX) + 2 * (MAX_OPERATORS + 1)
+    assert code == 2 and out == ""
+    assert err == (f"{src}:1:{col}: error: more than {MAX_OPERATORS} "
+                   "operators in one statement\n")
+
+
+def test_deepest_statement_runs_every_stage(capsys, tmp_path):
+    # nesting and operators at their limits together: every stage the
+    # CLI runs, the oracle's interpreter included, has stack enough
+    chain = "+".join(["a"] * (MAX_OPERATORS + 1))
+    unary = "- " * (MAX_NESTING - 3)
+    src = tmp_path / "deep.c"
+    src.write_text(f"int f(int a) {{ int x = 0; x = {unary}({chain});"
+                   f" if ({unary}({chain})) {{ x = 1; }} return x; }}\n")
+    dumps = [a for stage in cli.DUMP_STAGES for a in ("--dump", stage)]
+    code, out, err = run(capsys, str(src), "--solver", "none", "--oracle",
+                         *dumps)
+    assert code == 0 and err == ""
+    assert "oracle: 7 executions" in out
+
+
+def test_oracle_marks_unchecked_candidates(capsys, tmp_path):
+    # the interpreter's loop snapshots carry no value for a function
+    # pointer, so its loop candidates are never checked
+    src = tmp_path / "fploop.c"
+    src.write_text("\n".join([
+        "int inc(int x) { return x + 1; }",
+        "int dec(int x) { return x - 1; }",
+        "int f(int a, int n) {",
+        "  int (*fp)(int) = inc;",
+        "  if (a > 0) { fp = dec; }",
+        "  int i = 0;",
+        "  int s = 0;",
+        "  while (i < n) { s = fp(a); i = i + 1; }",
+        "  return s;",
+        "}", ""]))
+    code, out, _ = run(capsys, str(src), "--entry", "f", "--solver", "none",
+                       "--oracle")
+    assert code == 0
+    assert "oracle: fp loop: unchecked (0 checks)" in out
+    assert "oracle: fp head-bend: unchecked (0 checks)" in out
+    assert "oracle: a head-bend: pass (21 checks)" in out
+    assert "pass (0 checks)" not in out
 
 
 def test_rejected_construct_exit_code(capsys, tmp_path):

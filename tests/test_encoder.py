@@ -2,20 +2,25 @@
 semantic properties of the generated formulas."""
 
 import re
+from collections import Counter
 
 import pytest
 
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
-from invarc.encoder import MEM, Encoder, encode_program
+from invarc.diagnostics import EncodeError
+from invarc.encoder import MEM, PREAMBLE, Encoder, SolverScript, \
+    encode_program
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import emit_query, enumerate_candidates
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
+from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
 from conftest import CORPUS, GOLDEN, corpus_entry, corpus_source
+from genprog import fp_global_c, loopy_c
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.c"))
 
@@ -54,14 +59,18 @@ def test_reemission_byte_identical():
         assert s1 == s2, path.name
 
 
-def cli_script(name):
-    """The script the CLI renders for a corpus program: the encoding
-    plus one query block per candidate pair, named as the CLI names
-    them."""
-    *_, ab, enc = build_pipeline(corpus_source(name), corpus_entry(name))
+def with_queries(source, entry):
+    """The script of a program with one query block per candidate pair,
+    named as the CLI names them."""
+    *_, ab, enc = build_pipeline(source, entry)
     for i, c in enumerate(enumerate_candidates(ab, enc)):
         emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
-    return enc.script.render()
+    return enc.script
+
+
+def cli_script(name):
+    """The script the CLI renders for a corpus program."""
+    return with_queries(corpus_source(name), corpus_entry(name)).render()
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -81,9 +90,16 @@ def test_function_encoder_bug_is_not_swallowed(monkeypatch):
         build_pipeline(corpus_source("fp_known.c"), corpus_entry("fp_known.c"))
 
 
+def query_result(enc):
+    """Add a query on the returned value, so that the script renders the
+    lines that value depends on."""
+    enc.script.add_query("ret", f"(= {enc.exit_env['$result'].text} 0)")
+    return enc
+
+
 def test_ssa_single_assignment():
-    enc = encode("int f(int a) { int x = a; x = x + 1; x = x * 2;"
-                 " return x; }", "f")
+    enc = query_result(encode("int f(int a) { int x = a; x = x + 1;"
+                              " x = x * 2; return x; }", "f"))
     s = enc.script.render()
     defined = re.findall(r"\(declare-const (\S+)", s)
     assert len(defined) == len(set(defined))
@@ -100,7 +116,8 @@ def test_base_addresses_distinct_and_nonzero():
 
 
 def test_guarded_division():
-    enc = encode("int f(int a, int b) { int q = a / b; return q; }", "f")
+    enc = query_result(
+        encode("int f(int a, int b) { int q = a / b; return q; }", "f"))
     s = enc.script.render()
     assert "(=> (distinct" in s and "cdiv" in s
 
@@ -131,6 +148,74 @@ def test_points_track_every_statement():
     assert len(enc.points) >= 2
     for _, span, env in enc.points:
         assert span is not None and MEM in env
+
+
+# --- slicing to the cone of influence of the queries -----------------------
+
+VERSIONED = re.compile(r"[^\s()]*@[^\s()]*")
+
+
+def slicing_programs():
+    for name in CORPUS_NAMES:
+        yield name, corpus_source(name), corpus_entry(name)
+    for seed in range(10):
+        yield f"loopy-{seed}", loopy_c(seed), "gen"
+        yield f"fp-global-{seed}", fp_global_c(seed), "gen"
+
+
+def unsliced(script):
+    """The whole script, every line of `main` included."""
+    lines = PREAMBLE + script.datatypes + script.base_lines() \
+        + script.fndefs + script.main
+    for _, block in script.queries:
+        lines += block
+    return "\n".join(lines) + "\n"
+
+
+def test_sliced_script_is_closed():
+    dropped_total = 0
+    for label, src, entry in slicing_programs():
+        script = with_queries(src, entry)
+        definitions = Counter(sym for i, sym in script._owner.items()
+                              if script.main[i].startswith("(assert "))
+        assert max(definitions.values(), default=0) <= 1, label
+        lines = script.render().splitlines()
+        declared = set()
+        for line in lines:
+            used = VERSIONED.findall(line)
+            m = re.match(r"\(declare-const (\S+) ", line)
+            if m and "@" in m.group(1):
+                declared.add(m.group(1))
+                used = used[1:]
+            for sym in used:
+                assert sym in declared, (label, sym, "used before declared")
+        dropped = script._declared - declared
+        for line in lines:
+            assert not dropped.intersection(VERSIONED.findall(line)), label
+        # a kept symbol keeps its definition
+        kept = set(lines)
+        for i, sym in script._owner.items():
+            assert sym in dropped or script.main[i] in kept, (label, sym)
+        dropped_total += len(dropped)
+    assert dropped_total > 100
+
+
+def test_slicing_refutes_the_same_queries():
+    refuted = 0
+    for name in CORPUS_NAMES:
+        script = with_queries(corpus_source(name), corpus_entry(name))
+        sliced = set(refute_queries(script.render()))
+        assert sliced == set(refute_queries(unsliced(script))), name
+        refuted += len(sliced)
+    assert refuted > 0
+
+
+def test_a_second_definition_is_an_encode_error():
+    script = SolverScript()
+    script.declare("x@1", "Int")
+    script.assert_("(= x@1 0)", defines="x@1")
+    with pytest.raises(EncodeError, match="x@1 defined twice"):
+        script.assert_("(= x@1 1)", defines="x@1")
 
 
 # --- solver-checked semantic properties ------------------------------------

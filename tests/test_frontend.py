@@ -9,7 +9,7 @@ from invarc.frontend.ast import DoubleType, IntType, ast_text, \
     strip_for_compare
 from invarc.frontend.classify import classify_constructs
 from invarc.frontend.lexer import lex
-from invarc.frontend.parser import MAX_NESTING
+from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS
 
 from conftest import CORPUS, corpus_source
 
@@ -126,6 +126,38 @@ def test_nesting_at_the_limit_parses(shape):
 def test_nesting_past_the_limit_is_a_parse_failure(shape):
     with pytest.raises(ParseFailure, match="nesting deeper than 64 levels"):
         parse_translation_unit(with_body(PAST_LIMIT[shape]))
+
+
+def chain(operators):
+    return "+".join(["a"] * (operators + 1))
+
+
+# Binary and postfix operators count together over one statement.
+OPERATORS = {
+    "sum": lambda n: with_body(f"return {chain(n)};"),
+    "two-sums": lambda n: with_body(
+        f"a = ({chain(n // 2)}) * ({chain(n - n // 2 - 1)});"),
+    "arrows": lambda n: "struct N { int v; struct N *next; };\n"
+                        "int f(struct N *p) { return p"
+                        + "->next" * (n - 1) + "->v; }",
+}
+
+
+@pytest.mark.parametrize("shape", OPERATORS)
+def test_operators_at_the_limit_parse(shape):
+    parse_translation_unit(OPERATORS[shape](MAX_OPERATORS))
+
+
+@pytest.mark.parametrize("shape", OPERATORS)
+def test_operators_past_the_limit_are_a_parse_failure(shape):
+    with pytest.raises(ParseFailure, match=f"more than {MAX_OPERATORS} "
+                                           "operators in one statement"):
+        parse_translation_unit(OPERATORS[shape](MAX_OPERATORS + 1))
+
+
+def test_operator_count_restarts_at_each_statement():
+    parse_translation_unit(with_body(
+        f"a = {chain(MAX_OPERATORS)}; if (a) {{ a = {chain(MAX_OPERATORS)}; }}"))
 
 
 def test_roundtrip_corpus():
