@@ -20,7 +20,7 @@ from .abstraction import abstract_program
 from .encoder import encode_program
 from .invariants import detect_invariants, interpret_result
 from .solver import SolverConfig, discover_solver, run_solver
-from .cli import build_pipeline
+from .pipeline import build_pipeline
 
 __all__ = [
     "__version__",

@@ -143,7 +143,7 @@ def abstract_program(prog, polluted, graph=None):
         entry=prog.entry, decls=prog.decls, body=new_body,
         ret_var=prog.ret_var, origin=prog.origin,
         designators=prog.designators, ast=prog.ast,
-        functions=prog.functions)
+        functions=prog.functions, report=prog.report)
     ab.havocked |= set(polluted)
     return AbstractProgram(program=new_prog, havocked=ab.havocked,
                            removed_stmts=ab.removed,

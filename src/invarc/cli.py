@@ -26,15 +26,11 @@ import sys
 from dataclasses import dataclass, field
 
 from .diagnostics import InputError, InvarcError, ProtocolError, \
-    SolverNotFound, StepBudgetExceeded, FrontendTypeError
-from .frontend import parse_translation_unit
+    SolverNotFound, StepBudgetExceeded
 from .frontend.ast import IntType, LongType, ast_text
-from .frontend.classify import classify_constructs
-from .normalize import to_simple_assignments, program_text
-from .pollution import analyze_pollution
-from .abstraction import abstract_program
-from .encoder import encode_program
+from .normalize import program_text
 from .invariants import detect_invariants
+from .pipeline import build_pipeline   # re-exported: invarc.cli.build_pipeline
 from .solver import SolverConfig, discover_solver
 from .interp import InterpError, run_source
 
@@ -65,33 +61,6 @@ class RunConfig:
             self.solver = discover_solver(timeout_ms=self.timeout_ms,
                                           keep_artifacts=self.keep_artifacts)
         return self.solver
-
-
-def _pick_entry(ast, entry):
-    if entry:
-        if ast.function(entry) is None:
-            raise FrontendTypeError(f"no function named {entry!r}")
-        return entry
-    if len(ast.functions) == 1:
-        return ast.functions[0].name
-    names = [f.name for f in ast.functions]
-    if "main" in names:
-        return "main"
-    raise FrontendTypeError(
-        f"multiple functions ({', '.join(names)}): use --entry")
-
-
-def build_pipeline(source_text, entry=None):
-    """Everything up to (and including) the encoding; shared by the CLI
-    and the test suite."""
-    ast = parse_translation_unit(source_text)
-    report = classify_constructs(ast)
-    entry = _pick_entry(ast, entry)
-    prog = to_simple_assignments(ast, report, entry)
-    graph, per_item, polluted = analyze_pollution(prog, report)
-    ab = abstract_program(prog, polluted, graph)
-    enc = encode_program(ab.program, ab.havocked)
-    return ast, report, prog, graph, ab, enc
 
 
 def _read_source(path):

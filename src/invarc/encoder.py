@@ -11,6 +11,14 @@ check.  Address-taken variables live in the memory arrays at distinct
 base addresses; whenever no precise encoding exists the affected symbol
 is left unconstrained, which weakens but never unsounds a verdict.
 
+Every write to the variable environment is journaled.  An `if` arm or a
+loop body undoes its own writes when it ends, so the merge that follows
+visits only the names the arms wrote, and no stage copies the whole
+environment: a loop record holds the non-temporary variables, memory
+and the modified names, and the environment after each statement is a
+view rebuilt from the write log when it is read.  The encoder's work is
+linear in the number of writes; `Encoding.work` counts it.
+
 Each assertion the encoder writes defines one fresh symbol from symbols
 declared before it: `(= s t)`, or `(=> g (= s t))` for a division that
 is bound only when its divisor is nonzero.  `SolverScript` records which
@@ -22,7 +30,9 @@ is in its docstring).
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from contextlib import contextmanager
+from itertools import islice
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +50,7 @@ class _Unencodable(Exception):
 
 
 MEM = "%mem"   # pseudo-variable for the threaded memory record
+_ABSENT = object()   # journaled value of a variable with no symbol
 
 PREAMBLE = [
     "(set-logic ALL)",
@@ -130,11 +141,31 @@ def mem_with(m, addr, val):
     return Term(f"(mk-mem {' '.join(parts)})", "Mem")
 
 
-def merge(cond, names, e1, e2):
-    """The ite on `cond` of each of `names` whose terms differ between
-    the environments `e1` and `e2`."""
-    return {v: Term(f"(ite {cond} {e1[v].text} {e2[v].text})", e1[v].sort)
-            for v in names if e1[v].text != e2[v].text}
+def merge(cond, names, env, end1, end2):
+    """The ite on `cond` of each of `names` whose terms differ at the
+    ends of two arms.  `end1` and `end2` map the names each arm wrote to
+    their terms at its end; `env` holds the terms before the arms."""
+    out = {}
+    for v in names:
+        a = end1.get(v) or env[v]
+        b = end2.get(v) or env[v]
+        if a.text != b.text:
+            out[v] = Term(f"(ite {cond} {a.text} {b.text})", a.sort)
+    return out
+
+
+def _undo(env, before):
+    """Give each name of `before` back its term there, or drop it from
+    `env` where it maps to _ABSENT; returns each name mapped to the term
+    it had in `env` until now."""
+    end = {}
+    for var, old in before.items():
+        end[var] = env[var]
+        if old is _ABSENT:
+            del env[var]
+        else:
+            env[var] = old
+    return end
 
 
 _VERSIONED = re.compile(r"[^\s()]*@[^\s()]*")
@@ -252,6 +283,9 @@ class SolverScript:
 
 @dataclass
 class LoopRecord:
+    """The symbols of one loop at its four points.  Each of `pre`,
+    `head`, `bend` (body end) and `exit` maps the non-temporary variables,
+    MEM and the modified names to their symbols there."""
     loop_id: int
     span: object
     modified: set
@@ -262,15 +296,45 @@ class LoopRecord:
     exit: dict
 
 
+class _EnvAt(Mapping):
+    """The encoder's environment after its first `n` writes: a read-only
+    mapping, rebuilt from the write log on each access."""
+
+    __slots__ = ("_log", "_n")
+
+    def __init__(self, log, n):
+        self._log = log
+        self._n = n
+
+    def _env(self):
+        env = {}
+        for var, term in islice(self._log, self._n):
+            if term is _ABSENT:
+                del env[var]
+            else:
+                env[var] = term
+        return env
+
+    def __getitem__(self, var):
+        return self._env()[var]
+
+    def __iter__(self):
+        return iter(self._env())
+
+    def __len__(self):
+        return len(self._env())
+
+
 @dataclass
 class Encoding:
     script: SolverScript
     entry_env: dict                 # var -> symbol Term at entry
     exit_env: dict
     loops: list                     # LoopRecord, in encounter order
-    points: list                    # (uid, span, env snapshot) per stmt
+    points: list                    # (uid, span, env after it) per stmt
     havocked: set
     sorts: dict                     # var -> sort (encodable vars only)
+    work: int = 0                   # env entries copied + names merged
 
 
 def struct_sort(name):
@@ -304,6 +368,10 @@ class Encoder:
         self.script = SolverScript()
         self.counter = 0
         self.env = {}
+        self.log = []       # (var, term or _ABSENT) per env write, in order
+        self.scopes = []    # per open arm: var -> term before its first write
+        self.rank = {}      # var -> when it entered env: env's key order
+        self.work = 0
         self.loops = []
         self.points = []
         self.havocked = set(havocked or ())
@@ -312,6 +380,12 @@ class Encoder:
         self.fn_writes = {}
         self.res_sorts = set()
         self.at_vars = self._address_taken()
+        self.at_scalars = sorted(
+            v for v in self.at_vars if v in prog.decls
+            and self.sort_of_safe(prog.decls[v].ctype) in ("Int", "Real"))
+        # what a loop record keeps besides the modified names
+        self.recorded = [MEM] + [n for n, d in prog.decls.items()
+                                 if d.kind != "temp"]
         self.sorts = {}
         encode_types(self.ast.struct_defs if self.ast else [], self.script)
 
@@ -319,6 +393,40 @@ class Encoder:
 
     def sort_of(self, ctype):
         return sort_of(ctype, self.structs)
+
+    # -- environment --------------------------------------------------------
+
+    def _set(self, var, term):
+        """Bind `var` to `term`: the one write to the environment."""
+        env = self.env
+        if self.scopes:
+            self.scopes[-1].setdefault(var, env.get(var, _ABSENT))
+        if var not in env:
+            self.rank[var] = len(self.log)
+        env[var] = term
+        self.log.append((var, term))
+
+    def _arm(self, stmts):
+        """Encode `stmts` and then undo their writes; returns each name
+        they wrote, mapped to its term at their end."""
+        self.scopes.append({})
+        self.encode_stmts(stmts)
+        before = self.scopes.pop()
+        self.log.extend(before.items())
+        self.work += len(before)
+        return _undo(self.env, before)
+
+    def _snapshot(self, names):
+        self.work += len(names)
+        env = self.env
+        return {v: env[v] for v in names}
+
+    def _merge(self, cond, names, end1, end2):
+        """Bind each of `names` to the ite on `cond` of its terms at the
+        ends of two arms, where they differ (see `merge`)."""
+        self.work += len(names)
+        for v, t in merge(cond, names, self.env, end1, end2).items():
+            self.bind(v, t)
 
     # -- symbols ------------------------------------------------------------
 
@@ -331,12 +439,12 @@ class Encoder:
     def bind(self, var, term):
         sym = self.fresh(var, term.sort)
         self.script.assert_(f"(= {sym.text} {term.text})", defines=sym.text)
-        self.env[var] = sym
+        self._set(var, sym)
         return sym
 
     def unconstrained(self, var, sort):
         sym = self.fresh(var, sort)
-        self.env[var] = sym
+        self._set(var, sym)
         return sym
 
     def guard_const(self):
@@ -389,14 +497,6 @@ class Encoder:
         return Term(f"(select ({fld} {self.mem().text}) {addr_term.text})",
                     sort)
 
-    def _at_scalar_vars(self):
-        out = []
-        for v in self.at_vars:
-            d = self.prog.decls.get(v)
-            if d is not None and self.sort_of_safe(d.ctype) in ("Int", "Real"):
-                out.append(v)
-        return sorted(out)
-
     def sort_of_safe(self, ctype):
         try:
             return self.sort_of(ctype)
@@ -404,7 +504,7 @@ class Encoder:
             return None
 
     def _reread_at_scalars(self):
-        for v in self._at_scalar_vars():
+        for v in self.at_scalars:
             if v in self.havocked:
                 continue
             sort = self.sort_of(self.prog.decls[v].ctype)
@@ -431,21 +531,21 @@ class Encoder:
                 continue  # memory-resident aggregate: no direct symbol
             self.unconstrained(name, sort)
         # link address-taken scalars to their initial cells
-        for v in self._at_scalar_vars():
+        for v in self.at_scalars:
             cell = self.mem_select(self.cell(v, 0), self.env[v].sort)
             self.script.assert_(f"(= {self.env[v].text} {cell.text})",
                                 defines=self.env[v].text)
-        entry_env = dict(self.env)
+        entry_env = self._snapshot(self.env)
         self.encode_stmts(self.prog.body)
         return Encoding(script=self.script, entry_env=entry_env,
-                        exit_env=dict(self.env), loops=self.loops,
+                        exit_env=self._snapshot(self.env), loops=self.loops,
                         points=self.points, havocked=self.havocked,
-                        sorts=self.sorts)
+                        sorts=self.sorts, work=self.work)
 
     def encode_stmts(self, stmts):
         for s in stmts:
             self.encode_stmt(s)
-            self.points.append((s.uid, s.span, dict(self.env)))
+            self.points.append((s.uid, s.span, _EnvAt(self.log, len(self.log))))
 
     def encode_stmt(self, s):
         if isinstance(s, N.NAssign):
@@ -817,14 +917,13 @@ class Encoder:
         cond = self.cond_term(s.cond)
         if cond is None:
             cond = self.guard_const()
-        pre = dict(self.env)
-        self.encode_stmts(s.then)
-        then_env, self.env = self.env, dict(pre)
-        self.encode_stmts(s.els)
-        else_env, self.env = self.env, dict(pre)
-        # a variable on which the arms agree was assigned in neither
-        for v, t in merge(cond, pre, then_env, else_env).items():
-            self.bind(v, t)
+        then, els = self._arm(s.then), self._arm(s.els)
+        # only a name an arm wrote can differ; one absent before is dropped.
+        # Merge in env order, as the names were first bound.
+        env = self.env
+        names = sorted((then.keys() | els.keys()) & env.keys(),
+                       key=self.rank.__getitem__)
+        self._merge(cond, names, then, els)
 
     # -- loops --------------------------------------------------------------
 
@@ -850,24 +949,27 @@ class Encoder:
                 else:
                     out.add(MEM)
         if MEM in out:
-            out.update(self._at_scalar_vars())
+            out.update(self.at_scalars)
         return {v for v in out if v in self.env or v == MEM}
 
     def encode_loop(self, s):
         modified = self.modified_vars(s.body)
-        pre = dict(self.env)
+        env = self.env
+        names = [v for v in self.recorded if v in env]
+        names += sorted(modified.difference(names))
+        pre = self._snapshot(names)
         guard = self.guard_const()
         for v in sorted(modified):
             self.unconstrained(v, pre[v].sort)
-        head = dict(self.env)
-        self.encode_stmts(s.body)
-        bend = dict(self.env)
-        self.env = dict(head)
-        for v, t in merge(guard, sorted(modified), bend, head).items():
-            self.bind(v, t)
+        head = self._snapshot(names)
+        body = self._arm(s.body)
+        bend = {v: body.get(v, t) for v, t in head.items()}
+        self.work += len(bend)
+        # writes outside `modified` are dropped: the exit keeps the head
+        self._merge(guard, sorted(modified), body, {})
         self.loops.append(LoopRecord(
             loop_id=s.loop_id, span=s.span, modified=modified, guard=guard,
-            pre=pre, head=head, bend=bend, exit=dict(self.env)))
+            pre=pre, head=head, bend=bend, exit=self._snapshot(names)))
 
     # -- function pointers --------------------------------------------------
 
@@ -926,7 +1028,8 @@ class Encoder:
         key = tuple(s.candidates)
         if key not in self.fn_writes:
             self.fn_writes[key] = sorted(
-                g for g in N.written_globals(self.ast, s.candidates)
+                g for g in N.written_globals(self.ast, self.prog.report,
+                                             s.candidates)
                 if g in self.env)
         return self.fn_writes[key]
 
@@ -969,15 +1072,12 @@ class Encoder:
         return result
 
     def _encode_function(self, fname):
-        from .frontend.classify import classify_constructs
-        from .normalize import to_simple_assignments
         fdef = self.ast.function(fname)
         ret_sort = self.sort_of(fdef.ret) if fdef.ret != VOID else "Int"
         if ret_sort not in ("Int", "Real"):
             return None
-        report = classify_constructs(self.ast)
-        sub = to_simple_assignments(self.ast, report, fname,
-                                    global_inits=False)
+        sub = N.to_simple_assignments(self.ast, self.prog.report, fname,
+                                      global_inits=False)
         for st in sub.walk():
             if isinstance(st, (N.NWhile, N.NUnmodelableCall, N.NHavoc,
                                N.NFpDispatch)):
@@ -1025,39 +1125,55 @@ class Encoder:
 
 class _FnBody:
     """Term-level (assertion-free) encoding of a loop-free function body,
-    used inside define-fun where no new constants may be declared."""
+    used inside define-fun where no new constants may be declared.  The
+    body updates one environment; an `if` arm undoes its own writes."""
 
     def __init__(self, enc, sub):
         self.enc = enc
         self.sub = sub
+        self.fenv = None
+        self.scopes = []    # per open arm: var -> term before its first write
 
     def run(self, fenv):
+        self.fenv = fenv
         try:
-            return self.stmts(self.sub.body, fenv)
+            self.stmts(self.sub.body)
         except _Unencodable:
             return None
-
-    def stmts(self, body, fenv):
-        for s in body:
-            fenv = self.stmt(s, fenv)
         return fenv
 
+    def stmts(self, body):
+        for s in body:
+            self.stmt(s)
+
+    def set(self, var, term):
+        if self.scopes:
+            self.scopes[-1].setdefault(var, self.fenv.get(var, _ABSENT))
+        self.fenv[var] = term
+
+    def arm(self, body):
+        """Encode `body` and then undo its writes; returns each name it
+        wrote, mapped to its term at its end."""
+        self.scopes.append({})
+        self.stmts(body)
+        return _undo(self.fenv, self.scopes.pop())
+
     @contextmanager
-    def over(self, fenv):
-        """The encoder, reading its variables from `fenv` for the
-        duration."""
+    def over(self):
+        """The encoder, reading its variables from the body's environment
+        for the duration."""
         enc = self.enc
-        saved, enc.env = enc.env, fenv
+        saved, enc.env = enc.env, self.fenv
         try:
             yield enc
         finally:
             enc.env = saved
 
-    def stmt(self, s, fenv):
+    def stmt(self, s):
         if isinstance(s, N.NAssign):
             decl = self.sub.decls.get(s.lhs)
             want = self.enc.sort_of_safe(decl.ctype) if decl else None
-            with self.over(fenv) as enc:
+            with self.over() as enc:
                 if s.op == "/" or s.op == "%":
                     # no fresh constants inside a definition: use the
                     # funnelled operators directly
@@ -1073,27 +1189,27 @@ class _FnBody:
                     term = enc.rhs_term(s, want)
             if want == "Real" and term.sort == "Int":
                 term = as_real(term)
-            return {**fenv, s.lhs: term}
-        if isinstance(s, N.NStore):
-            with self.over(fenv) as enc:
+            self.set(s.lhs, term)
+        elif isinstance(s, N.NStore):
+            with self.over() as enc:
                 p = enc.atom_term(s.ptr)
                 v = enc.atom_term(s.value)
             if p.sort != "Addr":
                 raise _Unencodable("store in function body")
-            return {**fenv, MEM: mem_with(fenv[MEM], p, v)}
-        if isinstance(s, N.NNop):
-            return fenv
-        if isinstance(s, N.NIf):
-            with self.over(fenv) as enc:
+            self.set(MEM, mem_with(self.fenv[MEM], p, v))
+        elif isinstance(s, N.NIf):
+            with self.over() as enc:
                 cond = enc.cond_term(s.cond)
             if cond is None:
                 raise _Unencodable("condition in function body")
-            e1 = self.stmts(s.then, dict(fenv))
-            e2 = self.stmts(s.els, dict(fenv))
-            out = {v: e1[v] for v in fenv}
-            out.update(merge(cond, fenv, e1, e2))
-            return out
-        raise _Unencodable(f"{type(s).__name__} in function body")
+            then, els = self.arm(s.then), self.arm(s.els)
+            fenv = self.fenv
+            names = [v for v in {**then, **els} if v in fenv]
+            self.enc.work += len(names)
+            for v, t in merge(cond, names, fenv, then, els).items():
+                self.set(v, t)
+        elif not isinstance(s, N.NNop):
+            raise _Unencodable(f"{type(s).__name__} in function body")
 
 
 def encode_types(struct_defs, script):

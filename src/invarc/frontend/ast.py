@@ -27,9 +27,6 @@ class CType:
     def is_integer(self):
         return isinstance(self, (IntType, LongType, BoolType))
 
-    def is_pointer(self):
-        return isinstance(self, (PointerType, FuncPtrType))
-
 
 @dataclass(frozen=True)
 class IntType(CType):
@@ -290,6 +287,9 @@ class Ast:
     struct_defs: list = field(default_factory=list)
     globals: list = field(default_factory=list)
     functions: list = field(default_factory=list)
+    # (len(functions) when built, name -> first definition)
+    _by_name: tuple = field(default=(-1, None), init=False, repr=False,
+                            compare=False)
 
     def struct(self, name):
         for s in self.struct_defs:
@@ -298,10 +298,13 @@ class Ast:
         return None
 
     def function(self, name):
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        built, index = self._by_name
+        if built != len(self.functions):
+            index = {}
+            for f in self.functions:
+                index.setdefault(f.name, f)
+            self._by_name = (len(self.functions), index)
+        return index.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +440,7 @@ def strip_for_compare(node):
     if isinstance(node, (Expr, Stmt, Param, VarDecl, StructDef, FunctionDef, Ast)):
         out = {"__kind__": type(node).__name__}
         for k, v in vars(node).items():
-            if k in ("span", "ctype", "decl"):
+            if k in ("span", "ctype", "decl", "_by_name"):
                 continue
             out[k] = strip_for_compare(v)
         return out

@@ -42,11 +42,14 @@ class SubsetItem:
 
 @dataclass
 class SubsetReport:
+    """The flagged constructs of a unit, and the unit facts the later
+    stages read instead of walking the unit again: the functions on a
+    call-graph cycle, and the defined functions the unit names anywhere
+    (possible function-pointer targets), in order of first use."""
     unmodelable_items: list = field(default_factory=list)
     rejected_items: list = field(default_factory=list)
-
-    def spans(self):
-        return {it.span for it in self.unmodelable_items}
+    recursive: frozenset = frozenset()
+    address_taken: tuple = ()
 
     def item_at(self, span):
         for it in self.unmodelable_items:
@@ -55,25 +58,9 @@ class SubsetReport:
         return None
 
 
-def _call_targets(ast):
-    """Call graph over defined functions; names of callees per function."""
-    graph = {}
-    for fn in ast.functions:
-        callees = set()
-
-        def visit(e):
-            if isinstance(e, Call) and isinstance(e.callee, Name):
-                if isinstance(e.callee.decl, FunctionDef):
-                    callees.add(e.callee.decl.name)
-
-        walk_exprs(fn.body, visit)
-        graph[fn.name] = callees
-    return graph
-
-
-def recursive_functions(ast):
-    """Functions that can reach themselves in the call graph."""
-    graph = _call_targets(ast)
+def _on_cycles(graph):
+    """The functions that can reach themselves in the call graph `graph`
+    (function name -> names of the defined functions it calls)."""
     out = set()
     for start in graph:
         seen = set()
@@ -87,7 +74,7 @@ def recursive_functions(ast):
                 continue
             seen.add(f)
             stack.extend(graph.get(f, ()))
-    return out
+    return frozenset(out)
 
 
 def walk_exprs(node, visit):
@@ -132,9 +119,13 @@ def has_nested_members(ast, struct_type):
 
 
 def classify_constructs(ast):
-    """Deterministic SubsetReport over a well-formed, typechecked Ast."""
+    """Deterministic SubsetReport over a well-formed, typechecked Ast, from
+    one walk over the unit."""
     items = []
-    recursive = recursive_functions(ast)
+    graph = {}          # function -> defined functions it calls
+    direct = []         # (span, callee) of each call to a defined function
+    taken = {}          # defined functions named, in order
+    callees = None
 
     def visit(e):
         if isinstance(e, Unary) and e.op == "&":
@@ -148,34 +139,32 @@ def classify_constructs(ast):
                 items.append(SubsetItem(
                     "address-of-aggregate-with-nested-members", e.span,
                     "flat base+offset layout covers scalar members only"))
+        elif isinstance(e, Name) and isinstance(e.decl, FunctionDef):
+            # in `&f`, as a value, and as the callee of a direct call
+            taken.setdefault(e.decl.name)
         elif isinstance(e, Call) and isinstance(e.callee, Name):
             decl = e.callee.decl
             if isinstance(decl, FunctionDef):
-                if decl.name in recursive:
-                    items.append(SubsetItem(
-                        "recursive-call", e.span,
-                        "inlining cannot eliminate a recursive call"))
-            elif decl is None or not isinstance(decl, FunctionDef):
-                # callee resolves to a variable: a function-pointer call,
-                # handled via dispatch, not flagged here
-                pass
-        elif isinstance(e, Call) and not isinstance(e.callee, Name):
-            pass
-
-    def visit_with_library(e):
-        visit(e)
-        if isinstance(e, Call) and isinstance(e.callee, Name):
-            decl = e.callee.decl
-            from .ast import FuncPtrType
-            if decl is None:
+                direct.append((e.span, decl.name))
+                if callees is not None:
+                    callees.add(decl.name)
+            elif decl is None:
                 items.append(SubsetItem("library-call", e.span,
                                         "no definition in this translation unit"))
+            # otherwise the callee is a variable: a function-pointer call,
+            # handled via dispatch, not flagged here
 
     for fn in ast.functions:
-        walk_exprs(fn.body, visit_with_library)
+        callees = graph[fn.name] = set()
+        walk_exprs(fn.body, visit)
+    callees = None
     for g in ast.globals:
         if g.init is not None:
-            walk_exprs(DeclStmt(name=g.name, ctype=g.ctype, init=g.init), visit_with_library)
+            walk_exprs(DeclStmt(name=g.name, ctype=g.ctype, init=g.init), visit)
+    recursive = _on_cycles(graph)
+    items.extend(SubsetItem("recursive-call", span,
+                            "inlining cannot eliminate a recursive call")
+                 for span, name in direct if name in recursive)
 
     seen = set()
     unique = []
@@ -184,4 +173,5 @@ def classify_constructs(ast):
         if key not in seen:
             seen.add(key)
             unique.append(it)
-    return SubsetReport(unmodelable_items=unique, rejected_items=[])
+    return SubsetReport(unmodelable_items=unique, rejected_items=[],
+                        recursive=recursive, address_taken=tuple(taken))

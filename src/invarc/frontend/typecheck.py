@@ -222,6 +222,12 @@ class TypeChecker:
             self.require_condition(lt, e.lhs)
             self.require_condition(rt, e.rhs)
             return BOOL
+        if op in ("==", "!=") and self._pointerish(lt) and _is_zero(e.rhs):
+            e.rhs = _null_pointer(e.rhs)
+            rt = e.rhs.ctype
+        elif op in ("==", "!=") and self._pointerish(rt) and _is_zero(e.lhs):
+            e.lhs = _null_pointer(e.lhs)
+            lt = e.lhs.ctype
         if op in ("==", "!=", "<", "<=", ">", ">="):
             if self._pointerish(lt) or self._pointerish(rt):
                 if op in ("==", "!=") and self._ptr_comparable(lt, rt):
@@ -331,6 +337,18 @@ class TypeChecker:
                 and dst == src:
             return
         raise FrontendTypeError(f"cannot assign {src} to {dst}", span)
+
+
+def _is_zero(e):
+    return isinstance(e, IntLit) and e.value == 0
+
+
+def _null_pointer(zero):
+    """The null pointer constant written as the literal `zero`, as NULL,
+    so that every later stage sees one form."""
+    null = NullLit(span=zero.span)
+    null.ctype = PointerType(VOID)
+    return null
 
 
 def typecheck(ast):

@@ -71,14 +71,15 @@ def enumerate_candidates(ab, enc):
     prog = ab.program
     havocked = set(ab.havocked) | set(enc.havocked)
     cands = []
-    for name, decl in _candidate_vars(prog, enc, havocked):
+    cvars = _candidate_vars(prog, enc, havocked)
+    for name, decl in cvars:
         if decl.kind in ("param", "global") and name in enc.entry_env \
                 and name in enc.exit_env:
             cands.append(Candidate(
                 variable=name, kind="entry-exit",
                 pairs=[(enc.entry_env[name].text, enc.exit_env[name].text)]))
     for lr in enc.loops:
-        for name, decl in _candidate_vars(prog, enc, havocked):
+        for name, _ in cvars:
             if name not in lr.pre:
                 continue
             pre, head = lr.pre[name].text, lr.head[name].text

@@ -33,7 +33,6 @@ from .frontend.ast import (
     Index, INT, IntLit, Member, Name, NullLit, PointerType, ReturnStmt,
     StructType, Unary, VarDecl, WhileStmt, expr_text, same_type, VOID,
 )
-from .frontend.classify import recursive_functions
 
 BINARY_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
               "&&", "||"}
@@ -171,6 +170,7 @@ class NormalizedProgram:
     #              | ('pmember', ptr, fld) | ('addrof', base)
     ast: object = None   # the inlined Ast (struct defs etc.)
     functions: dict = field(default_factory=dict)  # fp-dispatch candidates
+    report: object = None   # the unit's SubsetReport
 
     def walk(self):
         yield from walk_stmts(self.body)
@@ -252,36 +252,12 @@ def _has_nontail_return(body):
     return scan(body, True)
 
 
-def address_taken_functions(ast):
-    """Defined functions whose address is taken anywhere in the unit."""
-    from .frontend.classify import walk_exprs
-    taken = []
-
-    def visit(e):
-        target = None
-        if isinstance(e, Unary) and e.op == "&" and isinstance(e.operand, Name):
-            target = e.operand.decl
-        elif isinstance(e, Name) and isinstance(e.decl, FunctionDef):
-            target = e.decl
-        if isinstance(target, FunctionDef) and target.name not in taken:
-            taken.append(target.name)
-
-    for fn in ast.functions:
-        walk_exprs(fn.body, visit)
-    for g in ast.globals:
-        if g.init is not None:
-            walk_exprs(DeclStmt(name=g.name, ctype=g.ctype, init=g.init), visit)
-    # a bare use in call position is a direct call, not an address-taking;
-    # filter to names used as values
-    return taken
-
-
-def written_globals(ast, fnames):
+def written_globals(ast, report, fnames):
     """Globals that the functions `fnames`, or the functions they call,
     may write: assigned by name (whole, or one element or member), or
     reachable through a pointer they make, by `&` or by using an array
     as a value.  A call through a function pointer may reach any
-    address-taken function."""
+    address-taken function of the unit's SubsetReport `report`."""
     from .frontend.classify import walk_exprs
     out, seen, todo = set(), set(), list(fnames)
 
@@ -314,7 +290,7 @@ def written_globals(ast, fnames):
             if isinstance(callee, FunctionDef):
                 todo.append(callee.name)
             elif not (isinstance(e.callee, Name) and callee is None):
-                todo.extend(address_taken_functions(ast))  # not a library call
+                todo.extend(report.address_taken)  # not a library call
 
     while todo:
         fn = ast.function(todo.pop())
@@ -333,7 +309,7 @@ class Inliner:
         self.ast = ast
         self.report = report
         self.depth_limit = depth_limit
-        self.recursive = recursive_functions(ast)
+        self.recursive = report.recursive
         self.counter = 0
         self.decls = {}      # name -> NDecl
         self.origin = {}
@@ -511,7 +487,9 @@ class Inliner:
             return None
         if isinstance(e, Call):
             return self.hoist_call(e, rename, depth, pre, drop_value)
-        new = _copy.copy(e)
+        # a shallow copy, as copy.copy makes it, without its dispatch
+        new = object.__new__(type(e))
+        new.__dict__.update(e.__dict__)
         if isinstance(e, Name):
             if e.ident in rename:
                 new.ident = rename[e.ident]
@@ -565,7 +543,7 @@ class Inliner:
         atoms = self._hoist_args(args, pre, e.span)
         sig = fp.ctype
         cands = []
-        for fname in address_taken_functions(self.ast):
+        for fname in self.report.address_taken:
             fdef = self.ast.function(fname)
             ftype = FuncPtrType(tuple(p.ctype for p in fdef.params), fdef.ret)
             if same_type(ftype, sig) and fname not in self.recursive:
@@ -630,7 +608,6 @@ class Lowerer:
     def __init__(self, inliner, report):
         self.inl = inliner
         self.report = report
-        self.item_spans = report.spans() if report is not None else set()
         self.designators = {}
         self.uid = 0
         self.loop_id = 0
@@ -826,9 +803,7 @@ class Lowerer:
         return None
 
     def _find_item(self, span):
-        if self.report is None or span is None:
-            return None
-        return self.report.item_at(span)
+        return None if span is None else self.report.item_at(span)
 
     # -- atoms ---------------------------------------------------------------
 
@@ -862,7 +837,7 @@ def to_simple_assignments(ast, report, entry, depth_limit=32,
     prog = NormalizedProgram(
         entry=entry, decls=inl.decls, body=nbody, ret_var=ret_var,
         origin=inl.origin, designators=low.designators, ast=ast,
-        functions=inl.fp_candidates)
+        functions=inl.fp_candidates, report=report)
     return prog
 
 

@@ -261,25 +261,32 @@ def build_dependency_graph(prog, _analysis=None):
     return g
 
 
-def initial_labels(prog, item, _analysis=None):
-    """Vertices labeled directly by the unmodelable item `item`."""
-    analysis = _analysis or _BaseAnalysis(prog)
-    seeds = set()
-    found = False
+def _tagged_statements(prog):
+    """The statements tagged with an unmodelable item, by its span."""
+    out = {}
     for s in prog.walk():
         tag = getattr(s, "item", None)
-        if tag is None or tag.span != item.span:
-            continue
-        found = True
+        if tag is not None:
+            out.setdefault(tag.span, []).append(s)
+    return out
+
+
+def initial_labels(prog, item, _analysis=None, _tagged=None):
+    """Vertices labeled directly by the unmodelable item `item`."""
+    analysis = _analysis or _BaseAnalysis(prog)
+    tagged = _tagged if _tagged is not None else _tagged_statements(prog)
+    stmts = tagged.get(item.span)
+    if not stmts:
+        raise ItemNotFound(
+            f"item {item.kind} at {item.span} not present in program")
+    seeds = set()
+    for s in stmts:
         if isinstance(s, N.NAssign):
             seeds.add(s.lhs)
         elif isinstance(s, N.NUnmodelableCall):
             if s.lhs:
                 seeds.add(s.lhs)
             seeds |= _pointer_arg_bases(s, analysis)
-    if not found:
-        raise ItemNotFound(
-            f"item {item.kind} at {item.span} not present in program")
     return seeds
 
 
@@ -307,11 +314,12 @@ def analyze_pollution(prog, report):
     """One PollutionResult per unmodelable item, plus the union closure."""
     analysis = _BaseAnalysis(prog)
     g = build_dependency_graph(prog, analysis)
+    tagged = _tagged_statements(prog)
     results = []
     union = set()
     for item in report.unmodelable_items:
         try:
-            seeds = initial_labels(prog, item, analysis)
+            seeds = initial_labels(prog, item, analysis, tagged)
         except ItemNotFound:
             continue  # item was in dead/unreached code after inlining
         closure = propagate(g, seeds)

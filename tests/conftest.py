@@ -24,7 +24,8 @@ from invarc.solver import ENV_VAR, SolverConfig, discover_solver
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-DOCS = pathlib.Path(__file__).parent.parent / "docs"
+ROOT = pathlib.Path(__file__).parent.parent
+DOCS = ROOT / "docs"
 
 # entry function per corpus file (files with several functions)
 ENTRIES = {

@@ -1,6 +1,9 @@
 """Command-line interface tests (in-process via main())."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -9,7 +12,7 @@ from invarc import cli
 from invarc.cli import main, parse_domain
 from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS
 
-from conftest import CORPUS, make_executable
+from conftest import CORPUS, ROOT, make_executable
 
 FOO = str(CORPUS / "foo.c")
 
@@ -250,3 +253,24 @@ def test_multiple_inputs(capsys, solver_cfg):
                        str(CORPUS / "get_row_length.c"))
     assert code == 0
     assert out.count("VARIABLE") == 2
+
+
+@pytest.mark.parametrize("module", ["invarc.cli", "invarc"])
+def test_run_as_a_module(module):
+    """`python -m` runs the CLI and writes nothing to stderr but errors."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", module, FOO, "--entry", "foo",
+         "--solver", "none"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "VARIABLE" in done.stdout
+
+
+def test_import_loads_no_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, invarc; print(sorted(m for m in"
+         " ('argparse', 'invarc.cli', 'invarc.interp') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]", done.stderr

@@ -1,7 +1,9 @@
 """Encoder tests: script structure, determinism, and solver-checked
 semantic properties of the generated formulas."""
 
+import importlib.util
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -19,7 +21,7 @@ from invarc.pollution import analyze_pollution
 from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
-from conftest import CORPUS, GOLDEN, corpus_entry, corpus_source
+from conftest import CORPUS, GOLDEN, ROOT, corpus_entry, corpus_source
 from genprog import fp_global_c, loopy_c
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.c"))
@@ -97,6 +99,15 @@ def query_result(enc):
     return enc
 
 
+def test_zero_compared_with_a_pointer_encodes_as_null():
+    src = ("int f(int *p, int a) {{ int r = 0; if ({0}) {{ r = a; }}"
+           " int z = {1}; return r + z; }}")
+    scripts = [query_result(encode(src.format(*cmps), "f")).script.render()
+               for cmps in (("p == 0", "0 != p"), ("p == NULL", "NULL != p"))]
+    assert scripts[0] == scripts[1]
+    assert "(mk-addr 0 0)" in scripts[0]
+
+
 def test_ssa_single_assignment():
     enc = query_result(encode("int f(int a) { int x = a; x = x + 1;"
                               " x = x * 2; return x; }", "f"))
@@ -148,6 +159,46 @@ def test_points_track_every_statement():
     assert len(enc.points) >= 2
     for _, span, env in enc.points:
         assert span is not None and MEM in env
+
+
+def test_points_hold_the_env_after_each_statement():
+    enc = encode("int f(int a) { int x = a; int y = 0;\n"
+                 " if (a > 0) { x = 1; y = 1; } else { x = 2; }\n"
+                 " return x + y; }", "f")
+    envs = [env for _, _, env in enc.points]
+    assert len(envs) == 7
+    before, then_end, else_end, merged = envs[1], envs[3], envs[4], envs[5]
+    assert then_end["y"] != before["y"]
+    assert else_end["y"] == before["y"]     # the else arm starts afresh
+    assert merged["y"] not in (before["y"], then_end["y"])
+    assert len({e["x"] for e in (before, then_end, else_end, merged)}) == 4
+    assert dict(envs[-1]) == enc.exit_env
+
+
+def _perfbench_workloads():
+    """The benchmark's program generators, loaded from their file."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("generator, entry, sizes", [
+    ("branch_loop_c", "bl", (50, 100, 200, 400)),
+    ("straight_line_c", "sl", (100, 200, 400, 800)),
+])
+def test_encoder_work_grows_linearly(generator, entry, sizes):
+    """Env entries copied into snapshots, plus names visited by merges,
+    at most 2.3 times per doubling of the program: an encoder that
+    copies its whole environment per statement or per branch grows
+    about 4 times."""
+    make = getattr(_perfbench_workloads(), generator)
+    work = [build_pipeline(make(1, n), entry)[-1].work for n in sizes]
+    for n, a, b in zip(sizes, work, work[1:]):
+        assert b <= 2.3 * a, (generator, n, work)
 
 
 # --- slicing to the cone of influence of the queries -----------------------

@@ -196,6 +196,28 @@ def test_classify_library_call():
     assert "library-call" in kinds
 
 
+def test_classify_collects_the_unit_facts():
+    report = classify_constructs(
+        parse_translation_unit(corpus_source("recursive.c")))
+    assert report.recursive == {"fact"}
+    report = classify_constructs(parse_translation_unit(
+        "int g(int a) { return a; }\n"
+        "int h(int a) { return a + 1; }\n"
+        "int (*fp)(int) = &h;\n"
+        "int f(int a) { int (*q)(int) = &g; return q(a) + fp(a); }"))
+    assert report.address_taken == ("g", "h")
+    assert report.recursive == frozenset()
+
+
+def test_function_lookup_sees_later_definitions():
+    ast = parse_translation_unit("int f(int a) { return a; }")
+    assert ast.function("f") is ast.functions[0]
+    assert ast.function("g") is None
+    ast.functions.append(parse_translation_unit(
+        "int g(int a) { return a; }").functions[0])
+    assert ast.function("g") is ast.functions[1]
+
+
 def test_classify_deterministic():
     src = corpus_source("nested_member.c")
     r1 = classify_constructs(parse_translation_unit(src))
@@ -212,3 +234,16 @@ def test_every_expression_typed():
     for fn in ast.functions:
         walk_exprs(fn.body, note)
     assert not missing
+
+
+@pytest.mark.parametrize("cmp", ["p == 0", "0 == p", "p != 0", "0 != p"])
+def test_zero_compared_with_a_pointer_is_null(cmp):
+    ast = parse_translation_unit(f"int f(int *p) {{ return {cmp}; }}")
+    null = ast_text(parse_translation_unit(
+        f"int f(int *p) {{ return {cmp.replace('0', 'NULL')}; }}"))
+    assert ast_text(ast) == null
+
+
+def test_nonzero_compared_with_a_pointer_is_rejected():
+    with pytest.raises(FrontendTypeError, match="invalid pointer comparison"):
+        parse_translation_unit("int f(int *p) { return p == 1; }")
