@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from .diagnostics import InconsistentInput
 from .frontend.ast import Binary, Call, Index, Member, Name, Unary
 from . import normalize as N
-from .pollution import build_dependency_graph, propagate, _BaseAnalysis, \
-    _store_bases
+from .pollution import build_dependency_graph, propagate, _store_bases
 
 
 @dataclass
@@ -97,18 +96,11 @@ class _Abstractor:
             self.havocked.add(s.var)
             return s
         if isinstance(s, N.NUnmodelableCall):
+            if s.item is None:
+                return s    # the encoder leaves its result and memory free
             if s.lhs:
                 return self.havoc(s.lhs, s.span, s.uid)
             return N.NNop(span=s.span, uid=s.uid)
-        if isinstance(s, N.NFpDispatch):
-            if s.lhs in p:
-                return self.havoc(s.lhs, s.span, s.uid)
-            if s.fp in p or any(_atom_polluted(a, p) for a in s.args):
-                self.removed.append(s.span)
-                if s.lhs:
-                    return self.havoc(s.lhs, s.span, s.uid)
-                return None
-            return s
         if isinstance(s, N.NNop):
             return s
         if isinstance(s, N.NIf):
@@ -136,14 +128,12 @@ def abstract_program(prog, polluted, graph=None):
     if closure != set(polluted):
         raise InconsistentInput(
             "polluted set is not closed under graph reachability")
-    analysis = _BaseAnalysis(prog)
-    ab = _Abstractor(prog, set(polluted), analysis)
+    ab = _Abstractor(prog, set(polluted), graph.analysis)
     new_body = ab.body(prog.body)
     new_prog = N.NormalizedProgram(
         entry=prog.entry, decls=prog.decls, body=new_body,
         ret_var=prog.ret_var, origin=prog.origin,
-        designators=prog.designators, ast=prog.ast,
-        functions=prog.functions, report=prog.report)
+        designators=prog.designators, ast=prog.ast, report=prog.report)
     ab.havocked |= set(polluted)
     return AbstractProgram(program=new_prog, havocked=ab.havocked,
                            removed_stmts=ab.removed,

@@ -7,9 +7,15 @@ statement sequence the same way.  Branches encode both arms and merge
 with ITE terms; loops are modeled as a single nondeterministically
 guarded iteration from havocked head symbols, with the pre/head/body-end
 /exit symbols recorded so the invariant engine can run its three-point
-check.  Address-taken variables live in the memory arrays at distinct
-base addresses; whenever no precise encoding exists the affected symbol
-is left unconstrained, which weakens but never unsounds a verdict.
+check.  Address-taken variables, and arrays used as a value, live in
+the memory arrays at distinct base addresses; whenever no precise
+encoding exists the affected symbol is left unconstrained, which weakens
+but never unsounds a verdict.
+
+Calls arrive inlined by the normalizer.  A call through a function
+pointer is an `if` chain whose conditions compare the pointer with
+function addresses, distinct constants; its last arm, an unmodelable
+call with no item, leaves the result and memory unconstrained.
 
 Every write to the variable environment is journaled.  An `if` arm or a
 loop body undoes its own writes when it ends, so the merge that follows
@@ -31,12 +37,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from contextlib import contextmanager
 from itertools import islice
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagnostics import EncodeError, InvarcError, UnboundVariable, \
+from .diagnostics import EncodeError, UnboundVariable, \
     UnsupportedOperator, UnsupportedType
 from .frontend.ast import (
     ArrayType, Binary, DoubleType, Index, IntLit, FloatLit, Member, Name,
@@ -176,13 +181,12 @@ class SolverScript:
     """Ordered SMT-LIB 2 text with named query blocks.
 
     `render` sends only the cone of influence of the queries: the lines
-    of `main` that a query can reach.  A symbol is live when a query or
-    a define-fun reads it, or a kept line of `main` does.  Each
-    declaration, and each assertion recorded as the definition of a
-    symbol (`assert_(text, defines=sym)`), is kept only when its symbol
-    is live; every other assertion is kept.  The preamble, datatypes,
-    base addresses with their `distinct` assertions and define-funs are
-    kept whole.
+    of `main` that a query can reach.  A symbol is live when a query
+    reads it, or a kept line of `main` does.  Each declaration, and each
+    assertion recorded as the definition of a symbol
+    (`assert_(text, defines=sym)`), is kept only when its symbol is
+    live; every other assertion is kept.  The preamble, datatypes and
+    base addresses with their `distinct` assertions are kept whole.
 
     The answers stay the same.  A dropped symbol appears in no kept line,
     and each dropped definition reads only symbols declared before the
@@ -195,7 +199,6 @@ class SolverScript:
 
     datatypes: list = field(default_factory=list)
     bases: dict = field(default_factory=dict)      # const name -> group
-    fndefs: list = field(default_factory=list)
     main: list = field(default_factory=list)
     queries: list = field(default_factory=list)    # (name, [lines])
     _declared: set = field(default_factory=set)
@@ -257,8 +260,8 @@ class SolverScript:
     def cone(self):
         """The lines of `main` that the queries can reach, in order: one
         backward pass that reads only the lines it keeps."""
-        # define-funs, and the assertion of each query block
-        roots = self.fndefs + [block[2] for _, block in self.queries]
+        # the assertion of each query block
+        roots = [block[2] for _, block in self.queries]
         live = set(_VERSIONED.findall("\n".join(roots)))
         owner = self._owner.get
         main = self.main
@@ -274,7 +277,7 @@ class SolverScript:
         return kept
 
     def render(self):
-        out = PREAMBLE + self.datatypes + self.base_lines() + self.fndefs
+        out = PREAMBLE + self.datatypes + self.base_lines()
         out += self.cone()
         for _, lines in self.queries:
             out += lines
@@ -375,10 +378,6 @@ class Encoder:
         self.loops = []
         self.points = []
         self.havocked = set(havocked or ())
-        self.fn_cache = {}
-        self.fn_globals = {}
-        self.fn_writes = {}
-        self.res_sorts = set()
         self.at_vars = self._address_taken()
         self.at_scalars = sorted(
             v for v in self.at_vars if v in prog.decls
@@ -456,7 +455,11 @@ class Encoder:
     # -- memory -------------------------------------------------------------
 
     def _address_taken(self):
+        """The variables that live in memory: those whose address is
+        taken, and the arrays used as a value, which decays to the
+        address of their first cell."""
         at = set()
+        decls = self.prog.decls
         for s in self.prog.walk():
             if isinstance(s, N.NAssign) and s.op in N.ADDR_OPS \
                     and s.op != "funcaddr":
@@ -466,6 +469,18 @@ class Encoder:
                 elif s.op in ("addr", "member_addr") and s.args and \
                         isinstance(s.args[0], N.VarRef):
                     at.add(s.args[0].name)
+            if isinstance(s, N.NAssign) and s.op not in ("index", "elem_addr"):
+                values = s.args
+            elif isinstance(s, N.NStore):
+                values = [s.value]
+            elif isinstance(s, N.NUnmodelableCall):
+                values = s.args
+            else:
+                continue
+            for a in values:
+                if isinstance(a, N.VarRef) and a.name in decls \
+                        and isinstance(decls[a.name].ctype, ArrayType):
+                    at.add(a.name)
         return at
 
     def base_const(self, var):
@@ -557,14 +572,12 @@ class Encoder:
             if s.var in self.env:
                 self.unconstrained(s.var, self.env[s.var].sort)
                 self._mirror_at_scalar(s.var)
-        elif isinstance(s, (N.NUnmodelableCall,)):
-            # post-abstraction programs contain no such statements; be
-            # conservative if one slips through
+        elif isinstance(s, N.NUnmodelableCall):
+            # after abstraction, only the last arm of a call through a
+            # pointer, which has no item: its result and memory are free
             if s.lhs and s.lhs in self.env:
                 self.unconstrained(s.lhs, self.env[s.lhs].sort)
             self.havoc_mem()
-        elif isinstance(s, N.NFpDispatch):
-            self.encode_dispatch(s)
         elif isinstance(s, N.NNop):
             pass
         elif isinstance(s, N.NIf):
@@ -600,6 +613,9 @@ class Encoder:
                 return lit_real(a.value)
             return lit_int(a.value)
         if a.name not in self.env:
+            decl = self.prog.decls.get(a.name)
+            if a.name in self.at_vars and isinstance(decl.ctype, ArrayType):
+                return self.cell(a.name, 0)     # a memory-resident array
             raise _Unencodable(f"{a.name} has no symbol")
         return self.env[a.name]
 
@@ -934,12 +950,10 @@ class Encoder:
                 out.add(s.lhs)
             elif isinstance(s, N.NHavoc):
                 out.add(s.var)
-            elif isinstance(s, (N.NUnmodelableCall, N.NFpDispatch)):
+            elif isinstance(s, N.NUnmodelableCall):
                 if s.lhs:
                     out.add(s.lhs)
                 out.add(MEM)
-                if isinstance(s, N.NFpDispatch):
-                    out.update(self.dispatch_writes(s))
             elif isinstance(s, N.NStore):
                 d = self.prog.designators.get(
                     s.ptr.name if isinstance(s.ptr, N.VarRef) else None)
@@ -970,246 +984,6 @@ class Encoder:
         self.loops.append(LoopRecord(
             loop_id=s.loop_id, span=s.span, modified=modified, guard=guard,
             pre=pre, head=head, bend=bend, exit=self._snapshot(names)))
-
-    # -- function pointers --------------------------------------------------
-
-    def res_sort(self, sort):
-        name = f"Res${sort}"
-        if name not in self.res_sorts:
-            self.res_sorts.add(name)
-            self.script.datatypes.append(
-                f"(declare-datatype {name} ((mk-res${sort}"
-                f" (val${sort} {sort}) (memo${sort} Mem))))")
-        return name
-
-    def encode_dispatch(self, s):
-        sort = self.env[s.lhs].sort if s.lhs in self.env else "Int"
-        try:
-            if sort not in ("Int", "Real"):
-                raise _Unencodable("result neither Int nor Real")
-            rsort = self.res_sort(sort)
-            fp = self.env.get(s.fp)
-            if fp is None or fp.sort != "Int":
-                raise _Unencodable("function pointer untracked")
-            args = [self.atom_term(a) for a in s.args]
-        except _Unencodable:
-            if s.lhs in self.env:
-                self.unconstrained(s.lhs, sort)
-            self.havoc_mem()
-            self.havoc_dispatch_writes(s)
-            return
-        self.counter += 1
-        else_const = f"resx@{self.counter}"
-        self.script.declare(else_const, rsort)
-        term = else_const
-        for fname in reversed(s.candidates):
-            addr = self.fn_addr_const(fname)
-            call = self.fn_call_term(fname, args, sort)
-            if call is None:
-                self.counter += 1
-                arm = f"resx@{self.counter}"
-                self.script.declare(arm, rsort)
-            else:
-                arm = call
-            term = f"(ite (= {fp.text} {addr}) {arm} {term})"
-        self.counter += 1
-        res = f"res@{self.counter}"
-        self.script.declare(res, rsort)
-        self.script.assert_(f"(= {res} {term})", defines=res)
-        self.bind(s.lhs, Term(f"(val${sort} {res})", sort))
-        self._mirror_at_scalar(s.lhs)
-        self.bind(MEM, Term(f"(memo${sort} {res})", "Mem"))
-        self._reread_at_scalars()
-        self.havoc_dispatch_writes(s)
-
-    def dispatch_writes(self, s):
-        """The globals with a symbol that a candidate of the dispatch `s`
-        may assign, sorted."""
-        key = tuple(s.candidates)
-        if key not in self.fn_writes:
-            self.fn_writes[key] = sorted(
-                g for g in N.written_globals(self.ast, self.prog.report,
-                                             s.candidates)
-                if g in self.env)
-        return self.fn_writes[key]
-
-    def havoc_dispatch_writes(self, s):
-        """Leave unconstrained every global the dispatch `s` may have
-        assigned: the encoded call returns only its result and memory."""
-        for g in self.dispatch_writes(s):
-            self.unconstrained(g, self.env[g].sort)
-            self._mirror_at_scalar(g)
-
-    def fn_call_term(self, fname, args, ret_sort):
-        defname = self.encode_function(fname)
-        if defname is None:
-            return None
-        fdef = self.ast.function(fname)
-        texts = []
-        for p, a in zip(fdef.params, args):
-            a = coerce(a, self.sort_of_safe(p.ctype))
-            if a is None:
-                return None
-            texts.append(a.text)
-        for g in self.fn_globals.get(fname, ()):
-            if g not in self.env:
-                return None
-            texts.append(self.env[g].text)
-        texts.append(self.mem().text)
-        return f"({defname} {' '.join(texts)})"
-
-    def encode_function(self, fname):
-        """define-fun for a loop-free candidate function; returns the
-        defined name or None when the body is not encodable."""
-        if fname in self.fn_cache:
-            return self.fn_cache[fname]
-        result = None
-        try:
-            result = self._encode_function(fname)
-        except (_Unencodable, InvarcError):
-            result = None
-        self.fn_cache[fname] = result
-        return result
-
-    def _encode_function(self, fname):
-        fdef = self.ast.function(fname)
-        ret_sort = self.sort_of(fdef.ret) if fdef.ret != VOID else "Int"
-        if ret_sort not in ("Int", "Real"):
-            return None
-        sub = N.to_simple_assignments(self.ast, self.prog.report, fname,
-                                      global_inits=False)
-        for st in sub.walk():
-            if isinstance(st, (N.NWhile, N.NUnmodelableCall, N.NHavoc,
-                               N.NFpDispatch)):
-                return None
-        params = []
-        fenv = {}
-        globals_used = []
-        for p in fdef.params:
-            psort = self.sort_of(p.ctype)
-            params.append(f"(fp${p.name} {psort})")
-            fenv[p.name] = Term(f"fp${p.name}", psort)
-        for name, decl in sub.decls.items():
-            if name in fenv:
-                continue
-            if decl.kind == "global" and name in self.env:
-                # free reads of globals become extra parameters, bound to
-                # the caller's current version at each call site
-                gsort = self.env[name].sort
-                params.append(f"(fp${name} {gsort})")
-                fenv[name] = Term(f"fp${name}", gsort)
-                globals_used.append(name)
-                continue
-            psort = self.sort_of_safe(decl.ctype)
-            if psort not in ("Int", "Real", "Addr"):
-                return None
-            fenv[name] = Term(zero(psort), psort)
-        params.append("(fp$mem Mem)")
-        fenv[MEM] = Term("fp$mem", "Mem")
-        self.fn_globals[fname] = globals_used
-        fenv = _FnBody(self, sub).run(fenv)
-        if fenv is None:
-            return None
-        if sub.ret_var not in fenv:
-            return None
-        ret = coerce(fenv[sub.ret_var], ret_sort)
-        if ret is None:
-            return None
-        rsort = self.res_sort(ret_sort)
-        defname = f"fn${fname}"
-        self.script.fndefs.append(
-            f"(define-fun {defname} ({' '.join(params)}) {rsort}"
-            f" (mk-res${ret_sort} {ret.text} {fenv[MEM].text}))")
-        return defname
-
-
-class _FnBody:
-    """Term-level (assertion-free) encoding of a loop-free function body,
-    used inside define-fun where no new constants may be declared.  The
-    body updates one environment; an `if` arm undoes its own writes."""
-
-    def __init__(self, enc, sub):
-        self.enc = enc
-        self.sub = sub
-        self.fenv = None
-        self.scopes = []    # per open arm: var -> term before its first write
-
-    def run(self, fenv):
-        self.fenv = fenv
-        try:
-            self.stmts(self.sub.body)
-        except _Unencodable:
-            return None
-        return fenv
-
-    def stmts(self, body):
-        for s in body:
-            self.stmt(s)
-
-    def set(self, var, term):
-        if self.scopes:
-            self.scopes[-1].setdefault(var, self.fenv.get(var, _ABSENT))
-        self.fenv[var] = term
-
-    def arm(self, body):
-        """Encode `body` and then undo its writes; returns each name it
-        wrote, mapped to its term at its end."""
-        self.scopes.append({})
-        self.stmts(body)
-        return _undo(self.fenv, self.scopes.pop())
-
-    @contextmanager
-    def over(self):
-        """The encoder, reading its variables from the body's environment
-        for the duration."""
-        enc = self.enc
-        saved, enc.env = enc.env, self.fenv
-        try:
-            yield enc
-        finally:
-            enc.env = saved
-
-    def stmt(self, s):
-        if isinstance(s, N.NAssign):
-            decl = self.sub.decls.get(s.lhs)
-            want = self.enc.sort_of_safe(decl.ctype) if decl else None
-            with self.over() as enc:
-                if s.op == "/" or s.op == "%":
-                    # no fresh constants inside a definition: use the
-                    # funnelled operators directly
-                    a = enc.atom_term(s.args[0])
-                    b = enc.atom_term(s.args[1])
-                    a, b, sort = join_arith(a, b)
-                    fn = {"/": "cdiv" if sort == "Int" else "/",
-                          "%": "cmod"}[s.op]
-                    if s.op == "%" and sort != "Int":
-                        raise _Unencodable("modulo on reals")
-                    term = Term(f"({fn} {a.text} {b.text})", sort)
-                else:
-                    term = enc.rhs_term(s, want)
-            if want == "Real" and term.sort == "Int":
-                term = as_real(term)
-            self.set(s.lhs, term)
-        elif isinstance(s, N.NStore):
-            with self.over() as enc:
-                p = enc.atom_term(s.ptr)
-                v = enc.atom_term(s.value)
-            if p.sort != "Addr":
-                raise _Unencodable("store in function body")
-            self.set(MEM, mem_with(self.fenv[MEM], p, v))
-        elif isinstance(s, N.NIf):
-            with self.over() as enc:
-                cond = enc.cond_term(s.cond)
-            if cond is None:
-                raise _Unencodable("condition in function body")
-            then, els = self.arm(s.then), self.arm(s.els)
-            fenv = self.fenv
-            names = [v for v in {**then, **els} if v in fenv]
-            self.enc.work += len(names)
-            for v, t in merge(cond, names, fenv, then, els).items():
-                self.set(v, t)
-        elif not isinstance(s, N.NNop):
-            raise _Unencodable(f"{type(s).__name__} in function body")
 
 
 def encode_types(struct_defs, script):

@@ -10,7 +10,8 @@ one polluted set per item and unions them.  Flagged kinds:
     containing struct or array members (the flat base+offset layout only
     covers scalar members).
   * ``recursive-call``: call to a function on a call-graph cycle, which
-    inlining cannot eliminate.
+    inlining cannot eliminate, or a call through a function pointer that
+    may reach such a function.
   * ``library-call``: call to a function with no definition in this
     translation unit.
 """
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import (
-    ArrayType, AssignStmt, Call, CompoundStmt, DeclStmt, ExprStmt,
-    FunctionDef, IfStmt, Index, Member, Name, PointerType, ReturnStmt,
-    StructType, Unary, WhileStmt,
+    ArrayType, Call, DeclStmt, FuncPtrType, FunctionDef, Index, Member,
+    Name, StructType, Unary, same_type,
 )
 
 UNMODELABLE_KINDS = (
@@ -44,8 +44,10 @@ class SubsetItem:
 class SubsetReport:
     """The flagged constructs of a unit, and the unit facts the later
     stages read instead of walking the unit again: the functions on a
-    call-graph cycle, and the defined functions the unit names anywhere
-    (possible function-pointer targets), in order of first use."""
+    call-graph cycle, and the functions whose address the unit takes,
+    by `&f` or by naming `f` other than as the callee of a call, in
+    order of first use.  `fp_targets` holds the one rule for the
+    functions a call through a pointer may reach."""
     unmodelable_items: list = field(default_factory=list)
     rejected_items: list = field(default_factory=list)
     recursive: frozenset = frozenset()
@@ -56,6 +58,18 @@ class SubsetReport:
             if it.span == span:
                 return it
         return None
+
+    def fp_targets(self, ast, sig):
+        """The address-taken functions of `ast` whose type matches the
+        function-pointer type `sig`: the possible targets of a call
+        through a pointer of that type."""
+        out = []
+        for fname in self.address_taken:
+            fdef = ast.function(fname)
+            ftype = FuncPtrType(tuple(p.ctype for p in fdef.params), fdef.ret)
+            if same_type(ftype, sig):
+                out.append(fname)
+        return out
 
 
 def _on_cycles(graph):
@@ -124,8 +138,10 @@ def classify_constructs(ast):
     items = []
     graph = {}          # function -> defined functions it calls
     direct = []         # (span, callee) of each call to a defined function
-    taken = {}          # defined functions named, in order
-    callees = None
+    indirect = []       # (span, caller, type) of each call through a pointer
+    taken = {}          # address-taken functions, in order
+    callee_names = set()   # ids of the callee Names of direct calls
+    caller = None
 
     def visit(e):
         if isinstance(e, Unary) and e.op == "&":
@@ -140,31 +156,45 @@ def classify_constructs(ast):
                     "address-of-aggregate-with-nested-members", e.span,
                     "flat base+offset layout covers scalar members only"))
         elif isinstance(e, Name) and isinstance(e.decl, FunctionDef):
-            # in `&f`, as a value, and as the callee of a direct call
-            taken.setdefault(e.decl.name)
-        elif isinstance(e, Call) and isinstance(e.callee, Name):
-            decl = e.callee.decl
+            # in `&f` or as a value; the walk is pre-order, so the callee
+            # of a direct call is already known here
+            if id(e) not in callee_names:
+                taken.setdefault(e.decl.name)
+        elif isinstance(e, Call):
+            decl = e.callee.decl if isinstance(e.callee, Name) else None
             if isinstance(decl, FunctionDef):
+                callee_names.add(id(e.callee))
                 direct.append((e.span, decl.name))
-                if callees is not None:
-                    callees.add(decl.name)
-            elif decl is None:
+                if caller is not None:
+                    graph[caller].add(decl.name)
+            elif isinstance(e.callee, Name) and decl is None:
                 items.append(SubsetItem("library-call", e.span,
                                         "no definition in this translation unit"))
-            # otherwise the callee is a variable: a function-pointer call,
-            # handled via dispatch, not flagged here
+            else:
+                indirect.append((e.span, caller, e.callee.ctype))
 
     for fn in ast.functions:
-        callees = graph[fn.name] = set()
+        caller = fn.name
+        graph[caller] = set()
         walk_exprs(fn.body, visit)
-    callees = None
+    caller = None
     for g in ast.globals:
         if g.init is not None:
             walk_exprs(DeclStmt(name=g.name, ctype=g.ctype, init=g.init), visit)
+    report = SubsetReport(address_taken=tuple(taken))
+    targets = []        # (span, possible targets) of each pointer call
+    for span, fn, sig in indirect:
+        names = report.fp_targets(ast, sig)
+        targets.append((span, names))
+        if fn is not None:
+            graph[fn].update(names)
     recursive = _on_cycles(graph)
     items.extend(SubsetItem("recursive-call", span,
                             "inlining cannot eliminate a recursive call")
                  for span, name in direct if name in recursive)
+    items.extend(SubsetItem("recursive-call", span,
+                            "the pointer may reach a recursive function")
+                 for span, names in targets if recursive.intersection(names))
 
     seen = set()
     unique = []
@@ -173,5 +203,6 @@ def classify_constructs(ast):
         if key not in seen:
             seen.add(key)
             unique.append(it)
-    return SubsetReport(unmodelable_items=unique, rejected_items=[],
-                        recursive=recursive, address_taken=tuple(taken))
+    report.unmodelable_items = unique
+    report.recursive = recursive
+    return report

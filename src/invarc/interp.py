@@ -562,8 +562,6 @@ class NormInterp(_ExprMixin):
                 s.var, decl.ctype if decl else None)
         elif isinstance(s, N.NUnmodelableCall):
             raise InterpError(f"unmodelable call {s.func!r} not executable")
-        elif isinstance(s, N.NFpDispatch):
-            self.exec_dispatch(s)
         elif isinstance(s, N.NNop):
             pass
         elif isinstance(s, N.NIf):
@@ -589,29 +587,6 @@ class NormInterp(_ExprMixin):
             self.exec_list(s.body)
             self.loop_events.append((key, "bend", self.scalar_snapshot()))
         self.loop_events.append((key, "post", self.scalar_snapshot()))
-
-    def exec_dispatch(self, s):
-        fp = self.atom_value(s.fp) if isinstance(s.fp, N.VarRef) \
-            else self.env[s.fp].value
-        if not isinstance(fp, FuncAddr):
-            raise InterpError("dispatch through non-function value")
-        fdef = self.prog.functions.get(fp.name) or \
-            (self.prog.ast.function(fp.name) if self.prog.ast else None)
-        if fdef is None:
-            raise InterpError(f"no definition for {fp.name!r}")
-        sub = SourceInterp(self.prog.ast, budget=self.budget - self.steps)
-        sub.globals = self.env  # share cells: globals visible to the callee
-        args = [self.atom_value(a) for a in s.args]
-        scope = {p.name: Cell(copy_value(a)) for p, a in zip(fdef.params, args)}
-        sub.frames.append([scope])
-        try:
-            sub.exec_block(fdef.body)
-            ret = 0
-        except _ReturnSignal as r:
-            ret = r.value
-        self.steps += sub.steps
-        if s.lhs:
-            self.env[s.lhs].value = ret
 
     def eval_simple(self, s):
         op = s.op

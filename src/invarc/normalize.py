@@ -8,9 +8,17 @@ every assignment leaf is one of:
     x = y1
     *x = y1            (store through a pointer-valued variable)
 
-plus the bookkeeping kinds Havoc, UnmodelableCall, FpDispatch and Nop.
+plus the bookkeeping kinds Havoc, UnmodelableCall and Nop.
 Branch and loop conditions stay as (call-free) expressions; they contribute
 no dependency edges downstream.
+
+Calls are inlined.  A call through a function pointer becomes a chain of
+`if`s, one arm per possible target (`SubsetReport.fp_targets`), each
+comparing the pointer with a `funcaddr` temporary and inlining its
+target; the final `else` is an unmodelable call with no item, whose
+result and memory are left unconstrained.  A call that inlining cannot
+eliminate (a recursive or library callee, or the arm of a recursive
+target) is an unmodelable call tagged with its item.
 
 Address-of-member expressions are lowered the way the worked examples do:
 the member value is materialized into a temporary and the address of that
@@ -28,10 +36,10 @@ from .diagnostics import (
     InlineDepthExceeded, NormalizeError, Span, UnsupportedExpression,
 )
 from .frontend.ast import (
-    ArrayType, AssignStmt, Binary, BOOL, Call, CompoundStmt, DeclStmt,
-    DOUBLE, Expr, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt,
-    Index, INT, IntLit, Member, Name, NullLit, PointerType, ReturnStmt,
-    StructType, Unary, VarDecl, WhileStmt, expr_text, same_type, VOID,
+    AssignStmt, Binary, BOOL, Call, CompoundStmt, DeclStmt, Expr,
+    ExprStmt, FloatLit, FunctionDef, IfStmt, Index, INT, IntLit, Member,
+    Name, NullLit, PointerType, ReturnStmt, StructType, Unary, WhileStmt,
+    expr_text, VOID,
 )
 
 BINARY_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
@@ -107,16 +115,6 @@ class NUnmodelableCall:
 
 
 @dataclass
-class NFpDispatch:
-    lhs: str
-    fp: str
-    args: list
-    candidates: list   # names of address-taken functions of this signature
-    span: Span = None
-    uid: int = 0
-
-
-@dataclass
 class NNop:
     span: Span = None
     uid: int = 0
@@ -146,7 +144,7 @@ class NondetCond:
     origin_span: Span = None
 
 
-SIMPLE_KINDS = (NAssign, NStore, NHavoc, NUnmodelableCall, NFpDispatch, NNop)
+SIMPLE_KINDS = (NAssign, NStore, NHavoc, NUnmodelableCall, NNop)
 
 
 @dataclass
@@ -169,7 +167,6 @@ class NormalizedProgram:
     # designators: pointer temp -> ('elem', base, idx_atom) | ('member', base, fld)
     #              | ('pmember', ptr, fld) | ('addrof', base)
     ast: object = None   # the inlined Ast (struct defs etc.)
-    functions: dict = field(default_factory=dict)  # fp-dispatch candidates
     report: object = None   # the unit's SubsetReport
 
     def walk(self):
@@ -195,21 +192,14 @@ def walk_stmts(stmts):
 
 @dataclass
 class _UCallStmt:
-    """AST-level marker: call we refuse to inline (recursive or library)."""
+    """AST-level marker: call we refuse to inline (recursive or library,
+    tagged with the item at `item_span`, or the untagged last arm of a
+    function-pointer call)."""
     lhs: str
     func: str
     args: list        # Expr args, already hoisted to simple names
     span: Span = None
     item_span: Span = None
-
-
-@dataclass
-class _FpCallStmt:
-    lhs: str
-    fp: Expr
-    args: list
-    candidates: list
-    span: Span = None
 
 
 class _ReturnCtx:
@@ -252,58 +242,6 @@ def _has_nontail_return(body):
     return scan(body, True)
 
 
-def written_globals(ast, report, fnames):
-    """Globals that the functions `fnames`, or the functions they call,
-    may write: assigned by name (whole, or one element or member), or
-    reachable through a pointer they make, by `&` or by using an array
-    as a value.  A call through a function pointer may reach any
-    address-taken function of the unit's SubsetReport `report`."""
-    from .frontend.classify import walk_exprs
-    out, seen, todo = set(), set(), list(fnames)
-
-    def stmts(s):
-        if isinstance(s, CompoundStmt):
-            for x in s.stmts:
-                yield from stmts(x)
-        elif isinstance(s, IfStmt):
-            yield from stmts(s.then)
-            yield from stmts(s.els)
-        elif isinstance(s, WhileStmt):
-            yield from stmts(s.body)
-        elif s is not None:
-            yield s
-
-    def add_root(e):
-        while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
-                or (isinstance(e, Member) and not e.arrow):
-            e = e.arr if isinstance(e, Index) else e.obj
-        if isinstance(e, Name) and isinstance(e.decl, VarDecl):
-            out.add(e.ident)
-
-    def visit(e):
-        if isinstance(e, Unary) and e.op == "&":
-            add_root(e.operand)
-        elif isinstance(e, Name) and isinstance(e.ctype, ArrayType):
-            add_root(e)     # an array used anywhere may decay to a pointer
-        elif isinstance(e, Call):
-            callee = e.callee.decl if isinstance(e.callee, Name) else None
-            if isinstance(callee, FunctionDef):
-                todo.append(callee.name)
-            elif not (isinstance(e.callee, Name) and callee is None):
-                todo.extend(report.address_taken)  # not a library call
-
-    while todo:
-        fn = ast.function(todo.pop())
-        if fn is None or fn.name in seen:
-            continue
-        seen.add(fn.name)
-        walk_exprs(fn.body, visit)
-        for s in stmts(fn.body):
-            if isinstance(s, AssignStmt):
-                add_root(s.target)
-    return out
-
-
 class Inliner:
     def __init__(self, ast, report, depth_limit=32):
         self.ast = ast
@@ -313,7 +251,6 @@ class Inliner:
         self.counter = 0
         self.decls = {}      # name -> NDecl
         self.origin = {}
-        self.fp_candidates = {}
 
     def fresh(self, base, ctype, span, kind="temp"):
         self.counter += 1
@@ -514,7 +451,7 @@ class Inliner:
             return self._emit_ucall(e, e.callee.ident, args, pre, drop_value)
         # function-pointer call
         fp = self._rewrite(e.callee, rename, depth, pre)
-        return self._emit_fp_dispatch(e, fp, args, pre)
+        return self._emit_fp_call(e, fp, args, depth, pre, drop_value)
 
     def _hoist_args(self, args, pre, span):
         atoms = []
@@ -539,25 +476,50 @@ class Inliner:
             return _name(lhs, ret_t)
         return IntLit(value=0, span=e.span)
 
-    def _emit_fp_dispatch(self, e, fp, args, pre):
+    def _emit_fp_call(self, e, fp, args, depth, pre, drop_value):
+        """`if (fp == &t1) { t1 } else if ... else { unmodelable fp() }`,
+        one arm per possible target; returns the result's name."""
         atoms = self._hoist_args(args, pre, e.span)
         sig = fp.ctype
-        cands = []
-        for fname in self.report.address_taken:
-            fdef = self.ast.function(fname)
-            ftype = FuncPtrType(tuple(p.ctype for p in fdef.params), fdef.ret)
-            if same_type(ftype, sig) and fname not in self.recursive:
-                cands.append(fname)
-                self.fp_candidates[fname] = fdef
         if not isinstance(fp, Name):
-            t = self.fresh("fp", fp.ctype, e.span)
-            pre.append(AssignStmt(target=_name(t, fp.ctype), value=fp, span=e.span))
-            fp = _name(t, fp.ctype)
-        ret_t = sig.ret if isinstance(sig, FuncPtrType) else INT
-        lhs = self.fresh("call", ret_t if ret_t != VOID else INT, e.span)
-        pre.append(_FpCallStmt(lhs=lhs, fp=fp, args=atoms, candidates=cands,
-                               span=e.span))
-        return _name(lhs, ret_t)
+            t = self.fresh("fp", sig, e.span)
+            pre.append(AssignStmt(target=_name(t, sig), value=fp, span=e.span))
+            fp = _name(t, sig)
+        ret_t = sig.ret
+        lhs = ""
+        if not drop_value and ret_t != VOID:
+            lhs = self.fresh("call", ret_t, e.span)
+        arms = []
+        for fname in self.report.fp_targets(self.ast, sig):
+            fdef = self.ast.function(fname)
+            addr = self.fresh("f", sig, e.span)
+            ref = Unary(op="&", operand=Name(ident=fname, span=e.span,
+                                             decl=fdef), span=e.span)
+            pre.append(AssignStmt(target=_name(addr, sig), value=ref,
+                                  span=e.span))
+            arms.append((fdef, addr))
+        chain = [_UCallStmt(lhs=lhs, func=fp.ident, args=atoms, span=e.span)]
+        for fdef, addr in reversed(arms):
+            fname = fdef.name
+            arm = []
+            if fname in self.recursive:
+                arm.append(_UCallStmt(lhs=lhs, func=fname, args=atoms,
+                                      span=e.span, item_span=e.span))
+            else:
+                v = self._inline_body(e, fdef, atoms, depth, arm, not lhs)
+                if lhs:
+                    arm.append(AssignStmt(target=_name(lhs, ret_t), value=v,
+                                          span=e.span))
+            cond = Binary(op="==", lhs=fp, rhs=_name(addr, sig), span=e.span)
+            cond.ctype = BOOL
+            chain = [IfStmt(cond=cond,
+                            then=CompoundStmt(stmts=arm, span=e.span),
+                            els=CompoundStmt(stmts=chain, span=e.span),
+                            span=e.span)]
+        pre.extend(chain)
+        if lhs:
+            return _name(lhs, ret_t)
+        return IntLit(value=0, span=e.span)
 
     def _inline_body(self, e, fdef, args, depth, pre, drop_value):
         if depth + 1 > self.depth_limit:
@@ -647,17 +609,10 @@ class Lowerer:
         if isinstance(s, _UCallStmt):
             out = []
             atoms = [self.atom(a, out) for a in s.args]
-            item = self._find_item(s.span)
+            item = self._find_item(s.item_span)
             out.append(NUnmodelableCall(lhs=s.lhs, func=s.func, args=atoms,
                                         span=s.span, uid=self.next_uid(),
                                         item=item))
-            return out
-        if isinstance(s, _FpCallStmt):
-            out = []
-            atoms = [self.atom(a, out) for a in s.args]
-            out.append(NFpDispatch(lhs=s.lhs, fp=s.fp.ident, args=atoms,
-                                   candidates=list(s.candidates), span=s.span,
-                                   uid=self.next_uid()))
             return out
         raise NormalizeError(f"unexpected statement {type(s).__name__}",
                              getattr(s, "span", None))
@@ -837,7 +792,7 @@ def to_simple_assignments(ast, report, entry, depth_limit=32,
     prog = NormalizedProgram(
         entry=entry, decls=inl.decls, body=nbody, ret_var=ret_var,
         origin=inl.origin, designators=low.designators, ast=ast,
-        functions=inl.fp_candidates, report=report)
+        report=report)
     return prog
 
 
@@ -881,10 +836,6 @@ def stmt_text(s):
         args = ", ".join(str(a) for a in s.args)
         lhs = f"{s.lhs} = " if s.lhs else ""
         return f"{lhs}unmodelable {s.func}({args});"
-    if isinstance(s, NFpDispatch):
-        args = ", ".join(str(a) for a in s.args)
-        cands = ", ".join(s.candidates)
-        return f"{s.lhs} = dispatch {s.fp}({args}) over [{cands}];"
     if isinstance(s, NNop):
         return "nop;"
     raise TypeError(f"unprintable {s!r}")

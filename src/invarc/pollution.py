@@ -6,7 +6,8 @@ derived from y.  Store statements route their edges to the base
 variables the written pointer may target, resolved by a flow-insensitive
 address-taken analysis.  The set of variables polluted by an unmodelable
 item is the breadth-first reachability closure of the item's initial
-labels.
+labels.  A call that inlining did not eliminate labels its result, the
+bases of its pointer arguments and every global its callee may write.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .diagnostics import ItemNotFound, NotAPointer
-from .frontend.ast import ArrayType, FuncPtrType, PointerType, same_type
+from .frontend.ast import (
+    ArrayType, AssignStmt, Call, CompoundStmt, FuncPtrType, FunctionDef,
+    IfStmt, Index, Member, Name, PointerType, Unary, VarDecl, WhileStmt,
+    same_type,
+)
+from .frontend.classify import walk_exprs
 from . import normalize as N
 
 
@@ -27,6 +33,7 @@ class DependencyGraph:
     vertices: set = field(default_factory=set)
     edges: set = field(default_factory=set)           # (src, dst) pairs
     adj: dict = field(default_factory=dict)           # src -> sorted later
+    analysis: object = None   # the _BaseAnalysis the store edges came from
 
     def add_vertex(self, v):
         self.vertices.add(v)
@@ -209,14 +216,6 @@ def _stmt_edges(s, analysis):
         for b in _pointer_arg_bases(s, analysis):
             for v in argvars:
                 edges.append((v, b))
-    elif isinstance(s, N.NFpDispatch):
-        argvars = [s.fp] + [v for a in s.args for v in N.atom_vars(a)]
-        if s.lhs:
-            for v in argvars:
-                edges.append((v, s.lhs))
-        for b in _dispatch_pointer_bases(s, analysis):
-            for v in argvars:
-                edges.append((v, b))
     return edges
 
 
@@ -240,19 +239,9 @@ def _pointer_arg_bases(s, analysis):
     return out
 
 
-def _dispatch_pointer_bases(s, analysis):
-    out = set()
-    for a in s.args:
-        for v in N.atom_vars(a):
-            t = analysis._decl_type(v)
-            if _is_pointerish(t):
-                out |= analysis.bases(v)
-    return out
-
-
 def build_dependency_graph(prog, _analysis=None):
     analysis = _analysis or _BaseAnalysis(prog)
-    g = DependencyGraph()
+    g = DependencyGraph(analysis=analysis)
     for v in prog.decls:
         g.add_vertex(v)
     for s in prog.walk():
@@ -268,6 +257,57 @@ def _tagged_statements(prog):
         tag = getattr(s, "item", None)
         if tag is not None:
             out.setdefault(tag.span, []).append(s)
+    return out
+
+
+def written_globals(ast, report, fname):
+    """Globals that the function `fname`, or the functions it calls, may
+    write: assigned by name (whole, or one element or member), or
+    reachable through a pointer they make, by `&` or by using an array
+    as a value.  A call through a function pointer may reach each of its
+    targets on the unit's SubsetReport `report`."""
+    out, seen, todo = set(), set(), [fname]
+
+    def stmts(s):
+        if isinstance(s, CompoundStmt):
+            for x in s.stmts:
+                yield from stmts(x)
+        elif isinstance(s, IfStmt):
+            yield from stmts(s.then)
+            yield from stmts(s.els)
+        elif isinstance(s, WhileStmt):
+            yield from stmts(s.body)
+        elif s is not None:
+            yield s
+
+    def add_root(e):
+        while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
+                or (isinstance(e, Member) and not e.arrow):
+            e = e.arr if isinstance(e, Index) else e.obj
+        if isinstance(e, Name) and isinstance(e.decl, VarDecl):
+            out.add(e.ident)
+
+    def visit(e):
+        if isinstance(e, Unary) and e.op == "&":
+            add_root(e.operand)
+        elif isinstance(e, Name) and isinstance(e.ctype, ArrayType):
+            add_root(e)     # an array used anywhere may decay to a pointer
+        elif isinstance(e, Call):
+            callee = e.callee.decl if isinstance(e.callee, Name) else None
+            if isinstance(callee, FunctionDef):
+                todo.append(callee.name)
+            elif not (isinstance(e.callee, Name) and callee is None):
+                todo.extend(report.fp_targets(ast, e.callee.ctype))
+
+    while todo:
+        fn = ast.function(todo.pop())
+        if fn is None or fn.name in seen:
+            continue
+        seen.add(fn.name)
+        walk_exprs(fn.body, visit)
+        for s in stmts(fn.body):
+            if isinstance(s, AssignStmt):
+                add_root(s.target)
     return out
 
 
@@ -287,6 +327,7 @@ def initial_labels(prog, item, _analysis=None, _tagged=None):
             if s.lhs:
                 seeds.add(s.lhs)
             seeds |= _pointer_arg_bases(s, analysis)
+            seeds |= written_globals(prog.ast, prog.report, s.func)
     return seeds
 
 

@@ -44,6 +44,7 @@ from invarc.normalize import (
 from invarc.pollution import (
     analyze_pollution, build_dependency_graph, initial_labels, propagate,
 )
+from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
 from conftest import CORPUS, ENTRIES, GOLDEN, corpus_entry, corpus_source
@@ -125,38 +126,48 @@ def test_criterion_3_sum_false_negative(pipeline_cache, solver_cfg):
 
 # --- criterion 4: function-pointer dispatch --------------------------------
 
+def pin_queries(enc, either=False):
+    """Add the query that `r` at exit is not `EqualInt4`'s result on the
+    entry values of `x` and `y` and, with `either`, the query that the
+    pointer names one of the two functions while `r` is neither one's
+    result."""
+    ee, xe = enc.entry_env, enc.exit_env
+    x, y, r = ee["x"].text, ee["y"].text, xe["r"].text
+    eq = f"(= {r} (ite (= {x} {y}) 1 0))"
+    enc.script.add_query("pin", f"(not {eq})")
+    if either:
+        fp = ee["fp"].text
+        less = f"(= {r} (ite (< {x} {y}) 1 0))"
+        enc.script.add_query("either", (
+            f"(and (or (= {fp} addr$EqualInt4) (= {fp} addr$LessthanInt8))"
+            f" (not (or {eq} {less})))"))
+    return enc.script
+
+
 def test_criterion_4_dispatch(pipeline_cache, solver_cfg):
     t0 = time.monotonic()
 
     *_, enc = pipeline_cache("fp_known.c")
-    ee, xe = enc.entry_env, enc.exit_env
-    mem = ee["%mem"].text
-    enc.script.add_query("pin", (
-        f"(not (= {xe['r'].text} (val$Int "
-        f"(fn$EqualInt4 {ee['x'].text} {ee['y'].text} {mem}))))"))
-    out = run_solver(enc.script, solver_cfg)
+    out = run_solver(pin_queries(enc), solver_cfg)
     assert out["pin"] == "unsat"    # statically known pointer: pinned
 
     *_, enc2 = pipeline_cache("fp_unknown.c")
-    ee, xe = enc2.entry_env, enc2.exit_env
-    mem = ee["%mem"].text
-    enc2.script.add_query("pin", (
-        f"(not (= {xe['r'].text} (val$Int "
-        f"(fn$EqualInt4 {ee['x'].text} {ee['y'].text} {mem}))))"))
+    out2 = run_solver(pin_queries(enc2, either=True), solver_cfg)
+    assert out2["pin"] == "sat"     # input pointer: not pinned
     # With the pointer constrained to the two address-taken functions,
     # the result must match one of them.
-    fp = ee["fp"].text
-    arm1 = f"(= {xe['r'].text} (val$Int " \
-           f"(fn$EqualInt4 {ee['x'].text} {ee['y'].text} {mem})))"
-    arm2 = f"(= {xe['r'].text} (val$Int " \
-           f"(fn$LessthanInt8 {ee['x'].text} {ee['y'].text} {mem})))"
-    enc2.script.add_query("either", (
-        f"(and (or (= {fp} addr$EqualInt4) (= {fp} addr$LessthanInt8)) "
-        f"(not (or {arm1} {arm2})))"))
-    out2 = run_solver(enc2.script, solver_cfg)
-    assert out2["pin"] == "sat"     # input pointer: not pinned
     assert out2["either"] == "unsat"
     assert time.monotonic() - t0 < 5.0
+
+
+def test_criterion_4_dispatch_without_a_solver():
+    """In-process refutation finds a pointer value for which the result
+    is not pinned, and none when the pointer is statically known."""
+    refuted = {}
+    for name in ("fp_known.c", "fp_unknown.c"):
+        *_, enc = build_pipeline(corpus_source(name), corpus_entry(name))
+        refuted[name] = set(refute_queries(pin_queries(enc).render()))
+    assert refuted == {"fp_known.c": set(), "fp_unknown.c": {"pin"}}
 
 
 # --- criterion 5: no refuted invariants ------------------------------------

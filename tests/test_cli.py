@@ -274,3 +274,137 @@ def test_import_loads_no_cli():
          " ('argparse', 'invarc.cli', 'invarc.interp') if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "[]", done.stderr
+
+
+# --- calls that inlining cannot eliminate, and calls through pointers ------
+
+REC = """int g;
+int rec(int n) {
+  g = n;
+  if (n <= 0) {
+    return 0;
+  }
+  return rec(n - 1);
+}
+"""
+
+# `f` calls the recursive `rec` directly, or through a pointer that may
+# also point to `h`; either way `g` changes when `x < 0`
+UNINLINED_CALLS = {
+    "rec_glob2.c": REC + "int f(int x) { int r = rec(x); return r; }\n",
+    "fp_rec.c": REC + """int h(int n) {
+  return n + 1;
+}
+int f(int x) {
+  int (*p)(int);
+  p = &h;
+  if (x < 0) {
+    p = &rec;
+  }
+  int r = p(x);
+  return r;
+}
+""",
+}
+
+
+def probe(capsys, tmp_path, name, source, *argv):
+    """Run the CLI on `source`, entry `f`, without a solver and with the
+    brute-force oracle over [-3, 3]."""
+    path = tmp_path / name
+    path.write_text(source)
+    return run(capsys, str(path), "--entry", "f", "--solver", "none",
+               "--oracle", "--domain=-3..3", *argv)
+
+
+@pytest.mark.parametrize("name", sorted(UNINLINED_CALLS))
+def test_uninlined_call_pollutes_the_globals_its_callee_writes(
+        capsys, tmp_path, name):
+    code, out, _ = probe(capsys, tmp_path, name, UNINLINED_CALLS[name])
+    assert code == 0, out
+    assert "excluded as polluted: g, r" in out
+    assert not any(line.startswith("g ") for line in out.splitlines())
+
+
+def test_call_through_a_pointer_to_itself_ends_in_a_report(capsys, tmp_path):
+    src = """int t(int n) {
+  int (*p)(int);
+  p = &t;
+  if (n <= 0) {
+    return 0;
+  }
+  return p(n - 1);
+}
+int f(int x) {
+  int r = t(x);
+  return r;
+}
+"""
+    code, out, err = probe(capsys, tmp_path, "fp_self.c", src)
+    assert code == 0 and err == ""
+    assert out.startswith("VARIABLE") and "excluded as polluted: r" in out
+
+
+def test_pointer_targets_are_the_address_taken_functions(capsys, tmp_path):
+    src = """int g(int a) {
+  return a + 2;
+}
+int h(int a) {
+  return a + 1;
+}
+int f(int b) {
+  int c = g(b);
+  int (*p)(int);
+  p = &h;
+  int r = p(b);
+  return r + c;
+}
+"""
+    code, out, _ = probe(capsys, tmp_path, "fp_direct.c", src,
+                         "--dump", "normalized")
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
+    arms = [line for line in lines if line.startswith("if (p == ")]
+    assert len(arms) == 1
+    addr = arms[0][len("if (p == "):-len(") {")]
+    assert f"{addr} = &h;" in lines
+    assert "$call3 = unmodelable p(b);" in lines
+    assert not any(line.endswith("= &g;") for line in lines)
+
+
+ARRAY_CALLEE = """int t(int *p, int n) {
+  int i = 0;
+  while (i < n) {
+    i = i + 1;
+  }
+  p[0] = 5;
+  return i;
+}
+"""
+
+ARRAY_CALL = """int f(int a) {{
+  int arr[2];
+  arr[0] = a;
+  arr[1] = 0;
+  int (*q)(int *, int);
+  q = &t;
+  int r = {}(arr, 1);
+  a = arr[0];
+  return r;
+}}
+"""
+
+
+@pytest.mark.parametrize("callee", ["q", "t"])
+def test_array_written_through_a_parameter(capsys, tmp_path, callee):
+    # `t` sets arr[0] = 5, so `a` changes unless it was 5: the refuter
+    # finds a model for the entry-exit query of `a`
+    code, out, _ = probe(capsys, tmp_path, "fp_arr.c",
+                         ARRAY_CALLEE + ARRAY_CALL.format(callee),
+                         "--format", "json")
+    assert code == 0
+    data = json.loads(out[:out.index("\noracle:")])
+    assert data["diagnostics"] == []
+    (a,) = [c for c in data["candidates"] if c["variable"] == "a"
+            and c["loop"] is None]
+    assert a["verdict"] == "unknown"

@@ -11,8 +11,7 @@ import pytest
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
-from invarc.encoder import MEM, PREAMBLE, Encoder, SolverScript, \
-    encode_program
+from invarc.encoder import MEM, PREAMBLE, SolverScript, encode_program
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import emit_query, enumerate_candidates
@@ -79,17 +78,6 @@ def cli_script(name):
 def test_script_matches_golden(name):
     golden = GOLDEN / "smt" / name.replace(".c", ".smt2")
     assert cli_script(name) == golden.read_text(), name
-
-
-def test_function_encoder_bug_is_not_swallowed(monkeypatch):
-    """Only an unencodable body falls back to an unconstrained call
-    result; any other exception from the function encoder escapes."""
-    def broken(self, fname):
-        raise KeyError(fname)
-
-    monkeypatch.setattr(Encoder, "_encode_function", broken)
-    with pytest.raises(KeyError):
-        build_pipeline(corpus_source("fp_known.c"), corpus_entry("fp_known.c"))
 
 
 def query_result(enc):
@@ -216,8 +204,7 @@ def slicing_programs():
 
 def unsliced(script):
     """The whole script, every line of `main` included."""
-    lines = PREAMBLE + script.datatypes + script.base_lines() \
-        + script.fndefs + script.main
+    lines = PREAMBLE + script.datatypes + script.base_lines() + script.main
     for _, block in script.queries:
         lines += block
     return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ import pytest
 from invarc.diagnostics import FrontendTypeError, ParseFailure, \
     RejectedConstruct, Span
 from invarc.frontend import parse_translation_unit
-from invarc.frontend.ast import DoubleType, IntType, ast_text, \
-    strip_for_compare
+from invarc.frontend.ast import DoubleType, FuncPtrType, INT, IntType, \
+    ast_text, strip_for_compare
 from invarc.frontend.classify import classify_constructs
 from invarc.frontend.lexer import lex
 from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS
@@ -207,6 +207,22 @@ def test_classify_collects_the_unit_facts():
         "int f(int a) { int (*q)(int) = &g; return q(a) + fp(a); }"))
     assert report.address_taken == ("g", "h")
     assert report.recursive == frozenset()
+
+
+def test_classify_pointer_calls():
+    # `g` is only called directly, so a pointer cannot reach it; `t`
+    # calls itself through a pointer, so it is recursive
+    ast = parse_translation_unit(
+        "int g(int a) { return a; }\n"
+        "int t(int n) { int (*p)(int) = &t; if (n > 0) { n = p(n - 1); }"
+        " return g(n); }\n"
+        "int f(int a) { return t(a); }")
+    report = classify_constructs(ast)
+    assert report.address_taken == ("t",)
+    assert report.fp_targets(ast, FuncPtrType((INT,), INT)) == ["t"]
+    assert report.recursive == {"t"}
+    assert [(it.span.line, it.kind) for it in report.unmodelable_items] \
+        == [(2, "recursive-call"), (3, "recursive-call")]
 
 
 def test_function_lookup_sees_later_definitions():

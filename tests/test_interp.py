@@ -13,7 +13,7 @@ from invarc.interp import (
 )
 from invarc.normalize import to_simple_assignments
 
-from genprog import branchy_c, loopy_c, straightline_c
+from genprog import branchy_c, fp_global_c, loopy_c, straightline_c
 
 
 def norm(src, entry):
@@ -131,6 +131,18 @@ def test_branchy_agreement(seed, a, b, c):
     r1 = run_source(ast, "gen", [a, b, c])
     r2 = run_normalized(prog, {"a": a, "b": b, "c": c})
     assert r1.ret == r2.ret
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(-3, 3), st.integers(-3, 3))
+def test_function_pointer_agreement(seed, a, b):
+    """Calls through a pointer, lowered to one inlined arm per target,
+    return and write the globals as the source calls do."""
+    ast, prog = norm(fp_global_c(seed), "gen")
+    r1 = run_source(ast, "gen", [a, b])
+    r2 = run_normalized(prog, {"a": a, "b": b})
+    assert r1.ret == r2.ret
+    assert all(r1.finals[g] == r2.finals[g] for g in ("g", "h", "u"))
 
 
 def test_loop_events_phases():

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invarc import pollution
 from invarc.diagnostics import ItemNotFound
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.normalize import to_simple_assignments
+from invarc.pipeline import build_pipeline
 from invarc.pollution import (
     analyze_pollution, build_dependency_graph, initial_labels, propagate,
 )
@@ -169,3 +171,18 @@ def test_golden_graph_sequential_scan():
     from conftest import GOLDEN
     golden = (GOLDEN / "sequential_scan.graph.txt").read_text()
     assert build_dependency_graph(prog).dump() + "\n" == golden
+
+
+def test_one_points_to_analysis_per_program(monkeypatch):
+    runs = []
+    run = pollution._BaseAnalysis._run
+
+    def counted(self):
+        runs.append(self.prog)
+        run(self)
+
+    monkeypatch.setattr(pollution._BaseAnalysis, "_run", counted)
+    _, _, prog, graph, _, _ = build_pipeline(
+        corpus_source("sequential_scan.c"), "SequentialScan")
+    assert runs == [prog]
+    assert graph.analysis.prog is prog
