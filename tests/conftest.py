@@ -18,7 +18,8 @@ import pytest
 
 from invarc.cli import build_pipeline
 from invarc.diagnostics import SolverNotFound
-from invarc.invariants import detect_invariants
+from invarc.invariants import detect_invariants, emit_query, \
+    enumerate_candidates
 from invarc import solver
 from invarc.solver import ENV_VAR, SolverConfig, discover_solver
 
@@ -47,6 +48,15 @@ def corpus_source(name):
 
 def corpus_entry(name):
     return ENTRIES.get(name)
+
+
+def with_queries(source, entry):
+    """The script of a program with one query block per candidate pair,
+    named as the CLI names them."""
+    *_, ab, enc = build_pipeline(source, entry)
+    for i, c in enumerate(enumerate_candidates(ab, enc)):
+        emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
+    return enc.script
 
 
 def make_executable(path, text):

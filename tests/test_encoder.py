@@ -14,13 +14,13 @@ from invarc.diagnostics import EncodeError
 from invarc.encoder import MEM, PREAMBLE, SolverScript, encode_program
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
-from invarc.invariants import emit_query, enumerate_candidates
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
 from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
-from conftest import CORPUS, GOLDEN, ROOT, corpus_entry, corpus_source
+from conftest import CORPUS, GOLDEN, ROOT, corpus_entry, corpus_source, \
+    with_queries
 from genprog import fp_global_c, loopy_c
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.c"))
@@ -58,15 +58,6 @@ def test_reemission_byte_identical():
         s1 = encode(path.read_text(), entry).script.render()
         s2 = encode(path.read_text(), entry).script.render()
         assert s1 == s2, path.name
-
-
-def with_queries(source, entry):
-    """The script of a program with one query block per candidate pair,
-    named as the CLI names them."""
-    *_, ab, enc = build_pipeline(source, entry)
-    for i, c in enumerate(enumerate_candidates(ab, enc)):
-        emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
-    return enc.script
 
 
 def cli_script(name):
