@@ -5,9 +5,11 @@ Exit codes: 0 analysis completed (regardless of verdicts), 1 usage
 error or an input file that cannot be read as UTF-8 text, 2 parse/type
 error in the input program, 3 solver infrastructure error, 4 `--oracle`
 found a reported invariant that an execution breaks (every input is
-still analysed and reported).  An error in the analysis of a file is one
-line on stderr, `FILE:LINE:COL: error: MESSAGE`, without `LINE:COL`
-where it has no position in the source.
+still analysed and reported), 5 internal error: a defect of invarc
+itself.  An error in the analysis of a file is one line on stderr,
+`FILE:LINE:COL: error: MESSAGE`, without `LINE:COL` where it has no
+position in the source; an internal error is `FILE: internal error:
+TYPE: MESSAGE`, with no traceback.
 
 The solver is looked for only when a program has a query for it, and
 then once per run.  A program without queries is analysed, and exits 0,
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .diagnostics import InputError, InvarcError, ProtocolError, \
@@ -32,7 +35,7 @@ from .normalize import program_text
 from .invariants import detect_invariants
 from .pipeline import build_pipeline   # re-exported: invarc.cli.build_pipeline
 from .solver import SolverConfig, discover_solver
-from .interp import InterpError, run_source
+from .interp import InterpError, default_value, run_source
 
 DUMP_STAGES = ("ast", "normalized", "graph", "abstract", "smt")
 MAX_ORACLE_RUNS = 4096
@@ -133,17 +136,18 @@ def check_oracle(ast, entry, enc, report_obj, domain):
             axes.append(list(range(lo, hi + 1)))
         else:
             axes.append([None])  # non-scalar: default value
-    loop_spans = {lr.loop_id: lr.span for lr in enc.loops}
+    # a span that two loop records share (a callee inlined twice) mixes
+    # the events of both: its candidates stay unchecked
+    spans = Counter(lr.span for lr in enc.loops)
+    loop_spans = {lr.loop_id: lr.span for lr in enc.loops
+                  if spans[lr.span] == 1}
     violations = []
     checked = {c: 0 for c in range(len(report_obj.candidates))}
     runs = 0
+    structs = {sd.name: sd for sd in ast.struct_defs}
     for vec in itertools.islice(itertools.product(*axes), MAX_ORACLE_RUNS):
-        args = []
-        from .interp import default_value
-        structs = {sd.name: sd for sd in ast.struct_defs}
-        for p, v in zip(fn.params, vec):
-            args.append(v if v is not None
-                        else default_value(p.ctype, structs))
+        args = [v if v is not None else default_value(p.ctype, structs)
+                for p, v in zip(fn.params, vec)]
         try:
             res = run_source(ast, entry, args)
         except (InterpError, StepBudgetExceeded):
@@ -258,6 +262,11 @@ def main(argv=None):
             if isinstance(e, InputError):
                 return 1
             return 3 if isinstance(e, (SolverNotFound, ProtocolError)) else 2
+        except Exception as e:   # a defect: one line, not a traceback
+            msg = " ".join(str(e).splitlines())
+            sys.stderr.write(f"{path}: internal error: "
+                             f"{type(e).__name__}: {msg}\n")
+            return 5
     return 4 if violated else 0
 
 

@@ -12,6 +12,11 @@ the memory arrays at distinct base addresses; whenever no precise
 encoding exists the affected symbol is left unconstrained, which weakens
 but never unsounds a verdict.
 
+Terms are immutable `Term(op, args, sort)` trees: a symbol or literal
+is a leaf with no arguments, and every builder below returns a tree of
+the SMT-LIB sort it has.  Two terms are equal when their trees are.
+Text exists only in `SolverScript.render`.
+
 Calls arrive inlined by the normalizer.  A call through a function
 pointer is an `if` chain whose conditions compare the pointer with
 function addresses, distinct constants; its last arm, an unmodelable
@@ -27,19 +32,18 @@ linear in the number of writes; `Encoding.work` counts it.
 
 Each assertion the encoder writes defines one fresh symbol from symbols
 declared before it: `(= s t)`, or `(=> g (= s t))` for a division that
-is bound only when its divisor is nonzero.  `SolverScript` records which
-symbol each defines, and renders only the cone of influence of the
-queries, with the same solver answers as the whole script (the argument
-is in its docstring).
+is bound only when its divisor is nonzero.  `SolverScript` renders only
+the cone of influence of the queries, with the same solver answers as
+the whole script (the argument is in its docstring).
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from itertools import islice
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagnostics import EncodeError, UnboundVariable, \
     UnsupportedOperator, UnsupportedType
@@ -57,47 +61,78 @@ class _Unencodable(Exception):
 MEM = "%mem"   # pseudo-variable for the threaded memory record
 _ABSENT = object()   # journaled value of a variable with no symbol
 
-PREAMBLE = [
-    "(set-logic ALL)",
-    "(declare-datatype Addr ((mk-addr (addr-base Int) (addr-off Int))))",
-    "(declare-datatype Mem ((mk-mem"
-    " (mem-int (Array Addr Int))"
-    " (mem-real (Array Addr Real))"
-    " (mem-ptr (Array Addr Addr)))))",
-    "(define-fun cdiv ((a Int) (b Int)) Int"
-    " (ite (>= (* a b) 0) (div (abs a) (abs b)) (- (div (abs a) (abs b)))))",
-    "(define-fun cmod ((a Int) (b Int)) Int (- a (* b (cdiv a b))))",
-]
 
-_MEM_FIELD = {"Int": "mem-int", "Real": "mem-real", "Addr": "mem-ptr"}
-
-
-@dataclass(frozen=True)
-class Term:
-    text: str
+class Term(NamedTuple):
+    """An SMT-LIB term: `op` applied to `args`, of sort `sort`.  A symbol
+    or a literal is a leaf, with `args == ()` and its text as `op`."""
+    op: str
+    args: tuple
     sort: str
+
+    @property
+    def text(self):
+        if self.args:
+            return f"({self.op} {' '.join(a.text for a in self.args)})"
+        return self.op
+
+
+def leaves(t):
+    """The text of every leaf of `t`."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.args:
+            todo.extend(t.args)
+        else:
+            out.append(t.op)
+    return out
+
+
+class Datatype(NamedTuple):
+    """A record sort: one constructor with (selector, sort) fields."""
+    name: str
+    ctor: str
+    fields: tuple
+
+    @property
+    def text(self):
+        fields = " ".join(f"({sel} {sort})" for sel, sort in self.fields)
+        return f"(declare-datatype {self.name} (({self.ctor} {fields})))"
+
+
+ZERO = Term("0", (), "Int")
+ONE = Term("1", (), "Int")
 
 
 def lit_int(n):
-    return Term(str(n) if n >= 0 else f"(- {-n})", "Int")
+    t = Term(str(abs(n)), (), "Int")
+    return t if n >= 0 else Term("-", (t,), "Int")
 
 
 def lit_real(x):
     f = Fraction(x)
-    num = f"{abs(f.numerator)}.0"
+    t = Term(f"{abs(f.numerator)}.0", (), "Real")
     if f.denominator != 1:
-        num = f"(/ {num} {f.denominator}.0)"
-    if f < 0:
-        num = f"(- {num})"
-    return Term(num, "Real")
+        t = Term("/", (t, Term(f"{f.denominator}.0", (), "Real")), "Real")
+    return t if f >= 0 else Term("-", (t,), "Real")
 
 
-NULL_ADDR = Term("(mk-addr 0 0)", "Addr")
+NULL_ADDR = Term("mk-addr", (ZERO, ZERO), "Addr")
+_MEM_FIELD = {"Int": "mem-int", "Real": "mem-real", "Addr": "mem-ptr"}
+DATATYPES = (
+    Datatype("Addr", "mk-addr", (("addr-base", "Int"), ("addr-off", "Int"))),
+    Datatype("Mem", "mk-mem", tuple((fld, f"(Array Addr {sort})")
+                                    for sort, fld in _MEM_FIELD.items())),
+)
+
+
+def ite(cond, a, b):
+    return Term("ite", (cond, a, b), a.sort)
 
 
 def as_real(t):
     if t.sort == "Int":
-        return Term(f"(to_real {t.text})", "Real")
+        return Term("to_real", (t,), "Real")
     return t
 
 
@@ -105,6 +140,32 @@ def join_arith(a, b):
     if a.sort == "Real" or b.sort == "Real":
         return as_real(a), as_real(b), "Real"
     return a, b, a.sort
+
+
+def binary(op, a, b):
+    """C's `a op b` for an arithmetic operator (`+ - *`), a term of the
+    joined sort, or for a comparison, a Bool term."""
+    a, b, sort = join_arith(a, b)
+    if op in ("+", "-", "*"):
+        return Term(op, (a, b), sort)
+    if op in ("==", "!="):
+        eq = Term("=", (a, b), "Bool")
+        return eq if op == "==" else Term("not", (eq,), "Bool")
+    return Term(op, (a, b), "Bool")
+
+
+def _cdiv_cmod(a, b):
+    """C's truncating division and remainder of `a` by `b`."""
+    q = Term("div", (Term("abs", (a,), "Int"), Term("abs", (b,), "Int")),
+             "Int")
+    cdiv = ite(binary(">=", binary("*", a, b), ZERO), q,
+               Term("-", (q,), "Int"))
+    return {"cdiv": cdiv,
+            "cmod": binary("-", a, binary("*", b, Term("cdiv", (a, b), "Int")))}
+
+
+PARAMS = (Term("a", (), "Int"), Term("b", (), "Int"))
+FUNCTIONS = _cdiv_cmod(*PARAMS)   # name -> body over PARAMS
 
 
 def coerce(t, sort):
@@ -117,33 +178,42 @@ def coerce(t, sort):
     return None
 
 
+_ZERO = {"Int": ZERO, "Real": Term("0.0", (), "Real"), "Addr": NULL_ADDR}
+
+
 def zero(sort):
     """The zero value of a scalar sort: 0, 0.0 or the null address."""
-    if sort == "Int":
-        return "0"
-    if sort == "Real":
-        return "0.0"
-    if sort == "Addr":
-        return NULL_ADDR.text
-    raise _Unencodable(f"no zero of sort {sort}")
+    if sort not in _ZERO:
+        raise _Unencodable(f"no zero of sort {sort}")
+    return _ZERO[sort]
+
+
+def nonzero(t):
+    """The Bool term that `t` is not zero, C's truth of a scalar."""
+    return Term("distinct", (t, zero(t.sort)), "Bool")
 
 
 def offset_addr(p, off, op="+"):
     """The address `p` moved by `off` cells, forward (`+`) or back
     (`-`)."""
-    return Term(f"(mk-addr (addr-base {p.text})"
-                f" ({op} (addr-off {p.text}) {off}))", "Addr")
+    return Term("mk-addr", (
+        Term("addr-base", (p,), "Int"),
+        Term(op, (Term("addr-off", (p,), "Int"), off), "Int")), "Addr")
+
+
+def _mem_array(m, sort):
+    return Term(_MEM_FIELD[sort], (m,), f"(Array Addr {sort})")
 
 
 def mem_with(m, addr, val):
     """The memory record `m` with `val` stored at `addr` in the array of
     its sort."""
-    fld = _MEM_FIELD.get(val.sort)
-    if fld is None:
+    if val.sort not in _MEM_FIELD:
         raise _Unencodable("value sort has no memory array")
-    parts = [f"(store ({f} {m.text}) {addr.text} {val.text})" if f == fld
-             else f"({f} {m.text})" for f in _MEM_FIELD.values()]
-    return Term(f"(mk-mem {' '.join(parts)})", "Mem")
+    arrays = {sort: _mem_array(m, sort) for sort in _MEM_FIELD}
+    a = arrays[val.sort]
+    arrays[val.sort] = Term("store", (a, addr, val), a.sort)
+    return Term("mk-mem", tuple(arrays.values()), "Mem")
 
 
 def merge(cond, names, env, end1, end2):
@@ -154,8 +224,8 @@ def merge(cond, names, env, end1, end2):
     for v in names:
         a = end1.get(v) or env[v]
         b = end2.get(v) or env[v]
-        if a.text != b.text:
-            out[v] = Term(f"(ite {cond} {a.text} {b.text})", a.sort)
+        if a != b:
+            out[v] = ite(cond, a, b)
     return out
 
 
@@ -173,114 +243,120 @@ def _undo(env, before):
     return end
 
 
-_VERSIONED = re.compile(r"[^\s()]*@[^\s()]*")
+def definition(t):
+    """The symbol, guard (None without one) and value of an assertion
+    that `SolverScript.define` wrote."""
+    guard, eq = t.args if t.op == "=>" else (None, t)
+    return eq.args[0], guard, eq.args[1]
 
 
 @dataclass
 class SolverScript:
-    """Ordered SMT-LIB 2 text with named query blocks.
+    """An SMT-LIB 2 script of terms, with named query blocks.
 
-    `render` sends only the cone of influence of the queries: the lines
-    of `main` that a query can reach.  A symbol is live when a query
-    reads it, or a kept line of `main` does.  Each declaration, and each
-    assertion recorded as the definition of a symbol
-    (`assert_(text, defines=sym)`), is kept only when its symbol is
-    live; every other assertion is kept.  The preamble, datatypes and
+    `main` holds terms in order: a leaf declares its symbol, and any
+    other term is the assertion that defines one symbol (`define`).
+    Struct datatypes, base-address constants and the queries' assertion
+    text sit beside it.  `render`, the only place that writes text,
+    sends only the cone of influence of the queries: a symbol is live
+    when a query's text reads it, or a kept definition does, and a
+    declaration or a definition is kept only when its symbol is live,
+    found in one backward pass over `main`.  The preamble, datatypes and
     base addresses with their `distinct` assertions are kept whole.
 
-    The answers stay the same.  A dropped symbol appears in no kept line,
+    The answers stay the same.  A dropped symbol appears in no kept term,
     and each dropped definition reads only symbols declared before the
-    one it defines, so any model of the kept lines extends to the
+    one it defines, so any model of the kept terms extends to the
     dropped symbols, taken in declaration order: a query is `sat` on the
     sliced script exactly when it is on the whole one.  Slicing only
     removes assertions, so a query the sliced script proves (`unsat`)
     holds on the whole script as well.
     """
 
-    datatypes: list = field(default_factory=list)
+    datatypes: list = field(default_factory=list)  # Datatype per struct
     bases: dict = field(default_factory=dict)      # const name -> group
     main: list = field(default_factory=list)
-    queries: list = field(default_factory=list)    # (name, [lines])
+    queries: list = field(default_factory=list)    # (name, assertion text)
     _declared: set = field(default_factory=set)
     _query_names: set = field(default_factory=set)
-    _owner: dict = field(default_factory=dict)     # main index -> symbol
     _defined: set = field(default_factory=set)
 
     def declare(self, name, sort):
+        """Declare the symbol `name` of `sort`; returns its leaf."""
         if name in self._declared:
             raise EncodeError(f"symbol {name} declared twice")
         self._declared.add(name)
-        self._owner[len(self.main)] = name
-        self.main.append(f"(declare-const {name} {sort})")
+        sym = Term(name, (), sort)
+        self.main.append(sym)
+        return sym
 
-    def assert_(self, text, defines=None):
-        """Assert `text`; `defines` names the symbol it defines from
-        symbols declared before that symbol, if it does."""
-        if defines is not None:
-            if defines in self._defined:
-                raise EncodeError(f"symbol {defines} defined twice")
-            self._defined.add(defines)
-            self._owner[len(self.main)] = defines
-        self.main.append(f"(assert {text})")
+    def define(self, sym, value, guard=None):
+        """Assert `(= sym value)`, or `(=> guard (= sym value))`, where
+        `value` and `guard` read only symbols declared before `sym`."""
+        if sym.op in self._defined:
+            raise EncodeError(f"symbol {sym.op} defined twice")
+        self._defined.add(sym.op)
+        t = Term("=", (sym, value), "Bool")
+        self.main.append(t if guard is None
+                         else Term("=>", (guard, t), "Bool"))
 
     def add_base(self, name, group):
         if name not in self.bases:
             self.bases[name] = group
-        return name
+        return Term(name, (), "Int")
 
     def add_query(self, name, assert_text):
         if name in self._query_names:
             raise EncodeError(f"duplicate query name {name}")
         self._query_names.add(name)
-        self.queries.append((name, [
-            "(push 1)",
-            f'(echo "QUERY:{name}")',
-            f"(assert {assert_text})",
-            "(check-sat)",
-            "(pop 1)",
-        ]))
+        self.queries.append((name, assert_text))
 
-    def base_lines(self):
+    def base_terms(self):
         """The base-address constants, each group with its `distinct`
-        assertion."""
+        assertion, in the convention of `main`."""
         out = []
         groups = {}
         for name in sorted(self.bases):
-            groups.setdefault(self.bases[name], []).append(name)
+            groups.setdefault(self.bases[name], []).append(
+                Term(name, (), "Int"))
         for g in sorted(groups):
-            for name in groups[g]:
-                out.append(f"(declare-const {name} Int)")
-            names = groups[g]
+            consts = groups[g]
+            out += consts
             if g == "base":
-                names = ["0"] + names
-            if len(names) > 1:
-                out.append(f"(assert (distinct {' '.join(names)}))")
+                consts = [ZERO] + consts
+            if len(consts) > 1:
+                out.append(Term("distinct", tuple(consts), "Bool"))
         return out
 
     def cone(self):
-        """The lines of `main` that the queries can reach, in order: one
-        backward pass that reads only the lines it keeps."""
-        # the assertion of each query block
-        roots = [block[2] for _, block in self.queries]
-        live = set(_VERSIONED.findall("\n".join(roots)))
-        owner = self._owner.get
-        main = self.main
+        """The terms of `main` that the queries can reach, in order."""
+        live = set()
+        for _, text in self.queries:
+            live.update(text.replace("(", " ").replace(")", " ").split())
         kept = []
-        for i in range(len(main) - 1, -1, -1):
-            sym = owner(i)
-            if sym is None or sym in live:
-                line = main[i]
-                kept.append(line)
-                if not line.startswith("(declare-const "):
-                    live.update(_VERSIONED.findall(line))   # what it reads
+        for t in reversed(self.main):
+            if not t.args:
+                if t.op in live:
+                    kept.append(t)
+            elif definition(t)[0].op in live:
+                kept.append(t)
+                live.update(leaves(t))
         kept.reverse()
         return kept
 
     def render(self):
-        out = PREAMBLE + self.datatypes + self.base_lines()
-        out += self.cone()
-        for _, lines in self.queries:
-            out += lines
+        out = ["(set-logic ALL)"]
+        out += [d.text for d in DATATYPES]
+        params = " ".join(f"({p.op} {p.sort})" for p in PARAMS)
+        out += [f"(define-fun {name} ({params}) {body.sort} {body.text})"
+                for name, body in FUNCTIONS.items()]
+        out += [d.text for d in self.datatypes]
+        for t in self.base_terms() + self.cone():
+            out.append(f"(assert {t.text})" if t.args
+                       else f"(declare-const {t.op} {t.sort})")
+        for name, text in self.queries:
+            out += ["(push 1)", f'(echo "QUERY:{name}")', f"(assert {text})",
+                    "(check-sat)", "(pop 1)"]
         return "\n".join(out) + "\n"
 
 
@@ -292,7 +368,7 @@ class LoopRecord:
     loop_id: int
     span: object
     modified: set
-    guard: str
+    guard: Term
     pre: dict
     head: dict
     bend: dict
@@ -431,13 +507,11 @@ class Encoder:
 
     def fresh(self, var, sort):
         self.counter += 1
-        name = f"{var}@{self.counter}"
-        self.script.declare(name, sort)
-        return Term(name, sort)
+        return self.script.declare(f"{var}@{self.counter}", sort)
 
     def bind(self, var, term):
         sym = self.fresh(var, term.sort)
-        self.script.assert_(f"(= {sym.text} {term.text})", defines=sym.text)
+        self.script.define(sym, term)
         self._set(var, sym)
         return sym
 
@@ -445,12 +519,6 @@ class Encoder:
         sym = self.fresh(var, sort)
         self._set(var, sym)
         return sym
-
-    def guard_const(self):
-        self.counter += 1
-        name = f"guard@{self.counter}"
-        self.script.declare(name, "Bool")
-        return name
 
     # -- memory -------------------------------------------------------------
 
@@ -486,10 +554,10 @@ class Encoder:
     def base_const(self, var):
         return self.script.add_base(f"base${var}", "base")
 
-    def cell(self, var, off):
+    def cell(self, var, off=ZERO):
         """The address of the cell at offset `off` of the memory-resident
         variable `var`."""
-        return Term(f"(mk-addr {self.base_const(var)} {off})", "Addr")
+        return Term("mk-addr", (self.base_const(var), off), "Addr")
 
     def fn_addr_const(self, fname):
         return self.script.add_base(f"addr${fname}", "fnaddr")
@@ -506,10 +574,9 @@ class Encoder:
         self._reread_at_scalars()
 
     def mem_select(self, addr_term, sort):
-        fld = _MEM_FIELD.get(sort)
-        if fld is None:
+        if sort not in _MEM_FIELD:
             raise _Unencodable("sort not memory-resident")
-        return Term(f"(select ({fld} {self.mem().text}) {addr_term.text})",
+        return Term("select", (_mem_array(self.mem(), sort), addr_term),
                     sort)
 
     def sort_of_safe(self, ctype):
@@ -523,7 +590,7 @@ class Encoder:
             if v in self.havocked:
                 continue
             sort = self.sort_of(self.prog.decls[v].ctype)
-            self.bind(v, self.mem_select(self.cell(v, 0), sort))
+            self.bind(v, self.mem_select(self.cell(v), sort))
 
     def _mirror_at_scalar(self, var):
         """After assigning an address-taken scalar, write its cell."""
@@ -531,7 +598,7 @@ class Encoder:
             return
         if self.env[var].sort not in ("Int", "Real"):
             return
-        self.bind(MEM, mem_with(self.mem(), self.cell(var, 0), self.env[var]))
+        self.bind(MEM, mem_with(self.mem(), self.cell(var), self.env[var]))
 
     # -- program ------------------------------------------------------------
 
@@ -547,9 +614,8 @@ class Encoder:
             self.unconstrained(name, sort)
         # link address-taken scalars to their initial cells
         for v in self.at_scalars:
-            cell = self.mem_select(self.cell(v, 0), self.env[v].sort)
-            self.script.assert_(f"(= {self.env[v].text} {cell.text})",
-                                defines=self.env[v].text)
+            self.script.define(
+                self.env[v], self.mem_select(self.cell(v), self.env[v].sort))
         entry_env = self._snapshot(self.env)
         self.encode_stmts(self.prog.body)
         return Encoding(script=self.script, entry_env=entry_env,
@@ -615,7 +681,7 @@ class Encoder:
         if a.name not in self.env:
             decl = self.prog.decls.get(a.name)
             if a.name in self.at_vars and isinstance(decl.ctype, ArrayType):
-                return self.cell(a.name, 0)     # a memory-resident array
+                return self.cell(a.name)     # a memory-resident array
             raise _Unencodable(f"{a.name} has no symbol")
         return self.env[a.name]
 
@@ -625,10 +691,10 @@ class Encoder:
             return self.atom_term(s.args[0], want_sort)
         if op == "neg":
             t = self.atom_term(s.args[0])
-            return Term(f"(- {t.text})", t.sort)
+            return Term("-", (t,), t.sort)
         if op == "not":
             t = self.atom_term(s.args[0])
-            return Term(f"(ite (= {t.text} {zero(t.sort)}) 1 0)", "Int")
+            return ite(Term("=", (t, zero(t.sort)), "Bool"), ONE, ZERO)
         if op in N.BINARY_OPS:
             return self.binop_term(s, op)
         if op == "deref":
@@ -646,18 +712,16 @@ class Encoder:
             base = s.args[0].name if isinstance(s.args[0], N.VarRef) else None
             if base is None or base not in self.at_vars:
                 raise _Unencodable("address of unregistered variable")
-            return self.cell(base, 0)
+            return self.cell(base)
         if op == "elem_addr":
             return self.elem_addr_term(s)
         if op == "member_addr":
             return self.member_addr_term(s)
         if op == "pmember_addr":
-            p = self.atom_term(s.args[0])
-            if p.sort != "Addr":
-                raise _Unencodable("member address through non-address")
-            return offset_addr(p, self._flat_ordinal_via_ptr(s.args[0], s.fld))
+            return self._member_via_ptr(self.atom_term(s.args[0]), s.args[0],
+                                        s.fld)
         if op == "funcaddr":
-            return Term(self.fn_addr_const(s.func), "Int")
+            return self.fn_addr_const(s.func)
         raise _Unencodable(f"op {op}")
 
     def binop_term(self, s, op):
@@ -667,42 +731,31 @@ class Encoder:
             p, i = (a, b) if a.sort == "Addr" else (b, a)
             if i.sort != "Int":
                 raise _Unencodable("pointer arithmetic with non-integer")
-            return offset_addr(p, i.text, op)
+            return offset_addr(p, i, op)
         if op in ("+", "-", "*"):
-            a, b, sort = join_arith(a, b)
-            return Term(f"({op} {a.text} {b.text})", sort)
+            return binary(op, a, b)
         if op == "/":
             a, b, sort = join_arith(a, b)
             fn = "cdiv" if sort == "Int" else "/"
-            return self.guarded_div(s, f"({fn} {a.text} {b.text})", b, sort)
+            return self.guarded_div(s, Term(fn, (a, b), sort), b)
         if op == "%":
             if a.sort != "Int" or b.sort != "Int":
                 raise _Unencodable("modulo on non-integers")
-            return self.guarded_div(s, f"(cmod {a.text} {b.text})", b, "Int")
-        if op in ("<", "<=", ">", ">="):
-            a, b, _ = join_arith(a, b)
-            return Term(f"(ite ({op} {a.text} {b.text}) 1 0)", "Int")
-        if op in ("==", "!="):
-            if a.sort != b.sort:
-                a, b, _ = join_arith(a, b)
-            eq = f"(= {a.text} {b.text})"
-            text = f"(ite {eq} 1 0)" if op == "==" else f"(ite {eq} 0 1)"
-            return Term(text, "Int")
+            return self.guarded_div(s, Term("cmod", (a, b), "Int"), b)
+        if op in ("<", "<=", ">", ">=", "=="):
+            return ite(binary(op, a, b), ONE, ZERO)
+        if op == "!=":
+            return ite(binary("==", a, b), ZERO, ONE)
         if op in ("&&", "||"):
             fn = "and" if op == "&&" else "or"
-            ca = f"(distinct {a.text} {zero(a.sort)})"
-            cb = f"(distinct {b.text} {zero(b.sort)})"
-            return Term(f"(ite ({fn} {ca} {cb}) 1 0)", "Int")
+            return ite(Term(fn, (nonzero(a), nonzero(b)), "Bool"), ONE, ZERO)
         raise UnsupportedOperator(op)
 
-    def guarded_div(self, s, text, divisor, sort):
+    def guarded_div(self, s, value, divisor):
         """Bind division results only when the divisor is nonzero, so a
         verdict can never lean on division-by-zero behavior."""
-        z = zero(divisor.sort)
-        sym = self.fresh(f"div${s.lhs}", sort)
-        self.script.assert_(
-            f"(=> (distinct {divisor.text} {z}) (= {sym.text} {text}))",
-            defines=sym.text)
+        sym = self.fresh(f"div${s.lhs}", value.sort)
+        self.script.define(sym, value, guard=nonzero(divisor))
         return sym
 
     def member_term(self, a, fld, want_sort):
@@ -719,14 +772,13 @@ class Encoder:
             sort = self.sort_of_safe(mt)
             if sort not in ("Int", "Real", "Addr"):
                 raise _Unencodable("aggregate member not memory-resident")
-            return self.mem_select(self.cell(name, sd.member_ordinal(fld)),
-                                   sort)
+            off = lit_int(sd.member_ordinal(fld))
+            return self.mem_select(self.cell(name, off), sort)
         rec = self.env.get(name)
         if rec is None:
             raise _Unencodable("struct value untracked")
         sel = f"{struct_sort(decl.ctype.name)}${fld}"
-        return Term(f"({sel} {rec.text})",
-                    self.sort_of(sd.member_type(fld)))
+        return Term(sel, (rec,), self.sort_of(sd.member_type(fld)))
 
     def index_term(self, arr, idx, want_sort):
         i = self.atom_term(idx)
@@ -737,30 +789,29 @@ class Encoder:
                 a = self.env.get(arr.name)
                 if a is None:
                     raise _Unencodable("array untracked")
-                return Term(f"(select {a.text} {i.text})",
-                            self.sort_of(decl.ctype.elem))
+                return Term("select", (a, i), self.sort_of(decl.ctype.elem))
             if decl is not None and isinstance(decl.ctype, ArrayType):
                 # memory-resident array: cells at (base, i)
                 sort = self.sort_of_safe(decl.ctype.elem)
                 if sort not in ("Int", "Real", "Addr"):
                     raise _Unencodable("array elements not memory-resident")
-                return self.mem_select(self.cell(arr.name, i.text), sort)
+                return self.mem_select(self.cell(arr.name, i), sort)
         p = self.atom_term(arr)
         if p.sort != "Addr":
             raise _Unencodable("index of non-pointer")
         if want_sort not in ("Int", "Real", "Addr"):
             raise _Unencodable("element not memory-resident")
-        return self.mem_select(offset_addr(p, i.text), want_sort)
+        return self.mem_select(offset_addr(p, i), want_sort)
 
     def elem_addr_term(self, s):
         a, i = s.args
         it = self.atom_term(i)
         if isinstance(a, N.VarRef) and a.name in self.at_vars:
-            return self.cell(a.name, it.text)
+            return self.cell(a.name, it)
         p = self.atom_term(a)
         if p.sort != "Addr":
             raise _Unencodable("element address of non-pointer")
-        return offset_addr(p, it.text)
+        return offset_addr(p, it)
 
     def member_addr_term(self, s):
         base = s.args[0].name if isinstance(s.args[0], N.VarRef) else None
@@ -773,9 +824,13 @@ class Encoder:
         mt = sd.member_type(s.fld)
         if self.sort_of_safe(mt) not in ("Int", "Real", "Addr"):
             raise _Unencodable("member address of a nested shape")
-        return self.cell(base, sd.member_ordinal(s.fld))
+        return self.cell(base, lit_int(sd.member_ordinal(s.fld)))
 
-    def _flat_ordinal_via_ptr(self, ptr_atom, fld):
+    def _member_via_ptr(self, p, ptr_atom, fld):
+        """The address of member `fld` of the struct that `p`, the value
+        of the variable `ptr_atom`, points to."""
+        if p.sort != "Addr":
+            raise _Unencodable("member through non-address")
         decl = self.prog.decls.get(ptr_atom.name)
         tgt = decl.ctype.target if decl and \
             isinstance(decl.ctype, PointerType) else None
@@ -785,7 +840,7 @@ class Encoder:
         if self.sort_of_safe(sd.member_type(fld)) not in \
                 ("Int", "Real", "Addr"):
             raise _Unencodable("nested member through pointer")
-        return sd.member_ordinal(fld)
+        return offset_addr(p, lit_int(sd.member_ordinal(fld)))
 
     # -- stores -------------------------------------------------------------
 
@@ -809,8 +864,7 @@ class Encoder:
                 if v is None:
                     raise _Unencodable("element sort mismatch")
                 arr = self.env[base]
-                self.bind(base, Term(
-                    f"(store {arr.text} {i.text} {v.text})", arr.sort))
+                self.bind(base, Term("store", (arr, i, v), arr.sort))
                 return
         if d is not None and d[0] == "member" and d[1] not in self.at_vars:
             base, fld = d[1], d[2]
@@ -823,14 +877,11 @@ class Encoder:
                 if v is None:
                     raise _Unencodable("member sort mismatch")
                 rec = self.env[base]
-                parts = []
-                for m, _t in sd.members:
-                    if m == fld:
-                        parts.append(v.text)
-                    else:
-                        parts.append(f"({struct_sort(sd.name)}${m} {rec.text})")
-                self.bind(base, Term(
-                    f"(mk${sd.name} {' '.join(parts)})", rec.sort))
+                parts = tuple(
+                    v if m == fld else Term(f"{rec.sort}${m}", (rec,),
+                                            self.sort_of(t))
+                    for m, t in sd.members)
+                self.bind(base, Term(f"mk${sd.name}", parts, rec.sort))
                 return
         # general case: a store through an address term
         p = self.atom_term(s.ptr)
@@ -851,23 +902,16 @@ class Encoder:
             return None
 
     def expr_bool(self, e):
-        if isinstance(e, Binary) and e.op in ("<", "<=", ">", ">="):
-            a, b, _ = join_arith(self.expr_term(e.lhs), self.expr_term(e.rhs))
-            return f"({e.op} {a.text} {b.text})"
-        if isinstance(e, Binary) and e.op in ("==", "!="):
-            a = self.expr_term(e.lhs)
-            b = self.expr_term(e.rhs)
-            if a.sort != b.sort:
-                a, b, _ = join_arith(a, b)
-            eq = f"(= {a.text} {b.text})"
-            return eq if e.op == "==" else f"(not {eq})"
+        if isinstance(e, Binary) and e.op in ("<", "<=", ">", ">=", "==",
+                                              "!="):
+            return binary(e.op, self.expr_term(e.lhs), self.expr_term(e.rhs))
         if isinstance(e, Binary) and e.op in ("&&", "||"):
             fn = "and" if e.op == "&&" else "or"
-            return f"({fn} {self.expr_bool(e.lhs)} {self.expr_bool(e.rhs)})"
+            return Term(fn, (self.expr_bool(e.lhs), self.expr_bool(e.rhs)),
+                        "Bool")
         if isinstance(e, Unary) and e.op == "!":
-            return f"(not {self.expr_bool(e.operand)})"
-        t = self.expr_term(e)
-        return f"(distinct {t.text} {zero(t.sort)})"
+            return Term("not", (self.expr_bool(e.operand),), "Bool")
+        return nonzero(self.expr_term(e))
 
     def expr_term(self, e):
         """Terms for the renamed AST expressions kept in conditions."""
@@ -884,9 +928,9 @@ class Encoder:
         if isinstance(e, Unary):
             if e.op == "-":
                 t = self.expr_term(e.operand)
-                return Term(f"(- {t.text})", t.sort)
+                return Term("-", (t,), t.sort)
             if e.op == "!":
-                return Term(f"(ite {self.expr_bool(e.operand)} 0 1)", "Int")
+                return ite(self.expr_bool(e.operand), ZERO, ONE)
             if e.op == "*":
                 p = self.expr_term(e.operand)
                 if p.sort != "Addr":
@@ -897,23 +941,19 @@ class Encoder:
                 return self.mem_select(p, sort)
         if isinstance(e, Binary):
             if e.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
-                return Term(f"(ite {self.expr_bool(e)} 1 0)", "Int")
+                return ite(self.expr_bool(e), ONE, ZERO)
             a = self.expr_term(e.lhs)
             b = self.expr_term(e.rhs)
             if e.op in ("+", "-", "*"):
-                a, b, sort = join_arith(a, b)
-                return Term(f"({e.op} {a.text} {b.text})", sort)
+                return binary(e.op, a, b)
             raise _Unencodable(f"operator {e.op} in condition")
         if isinstance(e, Member):
             if not e.arrow and isinstance(e.obj, Name):
                 fake = N.VarRef(e.obj.ident)
                 return self.member_term(fake, e.name, None)
             if e.arrow and isinstance(e.obj, Name):
-                p = self.expr_term(e.obj)
-                if p.sort != "Addr":
-                    raise _Unencodable("arrow through non-address")
-                fake = N.VarRef(e.obj.ident)
-                addr = offset_addr(p, self._flat_ordinal_via_ptr(fake, e.name))
+                addr = self._member_via_ptr(self.expr_term(e.obj),
+                                            N.VarRef(e.obj.ident), e.name)
                 sort = self.sort_of_safe(getattr(e, "ctype", None)) or "Int"
                 return self.mem_select(addr, sort)
         if isinstance(e, Index):
@@ -932,7 +972,7 @@ class Encoder:
     def encode_branch(self, s):
         cond = self.cond_term(s.cond)
         if cond is None:
-            cond = self.guard_const()
+            cond = self.fresh("guard", "Bool")
         then, els = self._arm(s.then), self._arm(s.els)
         # only a name an arm wrote can differ; one absent before is dropped.
         # Merge in env order, as the names were first bound.
@@ -972,7 +1012,7 @@ class Encoder:
         names = [v for v in self.recorded if v in env]
         names += sorted(modified.difference(names))
         pre = self._snapshot(names)
-        guard = self.guard_const()
+        guard = self.fresh("guard", "Bool")
         for v in sorted(modified):
             self.unconstrained(v, pre[v].sort)
         head = self._snapshot(names)
@@ -1001,17 +1041,12 @@ def encode_types(struct_defs, script):
                 base = base.elem
             if isinstance(base, StructType) and base.name in by_name:
                 emit(by_name[base.name])
-        fields = []
-        for m, t in sd.members:
-            fields.append(
-                f"({struct_sort(sd.name)}${m} {sort_of(t, by_name)})")
-        script.datatypes.append(
-            f"(declare-datatype {struct_sort(sd.name)}"
-            f" ((mk${sd.name} {' '.join(fields)})))")
+        sort = struct_sort(sd.name)
+        script.datatypes.append(Datatype(sort, f"mk${sd.name}", tuple(
+            (f"{sort}${m}", sort_of(t, by_name)) for m, t in sd.members)))
 
     for sd in struct_defs:
         emit(sd)
-    return script
 
 
 def encode_program(prog, havocked=None):

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from .diagnostics import StepBudgetExceeded
 from .frontend.ast import (
-    ArrayType, Binary, BoolType, Call, DoubleType, FloatLit, FuncPtrType,
-    FunctionDef, Index, IntLit, Member, Name, NullLit, PointerType,
-    StructType, Unary, VOID,
+    ArrayType, AssignStmt, Binary, BoolType, Call, CompoundStmt, DeclStmt,
+    DoubleType, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, Index,
+    IntLit, Member, Name, NullLit, PointerType, ReturnStmt, StructType,
+    Unary, VOID, WhileStmt,
 )
 from . import normalize as N
 
@@ -312,6 +313,7 @@ class SourceInterp(_ExprMixin):
         self.record_points = record_points
         self.globals = {}
         self.frames = []
+        self.active = []         # the functions running, outermost first
         self.loop_events = []
         self.point_values = []
 
@@ -346,6 +348,7 @@ class SourceInterp(_ExprMixin):
         for p, a in zip(fn.params, args):
             entry_scope[p.name] = Cell(copy_value(a))
         self.frames.append([entry_scope])
+        self.active.append(entry)
         entry_values = self.scalar_snapshot()
         ret = None
         self._top_finals = None
@@ -360,8 +363,10 @@ class SourceInterp(_ExprMixin):
                          point_values=self.point_values)
 
     def scalar_snapshot(self):
+        """The scalars of the entry function's frame and the globals, also
+        while a callee runs."""
         out = {}
-        for scope in self.frames[-1]:
+        for scope in self.frames[0]:
             for name, cell in scope.items():
                 if is_scalar_value(cell.value):
                     out.setdefault(name, cell.value)
@@ -388,12 +393,14 @@ class SourceInterp(_ExprMixin):
         for p, a in zip(fdef.params, args):
             scope[p.name] = Cell(copy_value(a))
         self.frames.append([scope])
+        self.active.append(fdef.name)
         try:
             self.exec_block(fdef.body)
             ret = None
         except _ReturnSignal as r:
             ret = r.value
         self.frames.pop()
+        self.active.pop()
         if fdef.ret == VOID:
             return 0
         if ret is None:
@@ -401,10 +408,6 @@ class SourceInterp(_ExprMixin):
         return ret
 
     def exec_block(self, block, top=False):
-        from .frontend.ast import (
-            AssignStmt, CompoundStmt, DeclStmt, ExprStmt, IfStmt,
-            ReturnStmt, WhileStmt,
-        )
         self.frames[-1].append({})
         try:
             for s in block.stmts:
@@ -417,10 +420,6 @@ class SourceInterp(_ExprMixin):
             self.frames[-1].pop()
 
     def exec_stmt(self, s):
-        from .frontend.ast import (
-            AssignStmt, CompoundStmt, DeclStmt, ExprStmt, IfStmt,
-            ReturnStmt, WhileStmt,
-        )
         self.tick()
         if isinstance(s, DeclStmt):
             cell = Cell(default_value(s.ctype, self.structs))
@@ -452,12 +451,15 @@ class SourceInterp(_ExprMixin):
             raise InterpError(f"cannot execute {type(s).__name__}")
 
     def exec_loop(self, s):
-        self.loop_events.append((s.span, "pre", self.scalar_snapshot()))
+        # a recursive activation is not inlined: its loops record nothing
+        events = self.loop_events \
+            if len(set(self.active)) == len(self.active) else []
+        events.append((s.span, "pre", self.scalar_snapshot()))
         while truthy(self.eval(s.cond)):
-            self.loop_events.append((s.span, "head", self.scalar_snapshot()))
+            events.append((s.span, "head", self.scalar_snapshot()))
             self.exec_stmt(s.body)
-            self.loop_events.append((s.span, "bend", self.scalar_snapshot()))
-        self.loop_events.append((s.span, "post", self.scalar_snapshot()))
+            events.append((s.span, "bend", self.scalar_snapshot()))
+        events.append((s.span, "post", self.scalar_snapshot()))
 
 
 def run_source(ast, entry, args, budget=200_000, record_points=False):

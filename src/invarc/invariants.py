@@ -200,7 +200,7 @@ def detect_invariants(ab, enc, solver, program_name="program"):
         elapsed = (time.monotonic() - t0) * 1000.0
     elif queries:
         from .refute import refute_queries
-        verdicts = dict.fromkeys(refute_queries(enc.script.render()), "sat")
+        verdicts = dict.fromkeys(refute_queries(enc.script), "sat")
         undecided = [q for q, _ in queries if q not in verdicts]
     if undecided:
         diagnostics.append(

@@ -1,41 +1,48 @@
 """In-process refutation of queries by concrete evaluation.
 
-`refute_queries(text)` reads an SMT-LIB 2 script as the encoder renders
-it and returns the queries it shows to be satisfiable, without a solver,
-each with its model.
+`refute_queries(script)` evaluates the encoder's `SolverScript` itself,
+not text: exactly the terms `render()` emits (the base addresses with
+their `distinct` assertions, and the cone of `main`) and each query's
+assertion.  It returns the queries it shows to be satisfiable, without
+a solver, each with its model.  `_parse` reads the queries' text into
+terms; it reads nothing else.
 
-A top-level `(= c t)`, or `(=> g (= c t))`, whose terms mention only
-constants declared before `c`, defines `c`.  Every other top-level
-assertion is checked.  Each trial draws values for free constants, mostly
-from small integers and the script's own integer literals, computes
-defined ones from their definitions, and evaluates the checked
-assertions and each open query's assertions.  Only the constants these
-depend on are evaluated.  Any other constant is either free or defined
-from earlier constants, so the assignment extends to it.  When all the
-evaluated assertions hold, the assignment is part of a model, and the
-query is `sat`: the answer a solver would give.
+Each assertion of `main` defines one constant from constants declared
+before it (see `SolverScript.define`); the `distinct` assertions are
+checked.  Each trial draws values for free constants, mostly from small
+integers and the script's own integer literals, computes defined ones
+from their definitions, and evaluates the checked assertions and each
+open query's assertion.  Only the constants these depend on are
+evaluated.  Any other constant is either free or defined from earlier
+constants, so the assignment extends to it.  When all the evaluated
+assertions hold, the assignment is part of a model, and the query is
+`sat`: the answer a solver would give.
 
 `detect_invariants` uses it only when there is no solver.  It never
 answers `unsat`, and it answers `sat` only with a model it has checked,
 so every answer is one a solver would give, and it never proves an
-invariant.  Whatever it cannot evaluate (division by zero, a command or
-operator the encoder does not emit, a term nested too deeply) leaves the
-query undecided.  Draws come from a fixed seed, so a script is always
-decided the same way.
+invariant.  Whatever it cannot evaluate (division by zero, an operator
+the encoder does not emit, a term nested too deeply) leaves the query
+undecided.  Draws come from a fixed seed, so a script is always decided
+the same way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
+
+from .encoder import DATATYPES, FUNCTIONS, PARAMS, Term, definition, \
+    leaves
 
 TRIALS = 128
 PATIENCE = 64            # trials in a row that refute nothing: stop
 SEED = 0
 _SMALL = (-2, -1, 0, 1, 2, 3)
 _TOKEN = re.compile(r'\s+|;[^\n]*|(\(|\)|"[^"]*"|[^\s()";]+)')
-_NUMERAL = re.compile(r"(?<=[\s(])\d+(?=[\s)])")
 
 
 class _Stuck(Exception):
@@ -46,7 +53,7 @@ _STUCK = object()        # the value of a constant that could not be computed
 
 
 def _parse(text):
-    """SMT-LIB text to nested lists of atom strings."""
+    """SMT-LIB text to the terms it holds, with no sorts."""
     stack = [[]]
     for m in _TOKEN.finditer(text):
         tok = m.group(1)
@@ -58,12 +65,21 @@ def _parse(text):
             if len(stack) == 1:
                 raise _Stuck("unbalanced ')'")
             done = stack.pop()
-            stack[-1].append(done)
+            if not done or done[0].args:
+                raise _Stuck("application without an operator")
+            stack[-1].append(Term(done[0].op, tuple(done[1:]), None))
         else:
-            stack[-1].append(tok)
+            stack[-1].append(Term(tok, (), None))
     if len(stack) != 1:
         raise _Stuck("unbalanced '('")
     return stack[0]
+
+
+@lru_cache(maxsize=None)
+def _array_sorts(sort):
+    """(key sort, value sort) of an array sort, or None for another."""
+    t, = _parse(sort)
+    return (t.args[0].text, t.args[1].text) if t.op == "Array" else None
 
 
 class _Array:
@@ -96,88 +112,42 @@ class _Array:
 
 
 class _Script:
-    """The declarations, definitions, checked assertions and queries."""
+    """The declarations, definitions, checked assertions and queries of a
+    SolverScript, as `render()` would emit them."""
 
-    def __init__(self, commands):
-        self.sorts = {}          # constant -> sort, in declaration order
-        self.order = {}          # constant -> declaration index
-        self.funs = {}           # define-fun name -> (params, body)
-        self.fun_refs = {}       # define-fun name -> constants it reads
-        self.records = {}        # datatype -> (constructor, field sorts)
-        self.ctors = {}          # constructor -> number of fields
-        self.selectors = {}      # selector -> (constructor, index)
+    def __init__(self, script):
+        types = DATATYPES + tuple(script.datatypes)
+        self.records = {d.name: d for d in types}
+        self.ctors = {d.ctor: len(d.fields) for d in types}
+        self.selectors = {sel: (d.ctor, i) for d in types
+                          for i, (sel, _) in enumerate(d.fields)}
+        terms = script.base_terms() + script.cone()
+        # constant -> sort, and -> declaration index
+        self.sorts = {t.op: t.sort for t in terms if not t.args}
+        self.order = {c: i for i, c in enumerate(self.sorts)}
+        self.checked = [t for t in terms if t.op == "distinct"]
         self.defs = {}           # constant -> (guard or None, term)
         self.deps = {}           # constant -> constants its definition reads
-        self.checked = []        # top-level assertions that define nothing
-        self.queries = []        # (name, [assertion], constants read)
-        depth, name, local = 0, None, []
-        for cmd in commands:
-            head = cmd[0] if cmd else None
-            if head == "set-logic":
-                continue
-            if head == "declare-datatype":
-                self._datatype(cmd[1], cmd[2])
-            elif head == "define-fun":
-                self.funs[cmd[1]] = ([p[0] for p in cmd[2]], cmd[4])
-                self.fun_refs[cmd[1]] = self.refs(cmd[4])
-            elif head == "declare-const":
-                self.order[cmd[1]] = len(self.sorts)
-                self.sorts[cmd[1]] = cmd[2]
-            elif head == "assert" and depth:
-                local.append(cmd[1])
-            elif head == "assert":
-                if not self._definition(cmd[1]):
-                    self.checked.append(cmd[1])
-            elif head == "push":
-                depth, name, local = depth + 1, None, []
-            elif head == "echo" and cmd[1].startswith('"QUERY:'):
-                name = cmd[1][len('"QUERY:'):-1]
-            elif head == "check-sat" and depth and name:
-                self.queries.append(
-                    (name, local, set().union(*map(self.refs, local))))
-            elif head == "pop":
-                depth -= 1
-            else:
-                raise _Stuck(f"command {head}")
+        for t in terms:
+            if t.args and t.op != "distinct":
+                sym, guard, value = definition(t)
+                self.defs[sym.op] = (guard, value)
+                self.deps[sym.op] = self.refs(t) - {sym.op}
+        self.queries = []        # (name, assertion, constants read)
+        for name, text in script.queries:
+            try:
+                q, = _parse(text)
+            except (_Stuck, ValueError):
+                continue         # left undecided
+            self.queries.append((name, q, self.refs(q)))
+            terms.append(q)
         self.checked_refs = set().union(*map(self.refs, self.checked))
-
-    def _datatype(self, name, ctors):
-        for ctor, *fields in ctors:
-            self.ctors[ctor] = len(fields)
-            for i, (sel, _) in enumerate(fields):
-                self.selectors[sel] = (ctor, i)
-        ctor, *fields = ctors[0]
-        self.records[name] = (ctor, [sort for _, sort in fields])
-
-    def _definition(self, term):
-        """Record `term` as a definition when it is one; returns whether
-        it was."""
-        guard = None
-        if isinstance(term, list) and term[0] == "=>" and len(term) == 3:
-            guard, term = term[1], term[2]
-        if not (isinstance(term, list) and term[0] == "=" and len(term) == 3
-                and term[1] in self.sorts and term[1] not in self.defs):
-            return False
-        c = term[1]
-        deps = self.refs(term[2]) | self.refs(guard)
-        if any(self.order[d] >= self.order[c] for d in deps):
-            return False
-        self.defs[c] = (guard, term[2])
-        self.deps[c] = deps
-        return True
+        self.literals = {int(leaf) for t in terms for leaf in leaves(t)
+                         if leaf.isdigit()}
 
     def refs(self, term):
-        """The constants `term` reads, also through defined functions."""
-        out, todo = set(), [term]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, list):
-                todo.extend(t)
-            elif t in self.sorts:
-                out.add(t)
-            elif t in self.fun_refs:
-                out |= self.fun_refs[t]
-        return out
+        """The constants `term` reads."""
+        return {leaf for leaf in leaves(term) if leaf in self.sorts}
 
     def cone(self, roots):
         """`roots` and every constant their definitions read, in
@@ -204,17 +174,6 @@ def _real_div(a, b):
     return Fraction(a) / b
 
 
-def _sub(*v):
-    return -v[0] if len(v) == 1 else v[0] - sum(v[1:])
-
-
-def _mul(*v):
-    out = 1
-    for x in v:
-        out *= x
-    return out
-
-
 def _chain(test):
     return lambda *v: all(test(a, b) for a, b in zip(v, v[1:]))
 
@@ -229,8 +188,8 @@ _OPS = {
     "distinct": _distinct,
     "not": lambda a: not a,
     "+": lambda *v: sum(v),
-    "-": _sub,
-    "*": _mul,
+    "-": lambda *v: -v[0] if len(v) == 1 else v[0] - sum(v[1:]),
+    "*": lambda *v: math.prod(v),
     "div": _div,
     "/": _real_div,
     "abs": abs,
@@ -288,49 +247,43 @@ class _Model:
             return Fraction(self._int(), self.rng.choice((1, 2)))
         if sort == "Bool":
             return self.rng.random() < 0.5
-        if isinstance(sort, list) and sort[0] == "Array" \
-                and self._infinite(sort[1]):
-            return _Array(self.draw(sort[2]))
-        if isinstance(sort, str) and sort in self.s.records:
-            ctor, fields = self.s.records[sort]
-            return (ctor, *(self.draw(f) for f in fields))
+        if sort in self.s.records:
+            d = self.s.records[sort]
+            return (d.ctor, *(self.draw(f) for _, f in d.fields))
+        array = _array_sorts(sort)
+        if array and self._infinite(array[0]):
+            return _Array(self.draw(array[1]))
         raise _Stuck(f"sort {sort}")
 
     def _infinite(self, sort):
         if sort in ("Int", "Real"):
             return True
-        fields = self.s.records.get(sort, (None, []))[1] \
-            if isinstance(sort, str) else []
-        return any(self._infinite(f) for f in fields)
+        d = self.s.records.get(sort)
+        return d is not None and any(self._infinite(f) for _, f in d.fields)
 
     def _int(self):
         if self.rng.random() < self.p_small:
             return self.rng.choice(self.pool)
         return self.rng.randint(-10_000, 10_000)
 
-    def holds(self, term):
-        return self.eval(term) is True
-
     def eval(self, t, env=None):
-        if isinstance(t, str):
-            return self._atom(t, env)
-        op, args = t[0], t[1:]
+        op, args = t.op, t.args
+        if not args:
+            return self._atom(op, env)
         if op == "ite":
             return self.eval(args[1] if self.eval(args[0], env) is True
                              else args[2], env)
         if op in ("and", "or", "=>"):
             return self._connective(op, args, env)
-        if not isinstance(op, str):
-            raise _Stuck("indexed operator")
         vals = [self.eval(a, env) for a in args]
         if op in _OPS:
             try:
                 return _OPS[op](*vals)
             except (TypeError, AttributeError):
                 raise _Stuck(f"ill-sorted {op}") from None
-        if op in self.s.funs:
-            params, body = self.s.funs[op]
-            return self.eval(body, dict(zip(params, vals)))
+        if op in FUNCTIONS:
+            return self.eval(FUNCTIONS[op],
+                             {p.op: v for p, v in zip(PARAMS, vals)})
         if op in self.s.ctors and self.s.ctors[op] == len(vals):
             return (op, *vals)
         if op in self.s.selectors:
@@ -365,20 +318,17 @@ class _Model:
         raise _Stuck(f"symbol {t}")
 
 
-def refute_queries(text):
-    """{query name: model} for the queries of `text` that a checked
-    assignment satisfies.  A model maps the constants the check read to
-    their values; any value of the others extends it.  The other queries
-    are left undecided."""
-    try:
-        script = _Script(_parse(text))
-    except (_Stuck, IndexError, KeyError, TypeError, ValueError):
-        return {}
+def refute_queries(script):
+    """{query name: model} for the queries of a SolverScript that a
+    checked assignment satisfies.  A model maps the constants the check
+    read to their values; any value of the others extends it.  The other
+    queries are left undecided."""
+    script = _Script(script)
     rng = random.Random(SEED)
-    literals = {int(n) for n in _NUMERAL.findall(text)}
+    literals = script.literals
     pool = sorted(set(_SMALL) | literals | {-n for n in literals})
-    open_queries = {name: (asserts, refs)
-                    for name, asserts, refs in script.queries}
+    open_queries = {name: (query, refs)
+                    for name, query, refs in script.queries}
     models = {}
     idle = 0
     for trial in range(TRIALS):
@@ -392,14 +342,14 @@ def refute_queries(text):
             roots |= refs
         try:
             model.define(script.cone(roots))
-            if not all(model.holds(a) for a in script.checked):
+            if not all(model.eval(a) is True for a in script.checked):
                 continue
         except (_Stuck, RecursionError):
             continue
         assignment = None
-        for name, (asserts, _) in list(open_queries.items()):
+        for name, (query, _) in list(open_queries.items()):
             try:
-                if all(model.holds(a) for a in asserts):
+                if model.eval(query) is True:
                     assignment = assignment or model.assignment()
                     models[name] = assignment
                     del open_queries[name]

@@ -166,7 +166,7 @@ def test_criterion_4_dispatch_without_a_solver():
     refuted = {}
     for name in ("fp_known.c", "fp_unknown.c"):
         *_, enc = build_pipeline(corpus_source(name), corpus_entry(name))
-        refuted[name] = set(refute_queries(pin_queries(enc).render()))
+        refuted[name] = set(refute_queries(pin_queries(enc)))
     assert refuted == {"fp_known.c": set(), "fp_unknown.c": {"pin"}}
 
 

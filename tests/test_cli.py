@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -164,6 +165,39 @@ def test_oracle_marks_unchecked_candidates(capsys, tmp_path):
     assert "oracle: fp head-bend: unchecked (0 checks)" in out
     assert "oracle: a head-bend: pass (21 checks)" in out
     assert "pass (0 checks)" not in out
+
+
+def test_oracle_checks_loops_inlined_from_a_callee(capsys, tmp_path):
+    # the snapshots in t's loop read f's frame; a loop inlined twice mixes
+    # the events of both copies, so its candidates stay unchecked
+    t = "int t(int n){int k=0; while(k<n){k=k+1;} return k;}"
+    once = "int f(int a,int b){int q=a+1; int r=t(b); return q+r;}"
+    twice = "int f(int a,int b){int q=t(a); int r=t(b); return q+r;}"
+    src = tmp_path / "callee.c"
+    src.write_text(t + " " + once + "\n")
+    code, out, _ = run(capsys, str(src), "--entry", "f", "--solver", "none",
+                       "--oracle")
+    assert code == 0
+    for v in "abqr":
+        for kind in ("loop", "head-bend"):
+            checks = re.search(rf"oracle: {v} {kind}: pass \((\d+) checks\)",
+                               out)
+            assert checks and int(checks.group(1)) > 0, (v, kind, out)
+    src.write_text(t + " " + twice + "\n")
+    code, out, _ = run(capsys, str(src), "--entry", "f", "--solver", "none",
+                       "--oracle")
+    assert code == 0
+    assert "oracle: a loop: unchecked (0 checks)" in out
+    assert "loop: pass" not in out and "head-bend: pass" not in out
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(source, entry=None):
+        raise RuntimeError("stage failed")
+    monkeypatch.setattr(cli, "build_pipeline", broken)
+    code, out, err = run(capsys, FOO)
+    assert code == 5 and out == ""
+    assert err == f"{FOO}: internal error: RuntimeError: stage failed\n"
 
 
 def test_rejected_construct_exit_code(capsys, tmp_path):

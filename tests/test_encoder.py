@@ -1,6 +1,7 @@
 """Encoder tests: script structure, determinism, and solver-checked
 semantic properties of the generated formulas."""
 
+import copy
 import importlib.util
 import re
 import sys
@@ -11,7 +12,8 @@ import pytest
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
-from invarc.encoder import MEM, PREAMBLE, SolverScript, encode_program
+from invarc.encoder import MEM, SolverScript, definition, encode_program, \
+    lit_int
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.normalize import to_simple_assignments
@@ -194,19 +196,28 @@ def slicing_programs():
 
 
 def unsliced(script):
-    """The whole script, every line of `main` included."""
-    lines = PREAMBLE + script.datatypes + script.base_lines() + script.main
-    for _, block in script.queries:
-        lines += block
-    return "\n".join(lines) + "\n"
+    """A copy of `script` whose cone is the whole of `main`."""
+    whole = copy.copy(script)
+    whole.cone = lambda: list(script.main)
+    return whole
+
+
+def command(t):
+    """The line `render` writes for a term of `main`."""
+    return f"(assert {t.text})" if t.args \
+        else f"(declare-const {t.op} {t.sort})"
+
+
+def owner(t):
+    """The symbol a term of `main` declares or defines."""
+    return definition(t)[0].op if t.args else t.op
 
 
 def test_sliced_script_is_closed():
     dropped_total = 0
     for label, src, entry in slicing_programs():
         script = with_queries(src, entry)
-        definitions = Counter(sym for i, sym in script._owner.items()
-                              if script.main[i].startswith("(assert "))
+        definitions = Counter(owner(t) for t in script.main if t.args)
         assert max(definitions.values(), default=0) <= 1, label
         lines = script.render().splitlines()
         declared = set()
@@ -223,8 +234,8 @@ def test_sliced_script_is_closed():
             assert not dropped.intersection(VERSIONED.findall(line)), label
         # a kept symbol keeps its definition
         kept = set(lines)
-        for i, sym in script._owner.items():
-            assert sym in dropped or script.main[i] in kept, (label, sym)
+        for t in script.main:
+            assert owner(t) in dropped or command(t) in kept, (label, t)
         dropped_total += len(dropped)
     assert dropped_total > 100
 
@@ -233,7 +244,7 @@ def test_slicing_refutes_the_same_queries():
     refuted = 0
     for name in CORPUS_NAMES:
         script = with_queries(corpus_source(name), corpus_entry(name))
-        sliced = set(refute_queries(script.render()))
+        sliced = set(refute_queries(script))
         assert sliced == set(refute_queries(unsliced(script))), name
         refuted += len(sliced)
     assert refuted > 0
@@ -241,10 +252,10 @@ def test_slicing_refutes_the_same_queries():
 
 def test_a_second_definition_is_an_encode_error():
     script = SolverScript()
-    script.declare("x@1", "Int")
-    script.assert_("(= x@1 0)", defines="x@1")
+    x = script.declare("x@1", "Int")
+    script.define(x, lit_int(0))
     with pytest.raises(EncodeError, match="x@1 defined twice"):
-        script.assert_("(= x@1 1)", defines="x@1")
+        script.define(x, lit_int(1))
 
 
 # --- solver-checked semantic properties ------------------------------------

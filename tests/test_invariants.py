@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline, check_oracle
 from invarc.diagnostics import EncodeError, UnknownSymbol
-from invarc.encoder import SolverScript, encode_program
+from invarc.encoder import SolverScript, definition, encode_program, \
+    leaves
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import (
@@ -19,7 +20,7 @@ from invarc.invariants import (
 )
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
-from invarc.refute import _parse, refute_queries
+from invarc.refute import refute_queries
 
 from conftest import DOCS, ENTRIES, corpus_entry, corpus_source
 from genprog import fp_global_c, loopy_c
@@ -162,14 +163,6 @@ def loop_programs():
         yield f"fp-global-{seed}", fp_global_c(seed), "gen"
 
 
-def atoms(term):
-    if isinstance(term, str):
-        yield term
-    else:
-        for t in term:
-            yield from atoms(t)
-
-
 def test_loop_heads_of_modified_variables_are_undefined():
     """Why a settled `loop` candidate is unknown: each assertion defines
     one symbol, and one that reads a modified variable's loop head
@@ -178,16 +171,14 @@ def test_loop_heads_of_modified_variables_are_undefined():
     for label, src, entry in loop_programs():
         *_, enc = build_pipeline(src, entry)
         main = enc.script.main
-        order = {line.split()[1]: i for i, line in enumerate(main)
-                 if line.startswith("(declare-const ")}
+        order = {t.op: i for i, t in enumerate(main) if not t.args}
         defs = []
-        for line in main:
-            if not line.startswith("(assert "):
+        for t in main:
+            if not t.args:
                 continue
-            (_, term), = _parse(line)
-            eq = term[2] if term[0] == "=>" else term
-            assert eq[0] == "=" and eq[1] in order, (label, line)
-            defs.append((eq[1], set(atoms(term))))
+            sym = definition(t)[0].op
+            assert sym in order, (label, t)
+            defs.append((sym, set(leaves(t))))
         for lr in enc.loops:
             for v in lr.modified:
                 head = lr.head[v].text
@@ -214,7 +205,7 @@ def test_settled_loop_candidates_are_refuted_by_their_pre_head_query():
             enc.script.add_query(name, f"(not (= {lr.pre[c.variable].text}"
                                        f" {lr.head[c.variable].text}))")
             names.add(name)
-        assert set(refute_queries(enc.script.render())) == names, label
+        assert set(refute_queries(enc.script)) == names, label
         settled += len(names)
     assert settled > 50
 

@@ -4,20 +4,25 @@ a differential check of its models against the reference interpreter."""
 import itertools
 
 from invarc.cli import build_pipeline
+from invarc.encoder import SolverScript
 from invarc.interp import InterpError, run_source
 from invarc.invariants import emit_query, enumerate_candidates
-from invarc.refute import refute_queries
+from invarc.refute import _parse, refute_queries
 
 from genprog import mutating_c
 
 
 def script(decls, background, *queries):
-    lines = [f"(declare-const {name} {sort})" for name, sort in decls]
-    lines += [f"(assert {a})" for a in background]
+    """A script declaring `decls`, defining each constant `x` of a
+    background `(= x t)` as `t`, with queries `q0`, `q1`, ..."""
+    s = SolverScript()
+    syms = {name: s.declare(name, sort) for name, sort in decls}
+    for text in background:
+        (eq,) = _parse(text)
+        s.define(syms[eq.args[0].op], eq.args[1])
     for i, q in enumerate(queries):
-        lines += ["(push 1)", f'(echo "QUERY:q{i}")', f"(assert {q})",
-                  "(check-sat)", "(pop 1)"]
-    return "\n".join(lines)
+        s.add_query(f"q{i}", q)
+    return s
 
 
 def refuted(decls, background, *queries):
@@ -59,21 +64,19 @@ def test_arrays_are_extensional():
 
 
 def test_records_and_functions():
-    text = "\n".join([
-        "(declare-datatype Addr ((mk-addr (addr-base Int) (addr-off Int))))",
-        "(define-fun next ((a Addr)) Addr"
-        " (mk-addr (addr-base a) (+ (addr-off a) 1)))",
-        script([("p", "Addr")], [],
-               "(not (= (addr-base (next p)) (addr-base p)))",
-               "(= (addr-off (next p)) (addr-off p))",
-               "(not (= (next p) p))"),
-    ])
-    assert set(refute_queries(text)) == {"q2"}
+    nxt = "(mk-addr (addr-base p) (+ (addr-off p) 1))"
+    assert refuted([("p", "Addr")], [],
+                   f"(not (= (addr-base {nxt}) (addr-base p)))",
+                   f"(= (addr-off {nxt}) (addr-off p))",
+                   f"(not (= {nxt} p))",
+                   "(= (cdiv (- 7) 2) (- 4))",
+                   "(and (= (cdiv (- 7) 2) (- 3)) (= (cmod (- 7) 2) (- 1)))"
+                   ) == {2, 4}
 
 
 def test_unsupported_input_decides_nothing():
-    text = "(declare-fun f (Int) Int)\n" + script([], [], "true")
-    assert refute_queries(text) == {}
+    # an undeclared function, and texts that are not one term
+    assert refuted([], [], "(= (f 1) 1)", "(= 1 1) (= 2 2)", "(= 1") == set()
     # true => (true => false) is false; ill-sorted terms are not evaluated.
     assert refuted([("x", "Int")], [], "(=> true true false)", "(not 1 2)",
                    "(< (select x 1) 3)") == set()
@@ -89,7 +92,7 @@ def test_refutations_reproduce_in_the_interpreter():
         cands = enumerate_candidates(ab, enc)
         for i, c in enumerate(cands):
             emit_query(c, enc.script, f"q{i}")
-        models = refute_queries(enc.script.render())
+        models = refute_queries(enc.script)
         for c in cands:
             model = models.get(c.query_names[0]) if c.query_names else None
             if model is None:

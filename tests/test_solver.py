@@ -31,7 +31,7 @@ exports.init = async () => ({
 
 def script_with(*queries):
     s = SolverScript()
-    s.main.append("(declare-const x Int)")
+    s.declare("x", "Int")
     for name, text in queries:
         s.add_query(name, text)
     return s
