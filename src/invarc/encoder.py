@@ -72,19 +72,21 @@ class Term(NamedTuple):
     @property
     def text(self):
         if self.args:
-            return f"({self.op} {' '.join(a.text for a in self.args)})"
+            return f"({self.op} {' '.join([a.text for a in self.args])})"
         return self.op
 
 
-def leaves(t):
-    """The text of every leaf of `t`."""
-    out, todo = [], [t]
-    while todo:
-        t = todo.pop()
-        if t.args:
-            todo.extend(t.args)
+def leaves(t, out=None):
+    """The text of every leaf of `t`, appended to the list `out` if one
+    is given."""
+    if not t.args:
+        return [t.op]
+    out = [] if out is None else out
+    for a in t.args:
+        if a.args:
+            leaves(a, out)
         else:
-            out.append(t.op)
+            out.append(a.op)
     return out
 
 

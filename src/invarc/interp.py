@@ -344,10 +344,8 @@ class SourceInterp(_ExprMixin):
                     self.store(self.globals[g.name].value[i], self.eval(e),
                                g.ctype.elem)
         self.frames.pop()
-        entry_scope = {}
-        for p, a in zip(fn.params, args):
-            entry_scope[p.name] = Cell(copy_value(a))
-        self.frames.append([entry_scope])
+        self.frames.append([{p.name: Cell(copy_value(a))
+                             for p, a in zip(fn.params, args)}])
         self.active.append(entry)
         entry_values = self.scalar_snapshot()
         ret = None
@@ -389,10 +387,8 @@ class SourceInterp(_ExprMixin):
         if isinstance(callee, Name) and callee.decl is None:
             raise InterpError(f"library call {callee.ident!r} not executable")
         args = [self.eval(a) for a in e.args]
-        scope = {}
-        for p, a in zip(fdef.params, args):
-            scope[p.name] = Cell(copy_value(a))
-        self.frames.append([scope])
+        self.frames.append([{p.name: Cell(copy_value(a))
+                             for p, a in zip(fdef.params, args)}])
         self.active.append(fdef.name)
         try:
             self.exec_block(fdef.body)

@@ -75,7 +75,7 @@ def _parse(text):
     return stack[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _array_sorts(sort):
     """(key sort, value sort) of an array sort, or None for another."""
     t, = _parse(sort)
@@ -121,15 +121,16 @@ class _Script:
         self.ctors = {d.ctor: len(d.fields) for d in types}
         self.selectors = {sel: (d.ctor, i) for d in types
                           for i, (sel, _) in enumerate(d.fields)}
-        terms = script.base_terms() + script.cone()
+        bases, main = script.base_terms(), script.cone()
+        terms = bases + main
         # constant -> sort, and -> declaration index
         self.sorts = {t.op: t.sort for t in terms if not t.args}
         self.order = {c: i for i, c in enumerate(self.sorts)}
-        self.checked = [t for t in terms if t.op == "distinct"]
+        self.checked = [t for t in bases if t.args]    # the `distinct`s
         self.defs = {}           # constant -> (guard or None, term)
         self.deps = {}           # constant -> constants its definition reads
-        for t in terms:
-            if t.args and t.op != "distinct":
+        for t in main:
+            if t.args:
                 sym, guard, value = definition(t)
                 self.defs[sym.op] = (guard, value)
                 self.deps[sym.op] = self.refs(t) - {sym.op}
