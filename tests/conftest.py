@@ -18,6 +18,7 @@ import pytest
 
 from invarc.cli import build_pipeline
 from invarc.diagnostics import SolverNotFound
+from invarc.encoder import nonzero
 from invarc.invariants import detect_invariants, emit_query, \
     enumerate_candidates
 from invarc import solver
@@ -50,12 +51,15 @@ def corpus_entry(name):
     return ENTRIES.get(name)
 
 
-def with_queries(source, entry):
+def with_queries(source, entry, result_query=False):
     """The script of a program with one query block per candidate pair,
-    named as the CLI names them."""
+    named as the CLI names them; with `result_query`, one more query
+    reads the exit symbol of `$result`."""
     *_, ab, enc = build_pipeline(source, entry)
     for i, c in enumerate(enumerate_candidates(ab, enc)):
         emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
+    if result_query:
+        enc.script.add_query("result", nonzero(enc.exit_env["$result"]).text)
     return enc.script
 
 

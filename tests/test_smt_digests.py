@@ -4,7 +4,9 @@
 with the queries the CLI emits, for 20 seeds of each generator in
 `DIGEST_GENERATORS`.  The nine SMT goldens cover only the corpus; these
 digests extend the check to loops, calls through function pointers and
-memory.  A change to the encoder that should not change any script must
+memory.  Each script also queries the exit symbol of `$result`: where
+no parameter is reassigned, the CLI emits no query, and slicing would
+keep nothing of the body to pin.  A change to the encoder that should not change any script must
 keep every digest.  To record a deliberate change to the scripts, run
 `PYTHONPATH=src python tests/test_smt_digests.py` from the repository
 root and commit the new file with the change."""
@@ -32,7 +34,7 @@ def digest_programs():
 def digests():
     out = {}
     for name, seed, src in digest_programs():
-        text = with_queries(src, "gen").render()
+        text = with_queries(src, "gen", result_query=True).render()
         out.setdefault(name, {})[str(seed)] = \
             hashlib.sha256(text.encode()).hexdigest()
     return out
