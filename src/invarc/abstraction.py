@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import InconsistentInput
-from .frontend.ast import Binary, Call, Index, Member, Name, Unary
+from .frontend.ast import ExprStmt, FunctionDef, Name
+from .frontend.classify import walk_exprs
 from . import normalize as N
 from .pollution import build_dependency_graph, propagate, _store_bases
 
@@ -27,28 +28,13 @@ class AbstractProgram:
 
 
 def expr_vars(e):
-    """Free variable names of an AST expression (used for conditions)."""
+    """The variable names an AST expression (a condition) reads."""
     out = set()
 
-    def walk(x):
-        if isinstance(x, Name):
-            if x.decl is None or not hasattr(x.decl, "params"):
-                out.add(x.ident)
-        elif isinstance(x, Unary):
-            walk(x.operand)
-        elif isinstance(x, Binary):
-            walk(x.lhs)
-            walk(x.rhs)
-        elif isinstance(x, Member):
-            walk(x.obj)
-        elif isinstance(x, Index):
-            walk(x.arr)
-            walk(x.index)
-        elif isinstance(x, Call):
-            walk(x.callee)
-            for a in x.args:
-                walk(a)
-    walk(e)
+    def visit(x):
+        if isinstance(x, Name) and not isinstance(x.decl, FunctionDef):
+            out.add(x.ident)
+    walk_exprs(ExprStmt(expr=e), visit)
     return out
 
 
@@ -132,8 +118,8 @@ def abstract_program(prog, polluted, graph=None):
     new_body = ab.body(prog.body)
     new_prog = N.NormalizedProgram(
         entry=prog.entry, decls=prog.decls, body=new_body,
-        ret_var=prog.ret_var, origin=prog.origin,
-        designators=prog.designators, ast=prog.ast, report=prog.report)
+        ret_var=prog.ret_var, designators=prog.designators, ast=prog.ast,
+        report=prog.report)
     ab.havocked |= set(polluted)
     return AbstractProgram(program=new_prog, havocked=ab.havocked,
                            removed_stmts=ab.removed,

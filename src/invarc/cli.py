@@ -23,10 +23,10 @@ a candidate whose query it leaves is reported unknown, with a note.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .diagnostics import InputError, InvarcError, ProtocolError, \
     SolverNotFound, StepBudgetExceeded
@@ -41,31 +41,6 @@ DUMP_STAGES = ("ast", "normalized", "graph", "abstract", "smt")
 MAX_ORACLE_RUNS = 4096
 
 
-@dataclass
-class RunConfig:
-    inputs: list
-    entry: str = None
-    solver: SolverConfig = None     # None: discovered when first needed
-    no_solver: bool = False         # --solver none
-    timeout_ms: int = 10_000
-    fmt: str = "text"
-    dumps: tuple = ()
-    oracle: bool = False
-    domain: tuple = (-3, 3)
-    keep_artifacts: bool = False
-    out: object = None
-
-    def solver_config(self):
-        """The configured solver, discovered on first use; None with
-        `no_solver`."""
-        if self.no_solver:
-            return None
-        if self.solver is None:
-            self.solver = discover_solver(timeout_ms=self.timeout_ms,
-                                          keep_artifacts=self.keep_artifacts)
-        return self.solver
-
-
 def _read_source(path):
     """The text of `path`; an unreadable file raises InputError."""
     try:
@@ -78,30 +53,31 @@ def _read_source(path):
                          f"at offset {e.start}") from e
 
 
-def _analyze_one(cfg, path):
-    """Analyse one file and write its report; True when `--oracle` found
-    a violation."""
-    out = cfg.out or sys.stdout
+def _analyze_one(args, path, solver):
+    """Analyse one file for the parsed arguments `args` and write its
+    report; True when `--oracle` found a violation.  `solver` returns the
+    solver configuration, see `detect_invariants`."""
+    out = sys.stdout
     source = _read_source(path)
-    ast, report, prog, graph, ab, enc = build_pipeline(source, cfg.entry)
-    if "ast" in cfg.dumps:
+    ast, report, prog, graph, ab, enc = build_pipeline(source, args.entry)
+    if "ast" in args.dump:
         out.write(ast_text(ast))
-    if "normalized" in cfg.dumps:
+    if "normalized" in args.dump:
         out.write(program_text(prog))
-    if "graph" in cfg.dumps:
+    if "graph" in args.dump:
         out.write(graph.dump())
-    if "abstract" in cfg.dumps:
+    if "abstract" in args.dump:
         out.write(program_text(ab.program))
-    report_obj = detect_invariants(ab, enc, cfg.solver_config,
-                                   program_name=prog.entry)
-    if "smt" in cfg.dumps:
+    report_obj = detect_invariants(ab, enc, solver, program_name=prog.entry)
+    if "smt" in args.dump:
         out.write(enc.script.render())
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(report_obj.to_json() + "\n")
     else:
         out.write(report_obj.to_text())
-    if cfg.oracle:
-        oracle = check_oracle(ast, prog.entry, enc, report_obj, cfg.domain)
+    if args.oracle:
+        oracle = check_oracle(ast, prog.entry, enc, report_obj,
+                              args.domain)
         for line in oracle["lines"]:
             out.write(line + "\n")
         if oracle["violations"]:
@@ -237,26 +213,34 @@ def parse_domain(text):
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.timeout_ms <= 0:
+        parser.error(f"argument --timeout-ms: must be positive, got "
+                     f"{args.timeout_ms}")
     try:
-        domain = parse_domain(args.domain)
+        args.domain = parse_domain(args.domain)
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    solver_cfg = None
-    if args.solver and args.solver != "none":
-        solver_cfg = SolverConfig(executable=args.solver,
-                                  timeout_ms=args.timeout_ms,
-                                  keep_artifacts=args.keep_artifacts)
-    cfg = RunConfig(inputs=args.inputs, entry=args.entry, solver=solver_cfg,
-                    no_solver=args.solver == "none",
-                    timeout_ms=args.timeout_ms, fmt=args.fmt,
-                    dumps=tuple(args.dump), oracle=args.oracle,
-                    domain=domain, keep_artifacts=args.keep_artifacts)
+
+    @functools.cache
+    def solver():
+        """The configured solver, discovered on first use; None with
+        `--solver none`."""
+        if args.solver == "none":
+            return None
+        if args.solver:
+            return SolverConfig(executable=args.solver,
+                                timeout_ms=args.timeout_ms,
+                                keep_artifacts=args.keep_artifacts)
+        return discover_solver(timeout_ms=args.timeout_ms,
+                               keep_artifacts=args.keep_artifacts)
+
     violated = False
-    for path in cfg.inputs:
+    for path in args.inputs:
         try:
-            violated |= _analyze_one(cfg, path)
+            violated |= _analyze_one(args, path, solver)
         except InvarcError as e:
             sys.stderr.write(f"{e.render(path)}\n")
             if isinstance(e, InputError):

@@ -104,10 +104,6 @@ class UnsupportedType(EncodeError):
     pass
 
 
-class UnboundVariable(EncodeError):
-    pass
-
-
 class UnsupportedOperator(EncodeError):
     pass
 

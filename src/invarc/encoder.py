@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagnostics import EncodeError, UnboundVariable, \
-    UnsupportedOperator, UnsupportedType
+from .diagnostics import EncodeError, UnsupportedOperator, UnsupportedType
 from .frontend.ast import (
     ArrayType, Binary, DoubleType, Index, IntLit, FloatLit, Member, Name,
     NullLit, PointerType, StructType, Unary, VOID,
@@ -703,8 +702,6 @@ class Encoder:
             p = self.atom_term(s.args[0])
             if p.sort != "Addr":
                 raise _Unencodable("deref of non-address")
-            if want_sort not in ("Int", "Real", "Addr"):
-                raise _Unencodable("deref target not memory-resident")
             return self.mem_select(p, want_sort)
         if op == "member":
             return self.member_term(s.args[0], s.fld, want_sort)
@@ -770,11 +767,7 @@ class Encoder:
         sd = self.structs[decl.ctype.name]
         if name in self.at_vars and name not in self.env:
             # memory-resident aggregate: scalar members live in cells
-            mt = sd.member_type(fld)
-            sort = self.sort_of_safe(mt)
-            if sort not in ("Int", "Real", "Addr"):
-                raise _Unencodable("aggregate member not memory-resident")
-            off = lit_int(sd.member_ordinal(fld))
+            off, sort = self._member_cell(sd, fld)
             return self.mem_select(self.cell(name, off), sort)
         rec = self.env.get(name)
         if rec is None:
@@ -801,8 +794,6 @@ class Encoder:
         p = self.atom_term(arr)
         if p.sort != "Addr":
             raise _Unencodable("index of non-pointer")
-        if want_sort not in ("Int", "Real", "Addr"):
-            raise _Unencodable("element not memory-resident")
         return self.mem_select(offset_addr(p, i), want_sort)
 
     def elem_addr_term(self, s):
@@ -822,11 +813,8 @@ class Encoder:
         decl = self.prog.decls.get(base)
         if decl is None or not isinstance(decl.ctype, StructType):
             raise _Unencodable("member address of non-struct")
-        sd = self.structs[decl.ctype.name]
-        mt = sd.member_type(s.fld)
-        if self.sort_of_safe(mt) not in ("Int", "Real", "Addr"):
-            raise _Unencodable("member address of a nested shape")
-        return self.cell(base, lit_int(sd.member_ordinal(s.fld)))
+        off, _ = self._member_cell(self.structs[decl.ctype.name], s.fld)
+        return self.cell(base, off)
 
     def _member_via_ptr(self, p, ptr_atom, fld):
         """The address of member `fld` of the struct that `p`, the value
@@ -838,11 +826,16 @@ class Encoder:
             isinstance(decl.ctype, PointerType) else None
         if not isinstance(tgt, StructType):
             raise _Unencodable("member through non-struct pointer")
-        sd = self.structs[tgt.name]
-        if self.sort_of_safe(sd.member_type(fld)) not in \
-                ("Int", "Real", "Addr"):
-            raise _Unencodable("nested member through pointer")
-        return offset_addr(p, lit_int(sd.member_ordinal(fld)))
+        off, _ = self._member_cell(self.structs[tgt.name], fld)
+        return offset_addr(p, off)
+
+    def _member_cell(self, sd, fld):
+        """The cell offset and the sort of the scalar member `fld` of the
+        struct `sd`, laid out one member per cell."""
+        sort = self.sort_of_safe(sd.member_type(fld))
+        if sort not in _MEM_FIELD:
+            raise _Unencodable("member not memory-resident")
+        return lit_int(sd.member_ordinal(fld)), sort
 
     # -- stores -------------------------------------------------------------
 
@@ -899,8 +892,7 @@ class Encoder:
             return None
         try:
             return self.expr_bool(c)
-        except (_Unencodable, UnboundVariable, UnsupportedOperator,
-                UnsupportedType):
+        except _Unencodable:
             return None
 
     def expr_bool(self, e):
@@ -938,8 +930,6 @@ class Encoder:
                 if p.sort != "Addr":
                     raise _Unencodable("deref of non-address")
                 sort = self.sort_of_safe(getattr(e, "ctype", None)) or "Int"
-                if sort not in ("Int", "Real", "Addr"):
-                    raise _Unencodable("deref target not memory-resident")
                 return self.mem_select(p, sort)
         if isinstance(e, Binary):
             if e.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):

@@ -25,14 +25,6 @@ from .ast import (
     Name, StructType, Unary, same_type,
 )
 
-UNMODELABLE_KINDS = (
-    "address-of-member",
-    "address-of-aggregate-with-nested-members",
-    "recursive-call",
-    "library-call",
-)
-
-
 @dataclass(frozen=True)
 class SubsetItem:
     kind: str
@@ -49,7 +41,6 @@ class SubsetReport:
     order of first use.  `fp_targets` holds the one rule for the
     functions a call through a pointer may reach."""
     unmodelable_items: list = field(default_factory=list)
-    rejected_items: list = field(default_factory=list)
     recursive: frozenset = frozenset()
     address_taken: tuple = ()
 

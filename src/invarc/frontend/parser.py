@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..diagnostics import ParseFailure, Span
+from ..diagnostics import ParseFailure
 from .ast import (
-    Ast, AssignStmt, ArrayType, Binary, BOOL, Call, CompoundStmt, CType,
-    DeclStmt, DOUBLE, DoubleType, Expr, ExprStmt, FloatLit, FuncPtrType,
-    FunctionDef, IfStmt, INT, IntLit, IntType, LONG, LongType, Member, Name,
-    NullLit, Param, PointerType, ReturnStmt, StructDef, StructType, Unary,
-    VarDecl, VOID, WhileStmt, Index,
+    Ast, AssignStmt, ArrayType, Binary, Call, CompoundStmt, DeclStmt,
+    DOUBLE, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, INT,
+    IntLit, LONG, Member, Name, NullLit, Param, PointerType, ReturnStmt,
+    StructDef, StructType, Unary, VarDecl, VOID, WhileStmt, Index,
 )
 from .lexer import lex
 
@@ -91,8 +90,9 @@ class Parser:
     # -- types --------------------------------------------------------------
 
     def at_type(self):
-        self.accept("const")
-        return self.peek().text in ("int", "long", "double", "void", "struct")
+        """Whether a declaration starts here; consumes nothing."""
+        return self.at("const") or \
+            self.peek().text in ("int", "long", "double", "void", "struct")
 
     def parse_base_type(self):
         self.accept("const")

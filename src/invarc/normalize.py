@@ -44,9 +44,8 @@ from .frontend.ast import (
 
 BINARY_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
               "&&", "||"}
-UNARY_OPS = {"neg", "not"}
-READ_OPS = {"copy", "deref", "member", "index"}
 ADDR_OPS = {"addr", "elem_addr", "member_addr", "pmember_addr", "funcaddr"}
+MAX_INLINE_DEPTH = 32   # nested calls inlined into one another
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +143,12 @@ class NondetCond:
     origin_span: Span = None
 
 
-SIMPLE_KINDS = (NAssign, NStore, NHavoc, NUnmodelableCall, NNop)
-
-
 @dataclass
 class NDecl:
     name: str
     ctype: object
     kind: str          # 'param', 'global', 'local', 'temp'
     span: Span = None
-    source_name: str = None  # pre-rename identifier, for reporting
 
 
 @dataclass
@@ -162,7 +157,6 @@ class NormalizedProgram:
     decls: dict          # name -> NDecl, insertion-ordered
     body: list
     ret_var: str = None
-    origin: dict = field(default_factory=dict)   # temp name -> Span
     designators: dict = field(default_factory=dict)
     # designators: pointer temp -> ('elem', base, idx_atom) | ('member', base, fld)
     #              | ('pmember', ptr, fld) | ('addrof', base)
@@ -171,9 +165,6 @@ class NormalizedProgram:
 
     def walk(self):
         yield from walk_stmts(self.body)
-
-    def variables(self):
-        return list(self.decls)
 
 
 def walk_stmts(stmts):
@@ -243,30 +234,25 @@ def _has_nontail_return(body):
 
 
 class Inliner:
-    def __init__(self, ast, report, depth_limit=32):
+    def __init__(self, ast, report):
         self.ast = ast
         self.report = report
-        self.depth_limit = depth_limit
         self.recursive = report.recursive
         self.counter = 0
         self.decls = {}      # name -> NDecl
-        self.origin = {}
 
     def fresh(self, base, ctype, span, kind="temp"):
         self.counter += 1
         name = f"${base}{self.counter}"
         self.decls[name] = NDecl(name, ctype, kind, span)
-        if kind == "temp":
-            self.origin[name] = span
         return name
 
-    def declare(self, name, ctype, kind, span, source_name=None):
+    def declare(self, name, ctype, kind, span):
         if name in self.decls:
             raise NormalizeError(f"duplicate declaration of {name!r}", span)
-        self.decls[name] = NDecl(name, ctype, kind, span,
-                                 source_name=source_name or name)
+        self.decls[name] = NDecl(name, ctype, kind, span)
 
-    def run(self, entry_name, global_inits=True):
+    def run(self, entry_name):
         fn = self.ast.function(entry_name)
         if fn is None:
             raise NormalizeError(f"no function named {entry_name!r}")
@@ -281,7 +267,7 @@ class Inliner:
                 self.declare(p.name, p.ctype, "param", p.span)
         body = []
         # global initializers run before the entry body
-        for g in (self.ast.globals if global_inits else ()):
+        for g in self.ast.globals:
             if g.init is not None:
                 body.extend(self.stmt(
                     AssignStmt(target=_name_of(g), value=g.init, span=g.span),
@@ -398,11 +384,10 @@ class Inliner:
 
     def fresh_local(self, s, rename, depth):
         if depth == 0 and s.name not in self.decls and not s.name.startswith("$"):
-            self.declare(s.name, s.ctype, "local", s.span, source_name=s.name)
+            self.declare(s.name, s.ctype, "local", s.span)
             rename[s.name] = s.name
             return s.name
         new = self.fresh(s.name + "_", s.ctype, s.span)
-        self.decls[new].source_name = s.name
         rename[s.name] = new
         return new
 
@@ -522,7 +507,7 @@ class Inliner:
         return IntLit(value=0, span=e.span)
 
     def _inline_body(self, e, fdef, args, depth, pre, drop_value):
-        if depth + 1 > self.depth_limit:
+        if depth + 1 > MAX_INLINE_DEPTH:
             raise InlineDepthExceeded(
                 f"call nesting exceeds depth limit while inlining {fdef.name!r}",
                 e.span)
@@ -553,12 +538,12 @@ def _name_of(decl):
     return n
 
 
-def inline_functions(ast, report, entry, depth_limit=32,
-                     global_inits=True):
+def inline_functions(ast, report, entry):
     """Inline every inlinable call in the entry function; returns the
-    Inliner (flat statement list plus declaration table)."""
-    inl = Inliner(ast, report, depth_limit)
-    body, ret_var = inl.run(entry, global_inits=global_inits)
+    Inliner (with the declaration table), the inlined statements and the
+    result variable."""
+    inl = Inliner(ast, report)
+    body, ret_var = inl.run(entry)
     return inl, body, ret_var
 
 
@@ -782,18 +767,14 @@ class Lowerer:
         return VarRef(t)
 
 
-def to_simple_assignments(ast, report, entry, depth_limit=32,
-                          global_inits=True):
+def to_simple_assignments(ast, report, entry):
     """Full normalization: inline, then lower to simple-assignment form."""
-    inl, body, ret_var = inline_functions(ast, report, entry, depth_limit,
-                                          global_inits=global_inits)
+    inl, body, ret_var = inline_functions(ast, report, entry)
     low = Lowerer(inl, report)
-    nbody = low.lower_block(body)
-    prog = NormalizedProgram(
-        entry=entry, decls=inl.decls, body=nbody, ret_var=ret_var,
-        origin=inl.origin, designators=low.designators, ast=ast,
+    return NormalizedProgram(
+        entry=entry, decls=inl.decls, body=low.lower_block(body),
+        ret_var=ret_var, designators=low.designators, ast=ast,
         report=report)
-    return prog
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import ProtocolError, SolverNotFound
@@ -43,25 +43,27 @@ class SolverConfig:
 
 
 def discover_solver(timeout_ms=10_000, workdir=None, keep_artifacts=False):
+    executable, *args = _solver_command()
+    return SolverConfig(executable=executable, args=tuple(args),
+                        timeout_ms=timeout_ms, workdir=workdir,
+                        keep_artifacts=keep_artifacts)
+
+
+def _solver_command():
+    """The command line of the first solver found, in discovery order."""
     override = os.environ.get(ENV_VAR)
     if override:
         parts = shlex.split(override)
         if not (shutil.which(parts[0]) or os.path.exists(parts[0])):
             raise SolverNotFound(
                 f"{ENV_VAR} points to a missing executable: {parts[0]}")
-        return SolverConfig(executable=parts[0], args=tuple(parts[1:]),
-                            timeout_ms=timeout_ms, workdir=workdir,
-                            keep_artifacts=keep_artifacts)
+        return parts
     z3 = shutil.which("z3")
     if z3:
-        return SolverConfig(executable=z3, args=("-smt2",),
-                            timeout_ms=timeout_ms, workdir=workdir,
-                            keep_artifacts=keep_artifacts)
+        return [z3, "-smt2"]
     cvc5 = shutil.which("cvc5")
     if cvc5:
-        return SolverConfig(executable=cvc5, args=("--lang", "smt2"),
-                            timeout_ms=timeout_ms, workdir=workdir,
-                            keep_artifacts=keep_artifacts)
+        return [cvc5, "--lang", "smt2"]
     node = shutil.which("node")
     if not node:
         raise SolverNotFound(
@@ -75,9 +77,7 @@ def discover_solver(timeout_ms=10_000, workdir=None, keep_artifacts=False):
             f"install the {_NODE_PACKAGE} npm package for {node} "
             f"(searched the node_modules folders above {_BUNDLED.parent}, "
             f"{searched})")
-    return SolverConfig(executable=node, args=(str(_BUNDLED), str(package)),
-                        timeout_ms=timeout_ms, workdir=workdir,
-                        keep_artifacts=keep_artifacts)
+    return [node, str(_BUNDLED), str(package)]
 
 
 def _node_package_dirs(node):

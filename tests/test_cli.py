@@ -266,6 +266,18 @@ def test_solver_none(capsys, node_only, tmp_path):
     assert "note: no solver: 1 of 1 queries were not refuted" in out
 
 
+@pytest.mark.parametrize("argv", [("--timeout-ms", "0", "--solver", "true"),
+                                  ("--timeout-ms", "-5")])
+def test_nonpositive_timeout_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main([FOO, *argv])
+    err = capsys.readouterr().err
+    assert e.value.code == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.endswith(f"error: argument --timeout-ms: must be positive, "
+                        f"got {argv[1]}\n")
+
+
 def test_domain_parsing():
     assert parse_domain("-3..3") == (-3, 3)
     assert parse_domain("0..10") == (0, 10)

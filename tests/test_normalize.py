@@ -4,7 +4,8 @@ import pytest
 
 from invarc.diagnostics import InlineDepthExceeded, NormalizeError
 from invarc.frontend import parse_translation_unit
-from invarc.frontend.classify import classify_constructs
+from invarc.frontend.ast import Call
+from invarc.frontend.classify import classify_constructs, walk_exprs
 from invarc.interp import default_value, run_normalized, run_source
 from invarc.normalize import (
     ADDR_OPS, BINARY_OPS, NAssign, NIf, NStore, NWhile, inline_functions,
@@ -51,13 +52,24 @@ def test_temps_fresh_and_typed():
 
 
 def test_inline_call_removed():
-    src = corpus_source("get_row_length.c")
-    ast = parse_translation_unit(src)
-    _, body, _ = inline_functions(
-        ast, classify_constructs(ast), "GetRowLength")
-    calls = [s for s in walk_stmts(body)
-             if isinstance(s, NAssign) and s.op == "call"]
-    assert calls == []
+    # a direct call, and a call through a pointer, in the entry function
+    direct = ("int g(int x) { return x + 1; }\n"
+              "int f(int a) { int r = g(a); return r; }")
+    programs = [(direct, "f"),
+                (corpus_source("fp_known.c"), corpus_entry("fp_known.c"))]
+
+    def calls(stmts):
+        found = []
+        for s in stmts:
+            walk_exprs(s, lambda e: found.append(e)
+                       if isinstance(e, Call) else None)
+        return found
+
+    for src, entry in programs:
+        ast = parse_translation_unit(src)
+        _, body, _ = inline_functions(ast, classify_constructs(ast), entry)
+        assert calls([ast.function(entry).body]) != [], entry
+        assert calls(body) == [], entry
 
 
 def test_inline_depth_limit():
