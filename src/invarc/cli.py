@@ -76,8 +76,7 @@ def _analyze_one(args, path, solver):
     else:
         out.write(report_obj.to_text())
     if args.oracle:
-        oracle = check_oracle(ast, prog.entry, enc, report_obj,
-                              args.domain)
+        oracle = check_oracle(ast, prog.entry, enc, report_obj, args.domain)
         for line in oracle["lines"]:
             out.write(line + "\n")
         if oracle["violations"]:
