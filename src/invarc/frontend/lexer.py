@@ -3,12 +3,14 @@
 Rejected constructs that are recognizable at the token level (``goto``,
 ``switch``, ``union``, inline asm, preprocessor residue) are surfaced as
 :class:`RejectedConstruct` so the parser never sees them.
+
+A token keeps only its line and start column, the column counted from
+the offset where its line starts; its :class:`Span` is built on demand.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..diagnostics import ParseFailure, RejectedConstruct, Span
 
@@ -63,66 +65,68 @@ _MASTER = re.compile("|".join([
 ]), re.DOTALL)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str   # 'ident', 'int', 'float', 'punct', 'kw', 'eof'
-    text: str
-    span: Span
+    """One token.  Its `span` is built only when asked for: the parser
+    asks for few, since most tokens are punctuation and keywords."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind    # 'ident', 'int', 'float', 'punct', 'kw', 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
+
+    @property
+    def span(self):
+        return Span(self.line, self.col, self.line, self.col + len(self.text))
 
 
 def lex(source):
     tokens = []
-    line, col = 1, 1
+    append = tokens.append
+    line, line_start = 1, 0     # a column is 1 + the offset from line_start
     i, n = 0, len(source)
     match = _MASTER.match
     while i < n:
         m = match(source, i)
         group = m.lastgroup if m else None
-        if group == "nl":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if group == "ws":
-            col += m.end() - i
-            i = m.end()
-            continue
-        if group == "line":
-            i = m.end()     # the column stays as it is: a newline follows
-            continue
-        if group == "block":
-            text = m.group()
-            i = m.end()
-            breaks = text.count("\n")
-            if breaks:
-                line, col = line + breaks, len(text) - text.rindex("\n")
-            else:
-                col += len(text)
-            continue
         if group == "word" and not (source[i].isalpha() or source[i] == "_"):
             group = None
-        if group in ("word", "num", "punct"):
+        if group == "word":
             text = m.group()
-            sp = Span(line, col, line, col + len(text))
-            if group == "word":
-                if text in REJECTED_KEYWORDS:
-                    raise RejectedConstruct(REJECTED_KEYWORDS[text], sp)
-                kind = "kw" if text in KEYWORDS else "ident"
-            elif group == "num":
-                kind = "float" if m.group("frac") else "int"
-            elif text == "...":
-                raise RejectedConstruct("varargs", sp)
-            else:
-                kind = "punct"
-            tokens.append(Token(kind, text, sp))
-            i += len(text)
-            col += len(text)
-            continue
-        c, sp = source[i], Span(line, col, line, col + 1)
-        if group == "open":
-            raise ParseFailure("unterminated comment", sp)
-        if c == "#":
-            raise RejectedConstruct("preprocessor residue", sp)
-        if c in "\"'":
-            raise RejectedConstruct("string/char literal", sp)
-        raise ParseFailure(f"unexpected character {c!r}", sp)
-    tokens.append(Token("eof", "", Span(line, col)))
+            tok = Token("kw" if text in KEYWORDS else "ident", text, line,
+                        i - line_start + 1)
+            if text in REJECTED_KEYWORDS:
+                raise RejectedConstruct(REJECTED_KEYWORDS[text], tok.span)
+            append(tok)
+        elif group == "punct":
+            tok = Token("punct", m.group(), line, i - line_start + 1)
+            if tok.text == "...":
+                raise RejectedConstruct("varargs", tok.span)
+            append(tok)
+        elif group == "num":
+            append(Token("float" if m.group("frac") else "int", m.group(),
+                         line, i - line_start + 1))
+        elif group == "nl":
+            line, line_start = line + 1, i + 1
+        elif group == "block":
+            breaks = m.group().count("\n")
+            if breaks:
+                line += breaks
+                line_start = source.rindex("\n", i, m.end()) + 1
+        elif group == "line" and m.end() == n:
+            break       # the end of input stays where the comment began
+        elif group not in ("ws", "line"):
+            col = i - line_start + 1
+            sp, c = Span(line, col, line, col + 1), source[i]
+            if group == "open":
+                raise ParseFailure("unterminated comment", sp)
+            if c == "#":
+                raise RejectedConstruct("preprocessor residue", sp)
+            if c in "\"'":
+                raise RejectedConstruct("string/char literal", sp)
+            raise ParseFailure(f"unexpected character {c!r}", sp)
+        i = m.end()
+    tokens.append(Token("eof", "", line, i - line_start + 1))
     return tokens

@@ -1,5 +1,8 @@
 """Recursive-descent parser for the C subset.
 
+Binary expressions are parsed by precedence climbing over one table of
+operator levels (Pratt, "Top down operator precedence", POPL 1973).
+
 Grammar highlights:
   * ``for`` is desugared to ``while`` here, so the AST never contains it.
   * ``x++``, ``x--`` and compound assignments are sugar for plain
@@ -30,10 +33,24 @@ from .lexer import lex
 MAX_NESTING = 64
 MAX_OPERATORS = 128
 
+# Binding strength of each binary operator; all associate to the left.
+_LEVEL = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+_POSTFIX = (".", "->", "[", "(")
+
 
 class Parser:
     def __init__(self, tokens):
-        self.toks = tokens
+        # The parser looks at most two tokens past the current one, and
+        # never consumes `eof`: two more copies of it make every lookahead
+        # a plain index.
+        self.toks = tokens + tokens[-1:] * 2
         self.pos = 0
         self._tmp = 0
         self.depth = 0
@@ -42,11 +59,12 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def at(self, text, ahead=0):
-        t = self.peek(ahead)
-        return t.text == text and t.kind in ("punct", "kw")
+        """Whether the token `ahead` is the punctuator or keyword `text`;
+        no identifier or number is spelled like one."""
+        return self.toks[self.pos + ahead].text == text
 
     def accept(self, text):
         if self.at(text):
@@ -353,7 +371,7 @@ class Parser:
             self.pos += 1
             target = self.parse_unary()
             return self._incdec(target, start)
-        target = self.parse_expr_prec(0)
+        target = self.parse_binary()
         t = self.peek()
         if t.kind == "punct" and t.text in ("++", "--"):
             self.pos += 1
@@ -384,32 +402,23 @@ class Parser:
 
     def parse_expr(self):
         self.enter()
-        e = self.parse_expr_prec(0)
+        e = self.parse_binary()
         self.depth -= 1
         return e
 
-    _BINOPS = [
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def parse_expr_prec(self, level):
-        if level >= len(self._BINOPS):
-            return self.parse_unary()
-        lhs = self.parse_expr_prec(level + 1)
+    def parse_binary(self, min_level=1):
+        """Operands joined by binary operators that bind at least as
+        tightly as `min_level` (precedence climbing over `_LEVEL`)."""
+        lhs = self.parse_unary()
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text in self._BINOPS[level]:
-                self.pos += 1
-                self.operator(t)
-                rhs = self.parse_expr_prec(level + 1)
-                lhs = Binary(op=t.text, lhs=lhs, rhs=rhs, span=t.span)
-            else:
+            t = self.toks[self.pos]
+            level = _LEVEL.get(t.text, 0)
+            if level < min_level:
                 return lhs
+            self.pos += 1
+            self.operator(t)
+            rhs = self.parse_binary(level + 1)
+            lhs = Binary(op=t.text, lhs=lhs, rhs=rhs, span=t.span)
 
     def parse_unary(self):
         t = self.peek()
@@ -426,24 +435,20 @@ class Parser:
     def parse_postfix(self):
         e = self.parse_primary()
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text in (".", "->", "[", "("):
-                self.operator(t)
-            if self.at("."):
-                self.pos += 1
+            t = self.toks[self.pos]
+            if t.text not in _POSTFIX:
+                return e
+            self.operator(t)
+            self.pos += 1
+            if t.text in (".", "->"):
                 m = self.expect_ident()
-                e = Member(obj=e, name=m.text, arrow=False, span=t.span)
-            elif self.at("->"):
-                self.pos += 1
-                m = self.expect_ident()
-                e = Member(obj=e, name=m.text, arrow=True, span=t.span)
-            elif self.at("["):
-                self.pos += 1
+                e = Member(obj=e, name=m.text, arrow=t.text == "->",
+                           span=t.span)
+            elif t.text == "[":
                 idx = self.parse_expr()
                 self.expect("]")
                 e = Index(arr=e, index=idx, span=t.span)
-            elif self.at("("):
-                self.pos += 1
+            else:
                 args = []
                 if not self.at(")"):
                     while True:
@@ -452,8 +457,6 @@ class Parser:
                             break
                 self.expect(")")
                 e = Call(callee=e, args=args, span=t.span)
-            else:
-                return e
 
     def parse_primary(self):
         t = self.peek()
