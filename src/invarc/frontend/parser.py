@@ -175,7 +175,7 @@ class Parser:
             raise ParseFailure("array length must be an integer literal", t.span)
         self.pos += 1
         self.expect("]")
-        n = int(t.text)
+        n = _int_value(t)
         if n <= 0:
             raise ParseFailure("array length must be positive", t.span)
         return n
@@ -462,7 +462,7 @@ class Parser:
         t = self.peek()
         if t.kind == "int":
             self.pos += 1
-            return IntLit(value=int(t.text), span=t.span)
+            return IntLit(value=_int_value(t), span=t.span)
         if t.kind == "float":
             self.pos += 1
             return FloatLit(value=Fraction(t.text), text=t.text, span=t.span)
@@ -479,6 +479,18 @@ class Parser:
         raise ParseFailure(
             f"unexpected {t.text!r}" if t.kind != "eof" else "unexpected end of input",
             t.span, expected=("expression",))
+
+
+def _int_value(tok):
+    """The value of an integer literal: octal after a leading zero, as
+    in C, else decimal."""
+    if tok.text[0] != "0":
+        return int(tok.text)
+    try:
+        return int(tok.text, 8)
+    except ValueError:
+        raise ParseFailure(f"invalid digit in octal literal {tok.text!r}",
+                           tok.span) from None
 
 
 def parse_translation_unit(source_text):

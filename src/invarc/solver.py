@@ -53,7 +53,14 @@ def _solver_command():
     """The command line of the first solver found, in discovery order."""
     override = os.environ.get(ENV_VAR)
     if override:
-        parts = shlex.split(override)
+        try:
+            parts = shlex.split(override)
+        except ValueError as e:     # an unclosed quote or a trailing `\`
+            raise SolverNotFound(
+                f"{ENV_VAR} is not a command line ({e}): {override!r}") \
+                from None
+        if not parts:
+            raise SolverNotFound(f"{ENV_VAR} names no command: {override!r}")
         if not (shutil.which(parts[0]) or os.path.exists(parts[0])):
             raise SolverNotFound(
                 f"{ENV_VAR} points to a missing executable: {parts[0]}")

@@ -105,6 +105,14 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.count("error:") == 1
 
 
+def test_octal_literal_with_a_decimal_digit_exit_code(capsys, tmp_path):
+    bad = tmp_path / "oct.c"
+    bad.write_text("int f(int x) { return x + 09; }\n")
+    code, out, err = run(capsys, str(bad))
+    assert code == 2 and out == ""
+    assert err == f"{bad}:1:27: error: invalid digit in octal literal '09'\n"
+
+
 def test_deep_nesting_exit_code(capsys, tmp_path):
     deep = tmp_path / "deep.c"
     deep.write_text("int f(int a) { return " + "(" * 89 + "a" + ")" * 89
@@ -216,6 +224,18 @@ def test_solver_not_found(capsys, monkeypatch):
     monkeypatch.setenv("INVARC_SOLVER", "/no/such/solver")
     code, _, err = run(capsys, str(CORPUS / "foo.c"), "--entry", "foo")
     assert code == 3
+
+
+@pytest.mark.parametrize("value,why", [
+    (" ", "names no command"),
+    ("'x", "is not a command line (No closing quotation)"),
+])
+def test_unusable_solver_variable_is_not_found(capsys, monkeypatch, value,
+                                               why):
+    monkeypatch.setenv("INVARC_SOLVER", value)
+    code, out, err = run(capsys, FOO, "--entry", "foo")
+    assert code == 3 and out == ""
+    assert err == f"{FOO}: error: INVARC_SOLVER {why}: {value!r}\n"
 
 
 def test_node_without_z3_solver_is_not_found(capsys, node_only):

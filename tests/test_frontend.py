@@ -1,15 +1,18 @@
 """Frontend tests: parsing, type annotation, construct classification."""
 
+from fractions import Fraction
+
 import pytest
 
 from invarc.diagnostics import FrontendTypeError, ParseFailure, \
     RejectedConstruct, Span
 from invarc.frontend import parse_translation_unit
-from invarc.frontend.ast import DoubleType, FuncPtrType, INT, IntType, \
-    ast_text, strip_for_compare
+from invarc.frontend.ast import ArrayType, Binary, DoubleType, \
+    FuncPtrType, INT, IntType, ast_text, strip_for_compare
 from invarc.frontend.classify import classify_constructs
 from invarc.frontend.lexer import lex
-from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS
+from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS, Parser
+from invarc.interp import run_source
 
 from conftest import CORPUS, corpus_source
 
@@ -166,9 +169,76 @@ def test_operators_past_the_limit_are_a_parse_failure(shape):
         parse_translation_unit(OPERATORS[shape](MAX_OPERATORS + 1))
 
 
+# The operators of the subset, tightest-binding tier first, as in C.
+C_TIERS = [("*", "/", "%"), ("+", "-"), ("<", "<=", ">", ">="), ("==", "!="),
+           ("&&",), ("||",)]
+TIER = {op: i for i, ops in enumerate(C_TIERS) for op in ops}
+
+
+def returned(src):
+    return Parser(lex(src)).parse_unit().functions[0].body.stmts[0].value
+
+
+def test_every_operator_pair_groups_as_in_c():
+    wrong = []
+    for op1 in TIER:
+        for op2 in TIER:
+            e = returned(f"int f(int a, int b, int c) "
+                         f"{{ return a {op1} b {op2} c; }}")
+            # equal tiers associate to the left
+            if TIER[op1] <= TIER[op2]:
+                tree = (op2, (op1, "a", "b"), "c")
+            else:
+                tree = (op1, "a", (op2, "b", "c"))
+            shape = lambda e: (e.op, shape(e.lhs), shape(e.rhs)) \
+                if isinstance(e, Binary) else e.ident
+            if shape(e) != tree:
+                wrong.append((op1, op2, shape(e)))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("ops", [("+",), ("*", "+"), tuple(TIER)])
+def test_operator_limit_points_at_the_first_operator_past_it(ops):
+    prefix = "int f(int a) { return a"
+    src, cols = prefix, []
+    for k in range(MAX_OPERATORS + 10):
+        op = ops[k % len(ops)]
+        cols.append(len(src) + 1)
+        src += op + "a"
+    with pytest.raises(ParseFailure) as e:
+        parse_translation_unit(src + "; }")
+    op = ops[MAX_OPERATORS % len(ops)]
+    col = cols[MAX_OPERATORS]
+    assert e.value.span == Span(1, col, 1, col + len(op))
+
+
 def test_operator_count_restarts_at_each_statement():
     parse_translation_unit(with_body(
         f"a = {chain(MAX_OPERATORS)}; if (a) {{ a = {chain(MAX_OPERATORS)}; }}"))
+
+
+def test_leading_zero_literals_are_octal():
+    ast = parse_translation_unit(
+        "int f(int x) { int y = x; if (010 == 8) { y = y + 1; } x = y;"
+        " return x; }")
+    assert run_source(ast, "f", [3]).ret == 4
+    assert [returned(f"int f() {{ return {lit}; }}").value
+            for lit in ("0", "00", "07", "010", "0777", "10", "1.5")] \
+        == [0, 0, 7, 8, 511, 10, Fraction(3, 2)]
+    (g,) = parse_translation_unit("int g[010];").globals
+    assert g.ctype == ArrayType(INT, 8)
+
+
+@pytest.mark.parametrize("src,span", [
+    ("int f() { return 08; }", Span(1, 18, 1, 20)),
+    ("int f() { return 1 + 0179; }", Span(1, 22, 1, 26)),
+    ("int g[09];", Span(1, 7, 1, 9)),
+])
+def test_octal_literal_with_a_decimal_digit_is_a_parse_failure(src, span):
+    with pytest.raises(ParseFailure, match="invalid digit in octal literal") \
+            as e:
+        parse_translation_unit(src)
+    assert e.value.span == span
 
 
 def test_roundtrip_corpus():
