@@ -67,7 +67,7 @@ _MASTER = re.compile("|".join([
 
 class Token:
     """One token.  Its `span` is built only when asked for: the parser
-    asks for few, since most tokens are punctuation and keywords."""
+    never asks for the spans of most punctuators and keywords."""
 
     __slots__ = ("kind", "text", "line", "col")
 

@@ -34,6 +34,8 @@ MAX_NESTING = 64
 MAX_OPERATORS = 128
 
 # Binding strength of each binary operator; all associate to the left.
+# The parser looks tokens up here and in `_POSTFIX` by text alone, since
+# no identifier or number is spelled like a punctuator.
 _LEVEL = {
     "||": 1,
     "&&": 2,
@@ -52,7 +54,6 @@ class Parser:
         # a plain index.
         self.toks = tokens + tokens[-1:] * 2
         self.pos = 0
-        self._tmp = 0
         self.depth = 0
         self.operators = 0       # in the current statement or declaration
 
@@ -62,8 +63,8 @@ class Parser:
         return self.toks[self.pos + ahead]
 
     def at(self, text, ahead=0):
-        """Whether the token `ahead` is the punctuator or keyword `text`;
-        no identifier or number is spelled like one."""
+        """Whether the token `ahead` is the punctuator or keyword `text`
+        (no identifier or number is spelled like one)."""
         return self.toks[self.pos + ahead].text == text
 
     def accept(self, text):
