@@ -179,28 +179,30 @@ def returned(src):
     return Parser(lex(src)).parse_unit().functions[0].body.stmts[0].value
 
 
+def tree(e):
+    return (e.op, tree(e.lhs), tree(e.rhs)) if isinstance(e, Binary) \
+        else e.ident
+
+
 def test_every_operator_pair_groups_as_in_c():
     wrong = []
     for op1 in TIER:
         for op2 in TIER:
-            e = returned(f"int f(int a, int b, int c) "
-                         f"{{ return a {op1} b {op2} c; }}")
+            got = tree(returned(f"int f(int a, int b, int c) "
+                                f"{{ return a {op1} b {op2} c; }}"))
             # equal tiers associate to the left
             if TIER[op1] <= TIER[op2]:
-                tree = (op2, (op1, "a", "b"), "c")
+                want = (op2, (op1, "a", "b"), "c")
             else:
-                tree = (op1, "a", (op2, "b", "c"))
-            shape = lambda e: (e.op, shape(e.lhs), shape(e.rhs)) \
-                if isinstance(e, Binary) else e.ident
-            if shape(e) != tree:
-                wrong.append((op1, op2, shape(e)))
+                want = (op1, "a", (op2, "b", "c"))
+            if got != want:
+                wrong.append((op1, op2, got))
     assert wrong == []
 
 
 @pytest.mark.parametrize("ops", [("+",), ("*", "+"), tuple(TIER)])
 def test_operator_limit_points_at_the_first_operator_past_it(ops):
-    prefix = "int f(int a) { return a"
-    src, cols = prefix, []
+    src, cols = "int f(int a) { return a", []
     for k in range(MAX_OPERATORS + 10):
         op = ops[k % len(ops)]
         cols.append(len(src) + 1)
