@@ -95,8 +95,11 @@ class _Abstractor:
                          els=self.body(s.els), span=s.span, uid=s.uid)
         if isinstance(s, N.NWhile):
             cond = self.cond(s.cond, s.span)
-            return N.NWhile(cond=cond, body=self.body(s.body), span=s.span,
-                            uid=s.uid, loop_id=s.loop_id)
+            body = self.body(s.body[:s.bend_at])
+            bend_at = len(body)
+            body += self.body(s.body[s.bend_at:])
+            return N.NWhile(cond=cond, body=body, span=s.span, uid=s.uid,
+                            loop_id=s.loop_id, bend_at=bend_at)
         return s
 
     def cond(self, c, span):

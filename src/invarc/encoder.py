@@ -483,10 +483,14 @@ class Encoder:
         self.log.append((var, term))
 
     def _arm(self, stmts):
-        """Encode `stmts` and then undo their writes; returns each name
-        they wrote, mapped to its term at their end."""
+        """Encode `stmts` as an arm: see `_end_arm`."""
         self.scopes.append({})
         self.encode_stmts(stmts)
+        return self._end_arm()
+
+    def _end_arm(self):
+        """Undo the writes of the arm opened last; returns each name it
+        wrote, mapped to its term at its end."""
         before = self.scopes.pop()
         self.log.extend(before.items())
         self.work += len(before)
@@ -1008,9 +1012,12 @@ class Encoder:
         for v in sorted(modified):
             self.unconstrained(v, pre[v].sort)
         head = self._snapshot(names)
-        body = self._arm(s.body)
-        bend = {v: body.get(v, t) for v, t in head.items()}
-        self.work += len(bend)
+        # the body ends before the condition's calls run again
+        self.scopes.append({})
+        self.encode_stmts(s.body[:s.bend_at])
+        bend = self._snapshot(head)
+        self.encode_stmts(s.body[s.bend_at:])
+        body = self._end_arm()
         # writes outside `modified` are dropped: the exit keeps the head
         self._merge(guard, sorted(modified), body, {})
         self.loops.append(LoopRecord(

@@ -582,8 +582,9 @@ class NormInterp(_ExprMixin):
         self.loop_events.append((key, "pre", self.scalar_snapshot()))
         while self.cond_value(s.cond):
             self.loop_events.append((key, "head", self.scalar_snapshot()))
-            self.exec_list(s.body)
+            self.exec_list(s.body[:s.bend_at])
             self.loop_events.append((key, "bend", self.scalar_snapshot()))
+            self.exec_list(s.body[s.bend_at:])
         self.loop_events.append((key, "post", self.scalar_snapshot()))
 
     def eval_simple(self, s):

@@ -130,11 +130,18 @@ class NIf:
 
 @dataclass
 class NWhile:
+    """A loop.  Its body ends at `bend_at`: the statements after it
+    re-evaluate the calls hoisted out of the condition (None: none do)."""
     cond: object
     body: list = field(default_factory=list)
     span: Span = None
     uid: int = 0
     loop_id: int = 0
+    bend_at: int = None
+
+    def __post_init__(self):
+        if self.bend_at is None:
+            self.bend_at = len(self.body)
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,13 @@ def walk_stmts(stmts):
 
 # ---------------------------------------------------------------------------
 # Inlining (AST level)
+
+
+@dataclass
+class _InlinedWhile(WhileStmt):
+    """AST-level loop after inlining: the last `recheck` statements of its
+    body re-evaluate the calls hoisted out of its condition."""
+    recheck: int = 0
 
 
 @dataclass
@@ -363,9 +377,9 @@ class Inliner:
                 notdone.ctype = BOOL
                 cond = Binary(op="&&", lhs=notdone, rhs=cond, span=s.span)
                 cond.ctype = BOOL
-            node = WhileStmt(cond=cond,
-                             body=CompoundStmt(stmts=body, span=s.span),
-                             span=s.span)
+            node = _InlinedWhile(cond=cond,
+                                 body=CompoundStmt(stmts=body, span=s.span),
+                                 span=s.span, recheck=len(pre))
             return pre + [node]
         if isinstance(s, ReturnStmt):
             out = []
@@ -587,10 +601,13 @@ class Lowerer:
         if isinstance(s, WhileStmt):
             self.loop_id += 1
             lid = self.loop_id
-            body = self.lower_block(s.body.stmts if isinstance(s.body, CompoundStmt)
-                                    else [s.body])
+            stmts = s.body.stmts
+            cut = len(stmts) - s.recheck
+            body = self.lower_block(stmts[:cut])
+            bend_at = len(body)
+            body += self.lower_block(stmts[cut:])
             return [NWhile(cond=s.cond, body=body, span=s.span,
-                           uid=self.next_uid(), loop_id=lid)]
+                           uid=self.next_uid(), loop_id=lid, bend_at=bend_at)]
         if isinstance(s, _UCallStmt):
             out = []
             atoms = [self.atom(a, out) for a in s.args]

@@ -154,3 +154,19 @@ def test_loop_events_phases():
     assert phases == ["pre", "head", "bend", "head", "bend", "post"]
     assert ev[0][2]["i"] == 0
     assert ev[-1][2]["i"] == 2
+
+
+COND_CALL = ("int g; int inc(int d) { g = g + 1; return d; }\n"
+             "int f(int n) { int i = 0;\n"
+             "  while (inc(i) < 3) { g = g - 1; i = i + 1; } return g; }\n")
+
+
+def test_loop_body_ends_before_the_condition_runs_again():
+    """Both interpreters take the body-end snapshot before the calls of
+    the condition run again, so `g` falls by one across each body."""
+    ast, prog = norm(COND_CALL, "f")
+    runs = (run_source(ast, "f", [0]), run_normalized(prog, {"n": 0}))
+    seen = [[(phase, snap["g"]) for _, phase, snap in r.loop_events
+             if phase in ("head", "bend")] for r in runs]
+    assert seen[0] == seen[1] == [("head", 1), ("bend", 0), ("head", 1),
+                                  ("bend", 0), ("head", 1), ("bend", 0)]

@@ -24,6 +24,7 @@ from invarc.refute import refute_queries
 
 from conftest import DOCS, ENTRIES, corpus_entry, corpus_source
 from genprog import fp_global_c, loopy_c
+from test_interp import COND_CALL
 
 
 def build(src, entry):
@@ -208,6 +209,17 @@ def test_settled_loop_candidates_are_refuted_by_their_pre_head_query():
         assert set(refute_queries(enc.script)) == names, label
         settled += len(names)
     assert settled > 50
+
+
+def test_loop_body_end_precedes_the_conditions_calls():
+    """The body-end symbol is taken before the calls hoisted out of the
+    condition run again: across the body `g` falls by one, so its
+    head-bend query has a model."""
+    *_, ab, enc = build_pipeline(COND_CALL, "f")
+    (cand,) = [c for c in enumerate_candidates(ab, enc)
+               if (c.variable, c.kind) == ("g", "head-bend")]
+    names = emit_query(cand, enc.script, "g")
+    assert names and set(refute_queries(enc.script)) >= set(names)
 
 
 # (variable, kind, loop, verdict) per candidate, without a solver
