@@ -26,7 +26,6 @@ import argparse
 import functools
 import itertools
 import sys
-from collections import Counter
 
 from .diagnostics import InputError, InvarcError, ProtocolError, \
     SolverNotFound, StepBudgetExceeded
@@ -85,21 +84,6 @@ def _analyze_one(args, path, solver):
     return False
 
 
-def _loop_pairs(events, span, first, second):
-    """Chronological (first, second) snapshot pairs for one loop span."""
-    pairs = []
-    pending = None
-    for sp, phase, snap in events:
-        if sp != span:
-            continue
-        if phase == first:
-            pending = snap
-        elif phase == second and pending is not None:
-            pairs.append((pending, snap))
-            pending = None
-    return pairs
-
-
 def check_oracle(ast, entry, enc, report_obj, domain):
     """Brute-force every scalar input vector and cross-check each
     reported invariant; returns lines plus the list of violations."""
@@ -111,11 +95,8 @@ def check_oracle(ast, entry, enc, report_obj, domain):
             axes.append(list(range(lo, hi + 1)))
         else:
             axes.append([None])  # non-scalar: default value
-    # a span that two loop records share (a callee inlined twice) mixes
-    # the events of both: its candidates stay unchecked
-    spans = Counter(lr.span for lr in enc.loops)
-    loop_spans = {lr.loop_id: lr.span for lr in enc.loops
-                  if spans[lr.span] == 1}
+    # the candidates of a loop without a span of its own stay unchecked
+    loop_spans = enc.loop_spans()
     violations = []
     checked = {c: 0 for c in range(len(report_obj.candidates))}
     runs = 0
@@ -128,10 +109,12 @@ def check_oracle(ast, entry, enc, report_obj, domain):
         except (InterpError, StepBudgetExceeded):
             continue
         runs += 1
+        changes = {kind: res.loop_changes(*phases)
+                   for kind, phases in _LOOP_PHASES.items()}
         for idx, c in enumerate(report_obj.candidates):
             if c.verdict != "invariant":
                 continue
-            ok = _check_candidate(c, res, loop_spans)
+            ok = _check_candidate(c, res, loop_spans, changes)
             if ok is None:
                 continue
             checked[idx] += 1
@@ -152,27 +135,24 @@ def check_oracle(ast, entry, enc, report_obj, domain):
     return {"lines": lines, "violations": violations, "runs": runs}
 
 
-def _check_candidate(c, res, loop_spans):
-    """True/False when checkable on this execution, None otherwise."""
+# the snapshot pair a loop candidate compares, per kind
+_LOOP_PHASES = {"loop": ("pre", "post"), "head-bend": ("head", "bend")}
+
+
+def _check_candidate(c, res, loop_spans, changes):
+    """True/False when checkable on this execution, None otherwise.
+    `changes` holds the run's loop-change index per candidate kind."""
     if c.kind == "entry-exit":
         a = res.entry_values.get(c.variable)
         b = res.finals.get(c.variable)
         if a is None or b is None:
             return None
         return a == b
-    span = loop_spans.get(c.loop_id)
-    if span is None:
+    compared, changed = changes[c.kind].get(loop_spans.get(c.loop_id),
+                                            ((), ()))
+    if c.variable not in compared:
         return None
-    first, second = ("pre", "post") if c.kind == "loop" else ("head", "bend")
-    pairs = _loop_pairs(res.loop_events, span, first, second)
-    if not pairs:
-        return None
-    for a, b in pairs:
-        if c.variable not in a or c.variable not in b:
-            return None
-        if a[c.variable] != b[c.variable]:
-            return False
-    return True
+    return c.variable not in changed
 
 
 class _Parser(argparse.ArgumentParser):

@@ -39,6 +39,7 @@ the whole script (the argument is in its docstring).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from itertools import islice
 from dataclasses import dataclass, field
@@ -415,6 +416,14 @@ class Encoding:
     havocked: set
     sorts: dict                     # var -> sort (encodable vars only)
     work: int = 0                   # env entries copied + names merged
+
+    def loop_spans(self):
+        """Loop id -> source span, for the spans that exactly one loop
+        record has.  A callee inlined twice gives two records one span,
+        and an execution's events at that span mix both copies."""
+        count = Counter(lr.span for lr in self.loops)
+        return {lr.loop_id: lr.span for lr in self.loops
+                if count[lr.span] == 1}
 
 
 def struct_sort(name):

@@ -86,8 +86,12 @@ def copy_value(v):
     return v
 
 
+SCALAR_TYPES = frozenset((int, Fraction))
+
+
 def is_scalar_value(v):
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    # exact types: an ABC check of Fraction costs more than the snapshot
+    return type(v) in SCALAR_TYPES
 
 
 def truthy(v):
@@ -303,6 +307,47 @@ class RunResult:
     loop_events: list             # (loop_span, phase, {var: value})
     point_values: list = field(default_factory=list)  # (stmt_span, {var: value})
 
+    def loop_changes(self, first="head", second="bend"):
+        """The loop-change index, built in one pass over the loop events:
+        per loop span, `(compared, changed)` over each `first` snapshot
+        and the `second` snapshot of the same span that follows it, the
+        variables that both snapshots hold and those whose value differs
+        between them in some such pair."""
+        pending, out = {}, {}
+        for span, phase, snap in self.loop_events:
+            if phase == first:
+                pending[span] = snap
+            elif phase == second and span in pending:
+                a = pending.pop(span)
+                keys = a.keys() & snap.keys()
+                compared, changed = out.setdefault(span, (set(), set()))
+                compared |= keys
+                changed.update(v for v in keys if a[v] != snap[v])
+        return out
+
+
+def _renamed_locals(ast, fn):
+    """The names of the entry function `fn`'s parameters and locals that
+    may not be the variable the normalizer gives that name: a global's
+    name, which the normalizer gives the global, and a name declared more
+    than once in `fn`, of which it gives the name to the first."""
+    seen, twice = set(), set()
+    names = [p.name for p in fn.params]
+    stack = [fn.body]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, DeclStmt):
+            names.append(s.name)
+        elif isinstance(s, CompoundStmt):
+            stack.extend(s.stmts)
+        elif isinstance(s, IfStmt):
+            stack.extend(x for x in (s.then, s.els) if x is not None)
+        elif isinstance(s, WhileStmt):
+            stack.append(s.body)
+    for name in names:
+        (twice if name in seen else seen).add(name)
+    return twice | {g.name for g in ast.globals}
+
 
 class SourceInterp(_ExprMixin):
     def __init__(self, ast, budget=200_000, record_points=False):
@@ -314,6 +359,7 @@ class SourceInterp(_ExprMixin):
         self.globals = {}
         self.frames = []
         self.active = []         # the functions running, outermost first
+        self.renamed = set()     # entry-frame names a snapshot leaves out
         self.loop_events = []
         self.point_values = []
 
@@ -334,6 +380,7 @@ class SourceInterp(_ExprMixin):
         for g in self.ast.globals:
             self.globals[g.name] = Cell(default_value(g.ctype, self.structs))
         fn = self.ast.function(entry)
+        self.renamed = _renamed_locals(self.ast, fn)
         # global initializers
         self.frames.append([{}])
         for g in self.ast.globals:
@@ -362,15 +409,19 @@ class SourceInterp(_ExprMixin):
 
     def scalar_snapshot(self):
         """The scalars of the entry function's frame and the globals, also
-        while a callee runs."""
+        while a callee runs, under the names the normalizer gives them:
+        the frame's variables that it renames are left out."""
+        renamed = self.renamed
         out = {}
         for scope in self.frames[0]:
             for name, cell in scope.items():
-                if is_scalar_value(cell.value):
-                    out.setdefault(name, cell.value)
+                v = cell.value
+                if type(v) in SCALAR_TYPES and name not in renamed:
+                    out[name] = v
         for name, cell in self.globals.items():
-            if is_scalar_value(cell.value):
-                out.setdefault(name, cell.value)
+            v = cell.value
+            if type(v) in SCALAR_TYPES:
+                out[name] = v
         return out
 
     def call(self, e):

@@ -199,6 +199,32 @@ def test_oracle_checks_loops_inlined_from_a_callee(capsys, tmp_path):
     assert "loop: pass" not in out and "head-bend: pass" not in out
 
 
+# a solver stand-in: `unsat` for the queries of `g`'s head-bend candidate,
+# `sat` for the others
+GLOBAL_G_UNSAT = """\
+import re, sys
+for name in re.findall(r'QUERY:([^"]*)', open(sys.argv[-1]).read()):
+    print("QUERY:" + name)
+    print("unsat" if "$g$head-bend" in name else "sat")
+"""
+
+
+def test_oracle_reads_the_global_a_local_shadows(capsys, tmp_path):
+    # the candidate `g` is the global, which the loop leaves alone; the
+    # local `g` that shadows it in `f` grows, and it is not compared
+    src = tmp_path / "shadow.c"
+    src.write_text("int g; int h(int d) { g = g + 0; return d; }\n"
+                   "int f(int n) { int g = 0; int i = 0;\n"
+                   "  while (i < 2) { g = g + 1; i = h(i) + 1; }\n"
+                   "  return n + g; }\n")
+    solver = make_executable(tmp_path / "solver",
+                             f"#!{sys.executable}\n{GLOBAL_G_UNSAT}")
+    code, out, _ = run(capsys, str(src), "--entry", "f", "--oracle",
+                       "--solver", str(solver))
+    assert code == 0, out
+    assert "oracle: g head-bend: pass (7 checks)" in out
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(source, entry=None):
         raise RuntimeError("stage failed")

@@ -156,6 +156,19 @@ def test_loop_events_phases():
     assert ev[-1][2]["i"] == 2
 
 
+def test_loop_change_index():
+    ast = parse_translation_unit(
+        "int f(int n) { int i = 0; int k = 5;"
+        " while (i < n) { i = i + 1; k = k + 0; } return i; }")
+    run = run_source(ast, "f", [2])
+    ((span, (compared, changed)),) = run.loop_changes().items()
+    assert (compared, changed) == ({"n", "i", "k"}, {"i"})
+    assert run.loop_changes("pre", "post") == {span: (compared, {"i"})}
+    run = run_source(ast, "f", [0])
+    assert run.loop_changes() == {}
+    assert run.loop_changes("pre", "post") == {span: (compared, set())}
+
+
 COND_CALL = ("int g; int inc(int d) { g = g + 1; return d; }\n"
              "int f(int n) { int i = 0;\n"
              "  while (inc(i) < 3) { g = g - 1; i = i + 1; } return g; }\n")
