@@ -21,15 +21,34 @@ modified variable is settled as unknown with no query at all.  For a
 variable the loop leaves alone, pre, head and exit are one symbol, and
 only head = body-end is queried; keeping it keeps the candidate sound
 even where `modified_vars` misses a write.
+
+Before any query is emitted, one concrete execution settles the
+head-bend candidates it can (`settle_by_execution`).  The source
+interpreter runs the entry function once, on a fixed-seed input, and
+every variable whose value differs between the start of some iteration
+of a loop and that iteration's body end is not invariant there.  The
+script over-approximates the program: the interpreter shares the
+encoding's value model (mathematical integers, exact rationals, C
+division), a modified variable's loop head is unconstrained, and the
+body's definitions follow the C statements.  So the concrete iteration
+extends to a model of the script, the candidate's query is `sat`, and
+its verdict is `unknown` with or without the query.  The execution
+gives up, settling nothing, on a runtime trap or when its step budget,
+proportional to the size of the normalized program, runs out.  It is
+not made for a program with a construct that `classify` flags: the
+abstraction havocs what such a construct touches, and the interpreter
+cannot run a library call.  Entry-exit candidates stay with the solver.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 
-from .diagnostics import UnknownSymbol
+from .diagnostics import StepBudgetExceeded, UnknownSymbol
 from .encoder import MEM
+from .frontend.ast import IntType, LongType
 
 REPORT_VERSION = 1
 
@@ -66,8 +85,24 @@ def _candidate_vars(prog, enc, havocked):
     return out
 
 
+# the settling execution: its inputs' seed and range, and its step budget
+# per statement of the normalized program
+EXECUTION_SEED = 0
+EXECUTION_INPUTS = (-3, 3)
+STEPS_PER_STMT = 40
+
+
 def enumerate_candidates(ab, enc):
-    """Candidates for an AbstractProgram and its Encoding."""
+    """Candidates for an AbstractProgram and its Encoding, those that one
+    execution settles included (`settle_by_execution`)."""
+    cands = build_candidates(ab, enc)
+    settle_by_execution(ab.program, enc, cands)
+    return cands
+
+
+def build_candidates(ab, enc):
+    """Candidates for an AbstractProgram and its Encoding, before the
+    execution."""
     prog = ab.program
     havocked = set(ab.havocked) | set(enc.havocked)
     cands = []
@@ -97,6 +132,40 @@ def enumerate_candidates(ab, enc):
                 variable=name, kind="head-bend", loop_id=lr.loop_id,
                 pairs=[(head, bend)]))
     return cands
+
+
+def settle_by_execution(prog, enc, cands):
+    """Run the normalized program `prog`'s source once and settle each open
+    head-bend candidate of `cands` whose variable that run changes across
+    an iteration of its loop: its verdict becomes unknown and it keeps no
+    pair to query.  Returns the settled candidates."""
+    open_ = [c for c in cands if c.kind == "head-bend"
+             and c.verdict is None and c.pairs[0][0] != c.pairs[0][1]]
+    if not open_ or prog.report.unmodelable_items:
+        return []
+    from .interp import InterpError, default_value, run_source
+
+    ast = prog.ast
+    fn = ast.function(prog.entry)
+    structs = {sd.name: sd for sd in ast.struct_defs}
+    rng = random.Random(EXECUTION_SEED)
+    args = [rng.randint(*EXECUTION_INPUTS)
+            if isinstance(p.ctype, (IntType, LongType))
+            else default_value(p.ctype, structs) for p in fn.params]
+    budget = STEPS_PER_STMT * sum(1 for _ in prog.walk())
+    try:
+        run = run_source(ast, prog.entry, args, budget=budget)
+    except (InterpError, StepBudgetExceeded):
+        return []
+    changes = run.loop_changes()
+    spans = enc.loop_spans()
+    settled = []
+    for c in open_:
+        _, changed = changes.get(spans.get(c.loop_id), ((), ()))
+        if c.variable in changed:
+            c.verdict, c.pairs = "unknown", []
+            settled.append(c)
+    return settled
 
 
 def emit_query(cand, script, name):

@@ -15,8 +15,8 @@ from invarc.encoder import SolverScript, definition, encode_program, \
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import (
-    Candidate, combine_verdicts, detect_invariants, emit_query,
-    enumerate_candidates, interpret_result,
+    Candidate, build_candidates, combine_verdicts, detect_invariants,
+    emit_query, enumerate_candidates, interpret_result,
 )
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
@@ -216,7 +216,7 @@ def test_loop_body_end_precedes_the_conditions_calls():
     condition run again: across the body `g` falls by one, so its
     head-bend query has a model."""
     *_, ab, enc = build_pipeline(COND_CALL, "f")
-    (cand,) = [c for c in enumerate_candidates(ab, enc)
+    (cand,) = [c for c in build_candidates(ab, enc)
                if (c.variable, c.kind) == ("g", "head-bend")]
     names = emit_query(cand, enc.script, "g")
     assert names and set(refute_queries(enc.script)) >= set(names)
