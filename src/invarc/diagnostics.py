@@ -5,25 +5,35 @@ All user-facing diagnostics render as ``file:line:col: severity: message``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open region of source text, 1-based lines and columns."""
+class Span(tuple):
+    """Half-open region of source text, 1-based lines and columns: the
+    tuple `(line, col, end_line, end_col)`, so that it hashes and orders as
+    that tuple.  Without an end it is the empty region at its start."""
 
-    line: int
-    col: int
-    end_line: int = 0
-    end_col: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.end_line == 0:
-            object.__setattr__(self, "end_line", self.line)
-            object.__setattr__(self, "end_col", self.col)
+    def __new__(cls, line, col, end_line=0, end_col=0):
+        if end_line == 0:
+            end_line, end_col = line, col
+        return tuple.__new__(cls, (line, col, end_line, end_col))
+
+    line = property(itemgetter(0))
+    col = property(itemgetter(1))
+    end_line = property(itemgetter(2))
+    end_col = property(itemgetter(3))
+
+    def __reduce__(self):
+        return Span, tuple(self)
+
+    def __repr__(self):
+        return (f"Span(line={self[0]}, col={self[1]}, end_line={self[2]}, "
+                f"end_col={self[3]})")
 
     def __str__(self):
-        return f"{self.line}:{self.col}"
+        return f"{self[0]}:{self[1]}"
 
 
 class InvarcError(Exception):

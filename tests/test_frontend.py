@@ -1,5 +1,7 @@
 """Frontend tests: parsing, type annotation, construct classification."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,20 @@ def test_lexer_positions():
         with pytest.raises(ParseFailure) as e:
             lex(text)
         assert e.value.span == span, text
+
+
+def test_span_is_its_field_tuple():
+    s = Span(2, 5)
+    assert (s.line, s.col, s.end_line, s.end_col) == (2, 5, 2, 5)
+    assert Span(2, 5, 3, 1) == (2, 5, 3, 1)
+    assert hash(s) == hash((2, 5, 2, 5)) and str(s) == "2:5"
+    assert sorted([Span(2, 1, 9, 9), Span(1, 7, 1, 8), Span(2, 1)]) == [
+        Span(1, 7, 1, 8), Span(2, 1), Span(2, 1, 9, 9)]
+    assert repr(s) == "Span(line=2, col=5, end_line=2, end_col=5)"
+    assert copy.deepcopy(s) == s and type(copy.deepcopy(s)) is Span
+    assert pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(AttributeError):
+        s.line = 3
 
 
 def test_varargs_rejected_by_name():
