@@ -52,7 +52,8 @@ PUNCT = [
 # One alternative per token class, tried in this order at each position.
 # Punctuators keep PUNCT's order, so a longer one wins over its prefix.
 # `\w` is exactly `str.isalnum()` or `_`; a word whose first character is
-# not a letter or `_` (a numeric character such as `½`) is rejected below.
+# not a letter or `_` (a numeric character such as `½`) is rejected below,
+# and so is a number that runs on into a word (`0x10`, `10L`, `1.5e3`).
 _MASTER = re.compile("|".join([
     r"(?P<nl>\n)",
     r"(?P<ws>[ \t\r]+)",
@@ -60,7 +61,7 @@ _MASTER = re.compile("|".join([
     r"(?P<block>/\*.*?\*/)",
     r"(?P<open>/\*)",
     r"(?P<word>[^\W\d]\w*)",
-    r"(?P<num>\d+(?P<frac>\.\d+)?)",
+    r"(?P<num>\d+(?P<frac>\.\d+)?(?P<suffix>\w+)?)",
     "(?P<punct>" + "|".join(re.escape(p) for p in PUNCT) + ")",
 ]), re.DOTALL)
 
@@ -106,8 +107,12 @@ def lex(source):
                 raise RejectedConstruct("varargs", tok.span)
             append(tok)
         elif group == "num":
-            append(Token("float" if m.group("frac") else "int", m.group(),
-                         line, i - line_start + 1))
+            tok = Token("float" if m.group("frac") else "int", m.group(),
+                        line, i - line_start + 1)
+            if m.group("suffix"):   # hexadecimal, an exponent or a suffix
+                raise RejectedConstruct(f"numeric literal {tok.text!r}",
+                                        tok.span)
+            append(tok)
         elif group == "nl":
             line, line_start = line + 1, i + 1
         elif group == "block":

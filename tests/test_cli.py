@@ -113,6 +113,15 @@ def test_octal_literal_with_a_decimal_digit_exit_code(capsys, tmp_path):
     assert err == f"{bad}:1:27: error: invalid digit in octal literal '09'\n"
 
 
+def test_unsupported_numeric_literal_exit_code(capsys, tmp_path):
+    bad = tmp_path / "hex.c"
+    bad.write_text("int f(int x) { return x + 0x10; }\n")
+    code, out, err = run(capsys, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"{bad}:1:27: error: unsupported construct: numeric " \
+                  f"literal '0x10'\n"
+
+
 def test_deep_nesting_exit_code(capsys, tmp_path):
     deep = tmp_path / "deep.c"
     deep.write_text("int f(int a) { return " + "(" * 89 + "a" + ")" * 89

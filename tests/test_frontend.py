@@ -361,3 +361,14 @@ def test_zero_compared_with_a_pointer_is_null(cmp):
 def test_nonzero_compared_with_a_pointer_is_rejected():
     with pytest.raises(FrontendTypeError, match="invalid pointer comparison"):
         parse_translation_unit("int f(int *p) { return p == 1; }")
+
+
+@pytest.mark.parametrize("lit", ["0x10", "0XfF", "10L", "10u", "7UL",
+                                 "1.5e3", "1.5f", "08L"])
+def test_unsupported_numeric_literal_is_named_whole(lit):
+    src = f"int f(int x) {{ return x + {lit}; }}"
+    with pytest.raises(RejectedConstruct) as e:
+        parse_translation_unit(src)
+    assert e.value.message == f"unsupported construct: numeric literal " \
+                              f"{lit!r}"
+    assert e.value.span == Span(1, 27, 1, 27 + len(lit))
