@@ -158,24 +158,38 @@ def apply_binop(op, a, b):
 
 
 class _ExprMixin:
-    """Requires self.lookup(name) -> Cell and self.structs."""
+    """Requires self.lookup(name) -> Cell, self.structs, self.steps and
+    self.budget."""
+
+    def tick(self):
+        self.steps += 1
+        if self.steps > self.budget:
+            raise StepBudgetExceeded("interpreter step budget exhausted")
 
     def eval(self, e):
-        self.tick()
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, FloatLit):
-            return e.value
-        if isinstance(e, NullLit):
-            return NULL
-        if isinstance(e, Name):
-            if isinstance(e.decl, FunctionDef):
+        self.steps += 1     # self.tick(), inlined: eval is the hot path
+        if self.steps > self.budget:
+            raise StepBudgetExceeded("interpreter step budget exhausted")
+        t = type(e)     # the most frequent node types first
+        if t is Name:
+            if type(e.decl) is FunctionDef:
                 return FuncAddr(e.decl.name)
-            cell = self.lookup(e.ident)
-            v = cell.value
+            v = self.lookup(e.ident).value
             if isinstance(v, list):  # array decays to pointer
                 return PtrVal(tuple(v), 0)
             return v
+        if t is Binary:
+            if e.op == "&&":
+                return int(truthy(self.eval(e.lhs)) and truthy(self.eval(e.rhs)))
+            if e.op == "||":
+                return int(truthy(self.eval(e.lhs)) or truthy(self.eval(e.rhs)))
+            a = self.eval(e.lhs)
+            b = self.eval(e.rhs)
+            return self._promote(apply_binop(e.op, a, b), e)
+        if t is IntLit or t is FloatLit:
+            return e.value
+        if t is NullLit:
+            return NULL
         if isinstance(e, Unary):
             if e.op == "&":
                 if isinstance(e.operand, Name) and \
@@ -190,14 +204,6 @@ class _ExprMixin:
                 return -v
             if e.op == "!":
                 return int(not truthy(v))
-        if isinstance(e, Binary):
-            if e.op == "&&":
-                return int(truthy(self.eval(e.lhs)) and truthy(self.eval(e.rhs)))
-            if e.op == "||":
-                return int(truthy(self.eval(e.lhs)) or truthy(self.eval(e.rhs)))
-            a = self.eval(e.lhs)
-            b = self.eval(e.rhs)
-            return self._promote(apply_binop(e.op, a, b), e)
         if isinstance(e, Member):
             if e.arrow:
                 obj = self.read_ptr(self.eval(e.obj))
@@ -336,13 +342,16 @@ def _renamed_locals(ast, fn):
     stack = [fn.body]
     while stack:
         s = stack.pop()
-        if isinstance(s, DeclStmt):
+        t = type(s)
+        if t is DeclStmt:
             names.append(s.name)
-        elif isinstance(s, CompoundStmt):
-            stack.extend(s.stmts)
-        elif isinstance(s, IfStmt):
-            stack.extend(x for x in (s.then, s.els) if x is not None)
-        elif isinstance(s, WhileStmt):
+        elif t is CompoundStmt:
+            stack += s.stmts
+        elif t is IfStmt:
+            stack.append(s.then)
+            if s.els is not None:
+                stack.append(s.els)
+        elif t is WhileStmt:
             stack.append(s.body)
     for name in names:
         (twice if name in seen else seen).add(name)
@@ -362,11 +371,6 @@ class SourceInterp(_ExprMixin):
         self.renamed = set()     # entry-frame names a snapshot leaves out
         self.loop_events = []
         self.point_values = []
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise StepBudgetExceeded("interpreter step budget exhausted")
 
     def lookup(self, name):
         for scope in reversed(self.frames[-1]):
@@ -468,7 +472,19 @@ class SourceInterp(_ExprMixin):
 
     def exec_stmt(self, s):
         self.tick()
-        if isinstance(s, DeclStmt):
+        t = type(s)     # the most frequent statement types first
+        if t is AssignStmt:
+            v = self.eval(s.value)
+            cell, _, _ = self.lvalue(s.target)
+            self.store(cell, v, s.target.ctype)
+        elif t is IfStmt:
+            if truthy(self.eval(s.cond)):
+                self.exec_stmt(s.then)
+            elif s.els is not None:
+                self.exec_stmt(s.els)
+        elif t is CompoundStmt:
+            self.exec_block(s)
+        elif t is DeclStmt:
             cell = Cell(default_value(s.ctype, self.structs))
             self.frames[-1][-1][s.name] = cell
             if s.init is not None:
@@ -476,23 +492,12 @@ class SourceInterp(_ExprMixin):
             if s.init_list is not None:
                 for i, e in enumerate(s.init_list):
                     self.store(cell.value[i], self.eval(e), s.ctype.elem)
-        elif isinstance(s, AssignStmt):
-            v = self.eval(s.value)
-            cell, _, _ = self.lvalue(s.target)
-            self.store(cell, v, s.target.ctype)
-        elif isinstance(s, CompoundStmt):
-            self.exec_block(s)
-        elif isinstance(s, IfStmt):
-            if truthy(self.eval(s.cond)):
-                self.exec_stmt(s.then)
-            elif s.els is not None:
-                self.exec_stmt(s.els)
-        elif isinstance(s, WhileStmt):
+        elif t is WhileStmt:
             self.exec_loop(s)
-        elif isinstance(s, ReturnStmt):
+        elif t is ReturnStmt:
             v = self.eval(s.value) if s.value is not None else None
             raise _ReturnSignal(v)
-        elif isinstance(s, ExprStmt):
+        elif t is ExprStmt:
             self.eval(s.expr)
         else:
             raise InterpError(f"cannot execute {type(s).__name__}")
@@ -538,11 +543,6 @@ class NormInterp(_ExprMixin):
         self.havoc_value = havoc_value or (lambda var, ctype: 7777)
         self.nondet = nondet or (lambda uid: False)
         self.frames = [[self.env]]
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise StepBudgetExceeded("interpreter step budget exhausted")
 
     def lookup(self, name):
         if name not in self.env:

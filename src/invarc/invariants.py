@@ -152,7 +152,7 @@ def settle_by_execution(prog, enc, cands):
     args = [rng.randint(*EXECUTION_INPUTS)
             if isinstance(p.ctype, (IntType, LongType))
             else default_value(p.ctype, structs) for p in fn.params]
-    budget = STEPS_PER_STMT * sum(1 for _ in prog.walk())
+    budget = STEPS_PER_STMT * len(enc.points)    # one point per statement
     try:
         run = run_source(ast, prog.entry, args, budget=budget)
     except (InterpError, StepBudgetExceeded):
