@@ -370,16 +370,22 @@ class Inliner:
             pre, cond = self.expr_no_calls(s.cond, rename, depth)
             body = self.stmt(s.body, dict(rename), depth, ctx)
             # condition temporaries are re-evaluated at the loop bottom
-            body = body + [_copy.deepcopy(x) for x in pre]
+            recheck = [_copy.deepcopy(x) for x in pre]
             if ctx.done_flag is not None and _may_return(s.body):
                 notdone = Binary(op="==", lhs=_name(ctx.done_flag, INT),
                                  rhs=IntLit(value=0, span=s.span), span=s.span)
                 notdone.ctype = BOOL
                 cond = Binary(op="&&", lhs=notdone, rhs=cond, span=s.span)
                 cond.ctype = BOOL
+                if recheck:     # after a return the condition is not run
+                    recheck = [IfStmt(cond=_copy.deepcopy(notdone),
+                                      then=CompoundStmt(stmts=recheck,
+                                                        span=s.span),
+                                      span=s.span)]
             node = _InlinedWhile(cond=cond,
-                                 body=CompoundStmt(stmts=body, span=s.span),
-                                 span=s.span, recheck=len(pre))
+                                 body=CompoundStmt(stmts=body + recheck,
+                                                   span=s.span),
+                                 span=s.span, recheck=len(recheck))
             return pre + [node]
         if isinstance(s, ReturnStmt):
             out = []

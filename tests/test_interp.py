@@ -183,3 +183,19 @@ def test_loop_body_ends_before_the_condition_runs_again():
              if phase in ("head", "bend")] for r in runs]
     assert seen[0] == seen[1] == [("head", 1), ("bend", 0), ("head", 1),
                                   ("bend", 0), ("head", 1), ("bend", 0)]
+
+
+RETURN_IN_LOOP = (
+    "int g; int dec(int d) { g = g - 1; return d; }\n"
+    "int h(int n) { int i = 0;\n"
+    "  while (dec(i) < 5) { g = g + 2; if (i == n) { return 7; } i = i + 1; }\n"
+    "  return 0; }\n"
+    "int f(int n) { int r = h(n); return g; }\n")
+
+
+@pytest.mark.parametrize("n", range(-1, 7))
+def test_condition_calls_do_not_run_after_an_inlined_return(n):
+    """A return in the loop of an inlined callee leaves the loop before
+    its condition, and the condition's call, runs again."""
+    ast, prog = norm(RETURN_IN_LOOP, "f")
+    assert run_source(ast, "f", [n]).ret == run_normalized(prog, {"n": n}).ret
