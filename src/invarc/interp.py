@@ -90,7 +90,8 @@ SCALAR_TYPES = frozenset((int, Fraction))
 
 
 def is_scalar_value(v):
-    # exact types: an ABC check of Fraction costs more than the snapshot
+    # exact types, which leave out bool: isinstance on Fraction goes
+    # through its ABC's __instancecheck__, slow in every snapshot
     return type(v) in SCALAR_TYPES
 
 

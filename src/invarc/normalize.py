@@ -130,8 +130,9 @@ class NIf:
 
 @dataclass
 class NWhile:
-    """A loop.  Its body ends at `bend_at`: the statements after it
-    re-evaluate the calls hoisted out of the condition (None: none do)."""
+    """A loop.  Its body ends at `bend_at`, by default after its last
+    statement: the statements after it re-evaluate the calls hoisted out
+    of the condition."""
     cond: object
     body: list = field(default_factory=list)
     span: Span = None
