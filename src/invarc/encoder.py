@@ -448,12 +448,82 @@ def sort_of(ctype, structs):
     return "Int"
 
 
+class MemoryLayout:
+    """Where the variables of a normalized program live, found once on
+    the whole program.  `at_vars` live in memory: those whose address is
+    taken, and the arrays used as a value, which decays to the address of
+    their first cell.  `at_scalars`, the integer and real ones among
+    them, also keep a symbol of their own, mirrored in their cell."""
+
+    def __init__(self, prog):
+        self.decls = prog.decls
+        self.designators = prog.designators
+        self.structs = {sd.name: sd for sd in prog.ast.struct_defs} \
+            if prog.ast else {}
+        self.at_vars = self._address_taken(prog)
+        self.at_scalars = sorted(
+            v for v in self.at_vars if v in self.decls
+            and self.sort(self.decls[v].ctype) in ("Int", "Real"))
+
+    def sort(self, ctype):
+        """The solver sort of `ctype`, or None where it has none."""
+        try:
+            return sort_of(ctype, self.structs)
+        except UnsupportedType:
+            return None
+
+    def _address_taken(self, prog):
+        at = set()
+        decls = self.decls
+        for s in prog.walk():
+            if isinstance(s, N.NAssign) and s.op in N.ADDR_OPS \
+                    and s.op != "funcaddr":
+                hint = s.base_hint
+                if hint and hint[0] == "var":
+                    at.add(hint[1])
+                elif s.op in ("addr", "member_addr") and s.args and \
+                        isinstance(s.args[0], N.VarRef):
+                    at.add(s.args[0].name)
+            if isinstance(s, N.NAssign) and s.op not in ("index", "elem_addr"):
+                values = s.args
+            elif isinstance(s, N.NStore):
+                values = [s.value]
+            elif isinstance(s, N.NUnmodelableCall):
+                values = s.args
+            else:
+                continue
+            for a in values:
+                if isinstance(a, N.VarRef) and a.name in decls \
+                        and isinstance(decls[a.name].ctype, ArrayType):
+                    at.add(a.name)
+        return at
+
+    def register_target(self, s):
+        """The array or struct variable with a symbol of its own that the
+        store `s` updates in place, or None for a store into memory."""
+        d = self.designators.get(
+            s.ptr.name if isinstance(s.ptr, N.VarRef) else None)
+        if d is None or d[0] not in ("elem", "member") \
+                or d[1] in self.at_vars:
+            return None
+        decl = self.decls.get(d[1])
+        kind = ArrayType if d[0] == "elem" else StructType
+        if decl is None or not isinstance(decl.ctype, kind) \
+                or self.sort(decl.ctype) is None:
+            return None
+        return d[1]
+
+
 class Encoder:
-    def __init__(self, prog, havocked=None):
+    def __init__(self, prog, havocked=None, layout=None, declared=None):
+        """An encoder of `prog` with the memory layout `layout` (by
+        default `prog`'s own), declaring a symbol for each variable of
+        `declared` (by default, for every variable)."""
         self.prog = prog
         self.ast = prog.ast
-        self.structs = {sd.name: sd for sd in self.ast.struct_defs} \
-            if self.ast else {}
+        self.layout = layout or MemoryLayout(prog)
+        self.structs = self.layout.structs
+        self.declared = declared
         self.script = SolverScript()
         self.counter = 0
         self.env = {}
@@ -464,10 +534,8 @@ class Encoder:
         self.loops = []
         self.points = []
         self.havocked = set(havocked or ())
-        self.at_vars = self._address_taken()
-        self.at_scalars = sorted(
-            v for v in self.at_vars if v in prog.decls
-            and self.sort_of_safe(prog.decls[v].ctype) in ("Int", "Real"))
+        self.at_vars = self.layout.at_vars
+        self.at_scalars = self.layout.at_scalars
         # what a loop record keeps besides the modified names
         self.recorded = [MEM] + [n for n, d in prog.decls.items()
                                  if d.kind != "temp"]
@@ -536,35 +604,6 @@ class Encoder:
 
     # -- memory -------------------------------------------------------------
 
-    def _address_taken(self):
-        """The variables that live in memory: those whose address is
-        taken, and the arrays used as a value, which decays to the
-        address of their first cell."""
-        at = set()
-        decls = self.prog.decls
-        for s in self.prog.walk():
-            if isinstance(s, N.NAssign) and s.op in N.ADDR_OPS \
-                    and s.op != "funcaddr":
-                hint = s.base_hint
-                if hint and hint[0] == "var":
-                    at.add(hint[1])
-                elif s.op in ("addr", "member_addr") and s.args and \
-                        isinstance(s.args[0], N.VarRef):
-                    at.add(s.args[0].name)
-            if isinstance(s, N.NAssign) and s.op not in ("index", "elem_addr"):
-                values = s.args
-            elif isinstance(s, N.NStore):
-                values = [s.value]
-            elif isinstance(s, N.NUnmodelableCall):
-                values = s.args
-            else:
-                continue
-            for a in values:
-                if isinstance(a, N.VarRef) and a.name in decls \
-                        and isinstance(decls[a.name].ctype, ArrayType):
-                    at.add(a.name)
-        return at
-
     def base_const(self, var):
         return self.script.add_base(f"base${var}", "base")
 
@@ -594,10 +633,7 @@ class Encoder:
                     sort)
 
     def sort_of_safe(self, ctype):
-        try:
-            return self.sort_of(ctype)
-        except UnsupportedType:
-            return None
+        return self.layout.sort(ctype)
 
     def _reread_at_scalars(self):
         for v in self.at_scalars:
@@ -618,7 +654,10 @@ class Encoder:
 
     def encode_program(self):
         self.unconstrained(MEM, "Mem")
+        declared = self.declared
         for name, decl in self.prog.decls.items():
+            if declared is not None and name not in declared:
+                continue
             sort = self.sort_of_safe(decl.ctype)
             if sort is None:
                 continue
@@ -859,43 +898,33 @@ class Encoder:
             self.havoc_mem()
 
     def _store_precise(self, s):
-        d = self.prog.designators.get(
-            s.ptr.name if isinstance(s.ptr, N.VarRef) else None)
-        if d is not None and d[0] == "elem" and d[1] not in self.at_vars:
-            base = d[1]
-            decl = self.prog.decls.get(base)
-            if decl is not None and isinstance(decl.ctype, ArrayType) \
-                    and base in self.env:
-                i = self.atom_term(d[2])
-                esort = self.sort_of(decl.ctype.elem)
-                v = coerce(self.atom_term(s.value, esort), esort)
-                if v is None:
-                    raise _Unencodable("element sort mismatch")
-                arr = self.env[base]
-                self.bind(base, Term("store", (arr, i, v), arr.sort))
-                return
-        if d is not None and d[0] == "member" and d[1] not in self.at_vars:
-            base, fld = d[1], d[2]
-            decl = self.prog.decls.get(base)
-            if decl is not None and isinstance(decl.ctype, StructType) \
-                    and base in self.env:
-                sd = self.structs[decl.ctype.name]
-                fsort = self.sort_of(sd.member_type(fld))
-                v = coerce(self.atom_term(s.value, fsort), fsort)
-                if v is None:
-                    raise _Unencodable("member sort mismatch")
-                rec = self.env[base]
-                parts = tuple(
-                    v if m == fld else Term(f"{rec.sort}${m}", (rec,),
-                                            self.sort_of(t))
-                    for m, t in sd.members)
-                self.bind(base, Term(f"mk${sd.name}", parts, rec.sort))
-                return
-        # general case: a store through an address term
-        p = self.atom_term(s.ptr)
-        if p.sort != "Addr":
-            raise _Unencodable("store through non-address")
-        self.mem_store(p, self.atom_term(s.value))
+        base = self.layout.register_target(s)
+        if base is None:    # a store through an address term
+            p = self.atom_term(s.ptr)
+            if p.sort != "Addr":
+                raise _Unencodable("store through non-address")
+            self.mem_store(p, self.atom_term(s.value))
+            return
+        kind, _, sel = self.prog.designators[s.ptr.name]
+        ctype = self.prog.decls[base].ctype
+        old = self.env[base]
+        if kind == "elem":
+            i = self.atom_term(sel)
+            esort = self.sort_of(ctype.elem)
+            v = coerce(self.atom_term(s.value, esort), esort)
+            if v is None:
+                raise _Unencodable("element sort mismatch")
+            self.bind(base, Term("store", (old, i, v), old.sort))
+            return
+        sd = self.structs[ctype.name]
+        fsort = self.sort_of(sd.member_type(sel))
+        v = coerce(self.atom_term(s.value, fsort), fsort)
+        if v is None:
+            raise _Unencodable("member sort mismatch")
+        parts = tuple(
+            v if m == sel else Term(f"{old.sort}${m}", (old,), self.sort_of(t))
+            for m, t in sd.members)
+        self.bind(base, Term(f"mk${sd.name}", parts, old.sort))
 
     # -- branches -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ import pytest
 
 from invarc.cli import build_pipeline
 from invarc.diagnostics import SolverNotFound
-from invarc.encoder import nonzero
+from invarc.encoder import Encoder, nonzero
 from invarc.invariants import detect_invariants, emit_query, \
     enumerate_candidates
 from invarc import solver
@@ -51,11 +51,20 @@ def corpus_entry(name):
     return ENTRIES.get(name)
 
 
+def reference_encoding(ab):
+    """The encoding of the whole abstracted program `ab`: every statement,
+    every variable.  `encode_program` encodes only the slice that the
+    candidates read, and its `exit_env` has no `$result`."""
+    return Encoder(ab.program, ab.havocked).encode_program()
+
+
 def with_queries(source, entry, result_query=False):
     """The script of a program with one query block per candidate pair,
     named as the CLI names them; with `result_query`, one more query
-    reads the exit symbol of `$result`."""
+    reads the exit symbol of `$result`, in the reference encoding."""
     *_, ab, enc = build_pipeline(source, entry)
+    if result_query:
+        enc = reference_encoding(ab)
     for i, c in enumerate(enumerate_candidates(ab, enc)):
         emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
     if result_query:

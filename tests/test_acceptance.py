@@ -47,7 +47,8 @@ from invarc.pollution import (
 from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
-from conftest import CORPUS, ENTRIES, GOLDEN, corpus_entry, corpus_source
+from conftest import CORPUS, ENTRIES, GOLDEN, corpus_entry, corpus_source, \
+    reference_encoding
 from genprog import branchy_c, loopy_c, random_normalized, straightline_c
 from test_pollution import numpy_closure
 
@@ -126,11 +127,13 @@ def test_criterion_3_sum_false_negative(pipeline_cache, solver_cfg):
 
 # --- criterion 4: function-pointer dispatch --------------------------------
 
-def pin_queries(enc, either=False):
-    """Add the query that `r` at exit is not `EqualInt4`'s result on the
-    entry values of `x` and `y` and, with `either`, the query that the
-    pointer names one of the two functions while `r` is neither one's
-    result."""
+def pin_queries(ab, either=False):
+    """The reference encoding of `ab` with the query that `r` at exit is
+    not `EqualInt4`'s result on the entry values of `x` and `y` and, with
+    `either`, the query that the pointer names one of the two functions
+    while `r` is neither one's result.  `r` is a local: the encoding that
+    `build_pipeline` makes has no exit symbol for it."""
+    enc = reference_encoding(ab)
     ee, xe = enc.entry_env, enc.exit_env
     x, y, r = ee["x"].text, ee["y"].text, xe["r"].text
     eq = f"(= {r} (ite (= {x} {y}) 1 0))"
@@ -147,12 +150,12 @@ def pin_queries(enc, either=False):
 def test_criterion_4_dispatch(pipeline_cache, solver_cfg):
     t0 = time.monotonic()
 
-    *_, enc = pipeline_cache("fp_known.c")
-    out = run_solver(pin_queries(enc), solver_cfg)
+    *_, ab, _ = pipeline_cache("fp_known.c")
+    out = run_solver(pin_queries(ab), solver_cfg)
     assert out["pin"] == "unsat"    # statically known pointer: pinned
 
-    *_, enc2 = pipeline_cache("fp_unknown.c")
-    out2 = run_solver(pin_queries(enc2, either=True), solver_cfg)
+    *_, ab2, _ = pipeline_cache("fp_unknown.c")
+    out2 = run_solver(pin_queries(ab2, either=True), solver_cfg)
     assert out2["pin"] == "sat"     # input pointer: not pinned
     # With the pointer constrained to the two address-taken functions,
     # the result must match one of them.
@@ -165,8 +168,8 @@ def test_criterion_4_dispatch_without_a_solver():
     is not pinned, and none when the pointer is statically known."""
     refuted = {}
     for name in ("fp_known.c", "fp_unknown.c"):
-        *_, enc = build_pipeline(corpus_source(name), corpus_entry(name))
-        refuted[name] = set(refute_queries(pin_queries(enc)))
+        *_, ab, _ = build_pipeline(corpus_source(name), corpus_entry(name))
+        refuted[name] = set(refute_queries(pin_queries(ab)))
     assert refuted == {"fp_known.c": set(), "fp_unknown.c": {"pin"}}
 
 

@@ -12,8 +12,7 @@ import pytest
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
-from invarc.encoder import MEM, SolverScript, definition, encode_program, \
-    lit_int
+from invarc.encoder import MEM, SolverScript, definition, lit_int
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.normalize import to_simple_assignments
@@ -22,19 +21,19 @@ from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
 from conftest import CORPUS, GOLDEN, ROOT, corpus_entry, corpus_source, \
-    with_queries
+    reference_encoding, with_queries
 from genprog import fp_global_c, loopy_c
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.c"))
 
 
 def encode(src, entry):
+    """The reference encoding of `src`: every statement and variable."""
     ast = parse_translation_unit(src)
     report = classify_constructs(ast)
     prog = to_simple_assignments(ast, report, entry)
     _, _, polluted = analyze_pollution(prog, report)
-    ab = abstract_program(prog, polluted)
-    return encode_program(ab.program, ab.havocked)
+    return reference_encoding(abstract_program(prog, polluted))
 
 
 def solve(cfg, enc, queries):

@@ -16,7 +16,7 @@ from invarc.invariants import Candidate, build_candidates, emit_query, \
 from invarc.refute import refute_queries
 
 from conftest import ENTRIES, ROOT, corpus_entry, corpus_source, \
-    with_queries
+    reference_encoding, with_queries
 from genprog import loopy_c
 from test_smt_digests import digest_programs
 
@@ -60,8 +60,11 @@ def test_settled_queries_are_refuted_branch_loop(seed):
 def script_without(src, entry, settled, result_query):
     """The script of `src` from the candidates built without settlement,
     with the queries of the candidates at the indexes `settled` left
-    out."""
+    out; with `result_query`, in the reference encoding, with one more
+    query on the exit symbol of `$result`."""
     *_, ab, enc = build_pipeline(src, entry)
+    if result_query:
+        enc = reference_encoding(ab)
     for i, c in enumerate(build_candidates(ab, enc)):
         if i not in settled:
             emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
