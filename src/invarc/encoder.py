@@ -35,6 +35,37 @@ declared before it: `(= s t)`, or `(=> g (= s t))` for a division that
 is bound only when its divisor is nonzero.  `SolverScript` renders only
 the cone of influence of the queries, with the same solver answers as
 the whole script (the argument is in its docstring).
+
+`encode_program` builds no term that no candidate can read: it slices
+the program first (Weiser's program slicing; cone of influence
+reduction in model checking) and encodes only the slice.  A name is
+relevant when a candidate can compare its symbols, or a kept statement
+reads it:
+- every param and global is relevant (entry-exit candidates), and so is
+  every name written inside a loop: loop conditions are not encoded, so
+  a loop-written variable left out would keep its pre symbol at the
+  head and look invariant;
+- MEM and every address-taken scalar, which mirrors its cell, are
+  relevant as soon as one of them is;
+- a statement that writes a relevant name is kept, and the names its
+  encoding reads become relevant: MEM for a read of memory, a store's
+  array or struct and its index;
+- the names in the condition of each `if` around a kept statement
+  become relevant, once per `if`.
+Loops are always kept, so every loop record, and every candidate, stays.
+The memory layout (`MemoryLayout`) comes from the whole program: a
+variable whose `&` the slice drops still lives in memory.  Only the
+non-temporary names, the relevant names and the address-taken scalars
+are declared, in declaration order, so no symbol's number exceeds its
+number in the whole program's encoding.  A variable outside the slice
+keeps one symbol from entry on; it is written in no loop, so a loop
+record holds that symbol at all four points, which is all its
+candidates compare.  `exit_env` holds only the names the slice keeps
+exact: reading `$result` or a dropped local raises `KeyError`, never a
+stale symbol.  `Encoder(prog).encode_program()` encodes every statement
+and variable; the slice's script equals its script up to the numbers of
+the symbols and the base addresses of the variables and functions whose
+address only dropped statements take.
 """
 
 from __future__ import annotations
@@ -42,7 +73,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from itertools import islice
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -1086,6 +1117,203 @@ def encode_types(struct_defs, script):
         emit(sd)
 
 
+class _Slice:
+    """The statements of a program that can reach a candidate's symbols,
+    and the names they write: see the module docstring.  One pass over
+    the statements indexes their writes, one worklist pass over names
+    closes the criterion, and one more rebuilds the kept statements.
+    `work` counts statement visits, name pops and writer visits."""
+
+    def __init__(self, prog, layout):
+        self.layout = layout
+        # an address-taken scalar stands for MEM: one is relevant when
+        # the other is
+        self.canon = dict.fromkeys(layout.at_scalars, MEM)
+        self.writers = {}     # name -> simple statements that write it
+        self.enclosing = {}   # id of a statement -> innermost enclosing NIf
+        self.looped = set()   # names written inside a loop
+        self.loops = []
+        self.havocs = set()   # variables of every NHavoc
+        self.kept = set()     # ids of the kept simple statements and ifs
+        self.work = 0
+        self._index(prog.body, None, False)
+        self.relevant = self._close(prog)
+        if MEM in self.relevant:
+            self.relevant.update(layout.at_scalars)
+        self.program = replace(prog, body=self._rebuild(prog.body))
+
+    def _index(self, stmts, enclosing, in_loop):
+        self.work += len(stmts)
+        writers, canon, at = self.writers, self.canon, self.layout.at_vars
+        for s in stmts:
+            if enclosing is not None:
+                self.enclosing[id(s)] = enclosing
+            kind = type(s)
+            if kind is N.NAssign:      # the writes of each simple statement
+                writes = (s.lhs, MEM) if s.lhs in at else (s.lhs,)
+            elif kind is N.NStore:
+                writes = (self.layout.register_target(s) or MEM,)
+            elif kind is N.NIf:
+                self._index(s.then, s, in_loop)
+                self._index(s.els, s, in_loop)
+                continue
+            elif kind is N.NWhile:
+                self.loops.append(s)
+                self._index(s.body, enclosing, True)
+                continue
+            elif kind is N.NHavoc:
+                self.havocs.add(s.var)
+                writes = (s.var, MEM) if s.var in at else (s.var,)
+            elif kind is N.NUnmodelableCall:
+                writes = (s.lhs, MEM) if s.lhs else (MEM,)
+            else:
+                continue
+            for v in writes:
+                v = canon.get(v, v)
+                ws = writers.get(v)
+                if ws is None:
+                    writers[v] = [s]
+                elif ws[-1] is not s:
+                    ws.append(s)
+                if in_loop:
+                    self.looped.add(v)
+
+    def _reads(self, s):
+        """The names whose symbols the encoding of the simple statement
+        `s` can read."""
+        kind = type(s)
+        if kind is N.NAssign:
+            op, args = s.op, s.args
+            if op in ("addr", "member_addr", "funcaddr"):
+                return ()
+            if op == "elem_addr" and isinstance(args[0], N.VarRef) \
+                    and args[0].name in self.layout.at_vars:
+                args = args[1:]     # a cell address of a variable in memory
+            names = [a.name for a in args if isinstance(a, N.VarRef)]
+            if op == "deref" or op in ("member", "index") and \
+                    self._reads_memory(op, getattr(args[0], "name", None)):
+                names.append(MEM)
+            return names
+        if kind is N.NStore:
+            base = self.layout.register_target(s)
+            if base is None:
+                return [*N.atom_vars(s.ptr), *N.atom_vars(s.value), MEM]
+            _, _, sel = self.layout.designators[s.ptr.name]   # index or field
+            return [base, *N.atom_vars(sel), *N.atom_vars(s.value)]
+        return ()
+
+    def _reads_memory(self, op, name):
+        """Whether `member` or `index` of the variable `name` (None for
+        another operand) reads memory: it does but for a member of a
+        struct, or an element of an array, with a symbol of its own."""
+        if name is None or name in self.layout.at_vars:
+            return True
+        decl = self.layout.decls.get(name)
+        kind = StructType if op == "member" else ArrayType
+        return decl is None or not isinstance(decl.ctype, kind)
+
+    def _cond_reads(self, e, out):
+        """Append to `out` the names whose symbols the encoding of the
+        condition expression `e` can read.  A literal reads none, and the
+        encoder gives up on any other expression, encoding the whole
+        condition as a fresh guard."""
+        kind = type(e)
+        if kind is Name:
+            out.append(e.ident)
+        elif kind is Binary:
+            self._cond_reads(e.lhs, out)
+            self._cond_reads(e.rhs, out)
+        elif kind is Unary:
+            if e.op == "*":
+                out.append(MEM)
+            self._cond_reads(e.operand, out)
+        elif kind is Member:
+            if e.arrow or self._reads_memory(
+                    "member", getattr(e.obj, "ident", None)):
+                out.append(MEM)
+            self._cond_reads(e.obj, out)
+        elif kind is Index:
+            if self._reads_memory("index", getattr(e.arr, "ident", None)):
+                out.append(MEM)
+            self._cond_reads(e.arr, out)
+            self._cond_reads(e.index, out)
+
+    def _keep_ifs(self, f, todo):
+        """Keep the `if` statement `f` and every one around it, adding the
+        names that the conditions of the newly kept ones read to `todo`."""
+        canon, kept = self.canon, self.kept
+        while f is not None and id(f) not in kept:
+            kept.add(id(f))
+            if not isinstance(f.cond, N.NondetCond):
+                names = []
+                self._cond_reads(f.cond, names)
+                todo.extend([canon.get(v, v) for v in names])
+            f = self.enclosing.get(id(f))
+
+    def _close(self, prog):
+        canon, kept, writers = self.canon, self.kept, self.writers
+        enclosing = self.enclosing
+        todo = [canon.get(v, v) for v, d in prog.decls.items()
+                if d.kind in ("param", "global")]
+        todo += self.looped
+        for loop in self.loops:
+            self._keep_ifs(enclosing.get(id(loop)), todo)
+        relevant = set()
+        pops = visits = 0
+        while todo:
+            v = todo.pop()
+            pops += 1
+            if v in relevant:
+                continue
+            relevant.add(v)
+            for s in writers.get(v, ()):
+                visits += 1
+                if id(s) not in kept:
+                    kept.add(id(s))
+                    f = enclosing.get(id(s))
+                    if f is not None and id(f) not in kept:
+                        self._keep_ifs(f, todo)
+                    todo.extend([canon.get(r, r) for r in self._reads(s)])
+        self.work += pops + visits
+        return relevant
+
+    def _rebuild(self, stmts):
+        """The kept statements of `stmts`: the list itself when it keeps
+        them all unchanged."""
+        kept, out = self.kept, []
+        for s in stmts:
+            kind = type(s)
+            if kind is N.NWhile:
+                body = self._rebuild(s.body[:s.bend_at])
+                bend_at = len(body)
+                body += self._rebuild(s.body[s.bend_at:])
+                if len(body) < len(s.body) or any(
+                        a is not b for a, b in zip(body, s.body)):
+                    s = replace(s, body=body, bend_at=bend_at)
+            elif id(s) not in kept:
+                continue
+            elif kind is N.NIf:
+                then, els = self._rebuild(s.then), self._rebuild(s.els)
+                if then is not s.then or els is not s.els:
+                    s = replace(s, then=then, els=els)
+            out.append(s)
+        if len(out) == len(stmts) and all(
+                a is b for a, b in zip(out, stmts)):
+            return stmts
+        return out
+
+
 def encode_program(prog, havocked=None):
-    """Encode a normalized (usually abstracted) program; main entry."""
-    return Encoder(prog, havocked).encode_program()
+    """Encode the slice of a normalized (usually abstracted) program that
+    its candidates read, in the memory layout of the whole program; main
+    entry.  See the module docstring for what the encoding holds."""
+    layout = MemoryLayout(prog)
+    sl = _Slice(prog, layout)
+    declared = {v for v, d in prog.decls.items() if d.kind != "temp"}
+    declared |= sl.relevant
+    declared.update(layout.at_scalars)
+    enc = Encoder(sl.program, havocked, layout, declared).encode_program()
+    enc.exit_env = {v: t for v, t in enc.exit_env.items() if v in sl.relevant}
+    enc.havocked |= sl.havocs
+    enc.work += sl.work
+    return enc
