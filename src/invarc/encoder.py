@@ -529,6 +529,21 @@ class MemoryLayout:
                     at.add(a.name)
         return at
 
+    def writes(self, s):
+        """The names that the encoding of the statement `s` can bind, not
+        counting those of the statements it holds.  Assigning a variable
+        in memory writes its cell, and a store writes memory unless it
+        updates an array or struct with a symbol of its own."""
+        kind = type(s)
+        if kind is N.NAssign or kind is N.NHavoc:
+            v = s.lhs if kind is N.NAssign else s.var
+            return (v, MEM) if v in self.at_vars else (v,)
+        if kind is N.NStore:
+            return (self.register_target(s) or MEM,)
+        if kind is N.NUnmodelableCall:
+            return (s.lhs, MEM) if s.lhs else (MEM,)
+        return ()
+
     def register_target(self, s):
         """The array or struct variable with a symbol of its own that the
         store `s` updates in place, or None for a store into memory."""
@@ -1051,22 +1066,7 @@ class Encoder:
     def modified_vars(self, stmts):
         out = set()
         for s in N.walk_stmts(stmts):
-            if isinstance(s, N.NAssign):
-                out.add(s.lhs)
-            elif isinstance(s, N.NHavoc):
-                out.add(s.var)
-            elif isinstance(s, N.NUnmodelableCall):
-                if s.lhs:
-                    out.add(s.lhs)
-                out.add(MEM)
-            elif isinstance(s, N.NStore):
-                d = self.prog.designators.get(
-                    s.ptr.name if isinstance(s.ptr, N.VarRef) else None)
-                if d is not None and d[0] in ("elem", "member") \
-                        and d[1] not in self.at_vars:
-                    out.add(d[1])
-                else:
-                    out.add(MEM)
+            out.update(self.layout.writes(s))
         if MEM in out:
             out.update(self.at_scalars)
         return {v for v in out if v in self.env or v == MEM}
@@ -1144,31 +1144,21 @@ class _Slice:
 
     def _index(self, stmts, enclosing, in_loop):
         self.work += len(stmts)
-        writers, canon, at = self.writers, self.canon, self.layout.at_vars
+        writers, canon = self.writers, self.canon
         for s in stmts:
             if enclosing is not None:
                 self.enclosing[id(s)] = enclosing
-            kind = type(s)
-            if kind is N.NAssign:      # the writes of each simple statement
-                writes = (s.lhs, MEM) if s.lhs in at else (s.lhs,)
-            elif kind is N.NStore:
-                writes = (self.layout.register_target(s) or MEM,)
-            elif kind is N.NIf:
+            if isinstance(s, N.NIf):
                 self._index(s.then, s, in_loop)
                 self._index(s.els, s, in_loop)
                 continue
-            elif kind is N.NWhile:
+            if isinstance(s, N.NWhile):
                 self.loops.append(s)
                 self._index(s.body, enclosing, True)
                 continue
-            elif kind is N.NHavoc:
+            if isinstance(s, N.NHavoc):
                 self.havocs.add(s.var)
-                writes = (s.var, MEM) if s.var in at else (s.var,)
-            elif kind is N.NUnmodelableCall:
-                writes = (s.lhs, MEM) if s.lhs else (MEM,)
-            else:
-                continue
-            for v in writes:
+            for v in self.layout.writes(s):
                 v = canon.get(v, v)
                 ws = writers.get(v)
                 if ws is None:

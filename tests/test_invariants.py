@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline, check_oracle
 from invarc.diagnostics import EncodeError, UnknownSymbol
-from invarc.encoder import SolverScript, definition, encode_program, \
+from invarc.encoder import MEM, SolverScript, definition, encode_program, \
     leaves
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
@@ -297,3 +297,31 @@ def test_fp_targets_writing_globals_are_never_refuted(discovered, seed):
     rep = detect_invariants(ab, enc, lambda: discovered[0])
     oracle = check_oracle(ast, prog.entry, enc, rep, (-2, 2))
     assert oracle["violations"] == [], oracle["violations"]
+
+
+# a loop that writes memory without a store through a plain pointer
+LOOPS_WRITING_MEMORY = {
+    # assigning an address-taken variable writes its cell
+    "address-taken": ("int f(int n) { int x = n; int *p = &x; int i = 0;\n"
+                      "  while (i < 2) { x = x + 1; i = i + 1; }\n"
+                      "  n = *p; return 0; }\n", "n"),
+    # `p[0] = v` through a pointer is a store into memory
+    "pointer-index": ("int g;\n"
+                      "int f(int n) { int *p = &g; int i = 0;\n"
+                      "  while (i < n) { p[0] = g + 1; i = i + 1; }\n"
+                      "  return 0; }\n", "g"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LOOPS_WRITING_MEMORY))
+def test_a_loop_that_writes_memory_modifies_it(label):
+    """Memory is among the names the loop modifies, so its writes reach
+    the exit, and the variable read back from memory after the loop is
+    refuted, not proved, to keep its entry value."""
+    src, var = LOOPS_WRITING_MEMORY[label]
+    *_, ab, enc = build_pipeline(src, "f")
+    (lr,) = enc.loops
+    assert MEM in lr.modified
+    report = detect_invariants(ab, enc, lambda: None)
+    assert not report.undecided
+    assert verdict_map(report)[(var, "entry-exit")] == "unknown"
