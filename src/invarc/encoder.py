@@ -678,9 +678,6 @@ class Encoder:
         return Term("select", (_mem_array(self.mem(), sort), addr_term),
                     sort)
 
-    def sort_of_safe(self, ctype):
-        return self.layout.sort(ctype)
-
     def _reread_at_scalars(self):
         for v in self.at_scalars:
             if v in self.havocked:
@@ -704,7 +701,7 @@ class Encoder:
         for name, decl in self.prog.decls.items():
             if declared is not None and name not in declared:
                 continue
-            sort = self.sort_of_safe(decl.ctype)
+            sort = self.layout.sort(decl.ctype)
             if sort is None:
                 continue
             self.sorts[name] = sort
@@ -885,7 +882,7 @@ class Encoder:
                 return Term("select", (a, i), self.sort_of(decl.ctype.elem))
             if decl is not None and isinstance(decl.ctype, ArrayType):
                 # memory-resident array: cells at (base, i)
-                sort = self.sort_of_safe(decl.ctype.elem)
+                sort = self.layout.sort(decl.ctype.elem)
                 if sort not in ("Int", "Real", "Addr"):
                     raise _Unencodable("array elements not memory-resident")
                 return self.mem_select(self.cell(arr.name, i), sort)
@@ -930,7 +927,7 @@ class Encoder:
     def _member_cell(self, sd, fld):
         """The cell offset and the sort of the scalar member `fld` of the
         struct `sd`, laid out one member per cell."""
-        sort = self.sort_of_safe(sd.member_type(fld))
+        sort = self.layout.sort(sd.member_type(fld))
         if sort not in _MEM_FIELD:
             raise _Unencodable("member not memory-resident")
         return lit_int(sd.member_ordinal(fld)), sort
@@ -1017,7 +1014,7 @@ class Encoder:
                 p = self.expr_term(e.operand)
                 if p.sort != "Addr":
                     raise _Unencodable("deref of non-address")
-                sort = self.sort_of_safe(getattr(e, "ctype", None)) or "Int"
+                sort = self.layout.sort(getattr(e, "ctype", None)) or "Int"
                 return self.mem_select(p, sort)
         if isinstance(e, Binary):
             if e.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
@@ -1034,7 +1031,7 @@ class Encoder:
             if e.arrow and isinstance(e.obj, Name):
                 addr = self._member_via_ptr(self.expr_term(e.obj),
                                             N.VarRef(e.obj.ident), e.name)
-                sort = self.sort_of_safe(getattr(e, "ctype", None)) or "Int"
+                sort = self.layout.sort(getattr(e, "ctype", None)) or "Int"
                 return self.mem_select(addr, sort)
         if isinstance(e, Index):
             if isinstance(e.arr, Name):
@@ -1045,7 +1042,7 @@ class Encoder:
                     fake_i = N.Lit(e.index.value, "int")
                 else:
                     raise _Unencodable("complex index in condition")
-                sort = self.sort_of_safe(getattr(e, "ctype", None)) or "Int"
+                sort = self.layout.sort(getattr(e, "ctype", None)) or "Int"
                 return self.index_term(fake_arr, fake_i, sort)
         raise _Unencodable(f"expression {type(e).__name__} in condition")
 
@@ -1204,9 +1201,9 @@ class _Slice:
 
     def _cond_reads(self, e, out):
         """Append to `out` the names whose symbols the encoding of the
-        condition expression `e` can read.  A literal reads none, and the
-        encoder gives up on any other expression, encoding the whole
-        condition as a fresh guard."""
+        branch condition `e` can read.  A literal or a NondetCond reads
+        none, and the encoder gives up on any other expression, encoding
+        the whole condition as a fresh guard."""
         kind = type(e)
         if kind is Name:
             out.append(e.ident)
@@ -1229,15 +1226,15 @@ class _Slice:
             self._cond_reads(e.index, out)
 
     def _keep_ifs(self, f, todo):
-        """Keep the `if` statement `f` and every one around it, adding the
-        names that the conditions of the newly kept ones read to `todo`."""
+        """Keep the `if` statement `f`, if any, and every one around it,
+        adding the names that the conditions of the newly kept ones read
+        to `todo`."""
         canon, kept = self.canon, self.kept
         while f is not None and id(f) not in kept:
             kept.add(id(f))
-            if not isinstance(f.cond, N.NondetCond):
-                names = []
-                self._cond_reads(f.cond, names)
-                todo.extend([canon.get(v, v) for v in names])
+            names = []
+            self._cond_reads(f.cond, names)
+            todo.extend([canon.get(v, v) for v in names])
             f = self.enclosing.get(id(f))
 
     def _close(self, prog):
@@ -1260,36 +1257,24 @@ class _Slice:
                 visits += 1
                 if id(s) not in kept:
                     kept.add(id(s))
-                    f = enclosing.get(id(s))
-                    if f is not None and id(f) not in kept:
-                        self._keep_ifs(f, todo)
+                    self._keep_ifs(enclosing.get(id(s)), todo)
                     todo.extend([canon.get(r, r) for r in self._reads(s)])
         self.work += pops + visits
         return relevant
 
     def _rebuild(self, stmts):
-        """The kept statements of `stmts`: the list itself when it keeps
-        them all unchanged."""
-        kept, out = self.kept, []
+        out = []
         for s in stmts:
-            kind = type(s)
-            if kind is N.NWhile:
+            if isinstance(s, N.NWhile):
                 body = self._rebuild(s.body[:s.bend_at])
                 bend_at = len(body)
                 body += self._rebuild(s.body[s.bend_at:])
-                if len(body) < len(s.body) or any(
-                        a is not b for a, b in zip(body, s.body)):
-                    s = replace(s, body=body, bend_at=bend_at)
-            elif id(s) not in kept:
-                continue
-            elif kind is N.NIf:
-                then, els = self._rebuild(s.then), self._rebuild(s.els)
-                if then is not s.then or els is not s.els:
-                    s = replace(s, then=then, els=els)
-            out.append(s)
-        if len(out) == len(stmts) and all(
-                a is b for a, b in zip(out, stmts)):
-            return stmts
+                out.append(replace(s, body=body, bend_at=bend_at))
+            elif id(s) in self.kept:
+                if isinstance(s, N.NIf):
+                    s = replace(s, then=self._rebuild(s.then),
+                                els=self._rebuild(s.els))
+                out.append(s)
         return out
 
 

@@ -171,10 +171,11 @@ def _perfbench_workloads():
     ("straight_line_c", "sl", (100, 200, 400, 800)),
 ])
 def test_encoder_work_grows_linearly(generator, entry, sizes):
-    """Env entries copied into snapshots, plus names visited by merges,
-    at most 2.3 times per doubling of the program: an encoder that
-    copies its whole environment per statement or per branch grows
-    about 4 times."""
+    """Env entries copied into snapshots, names visited by merges, and
+    the slicer's statement visits, name pops and writer visits, at most
+    2.3 times per doubling of the program: an encoder that copies its
+    whole environment per statement or per branch, or a slicer that
+    rescans every statement until nothing changes, grows faster."""
     make = getattr(_perfbench_workloads(), generator)
     work = [build_pipeline(make(1, n), entry)[-1].work for n in sizes]
     for n, a, b in zip(sizes, work, work[1:]):
