@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import InconsistentInput
-from .frontend.ast import ExprStmt, FunctionDef, Name
-from .frontend.classify import walk_exprs
 from . import normalize as N
 from .pollution import build_dependency_graph, propagate, _store_bases
 
@@ -25,17 +23,6 @@ class AbstractProgram:
     havocked: set = field(default_factory=set)
     removed_stmts: list = field(default_factory=list)      # spans
     nondet_conditions: list = field(default_factory=list)  # spans
-
-
-def expr_vars(e):
-    """The variable names an AST expression (a condition) reads."""
-    out = set()
-
-    def visit(x):
-        if isinstance(x, Name) and not isinstance(x.decl, FunctionDef):
-            out.add(x.ident)
-    walk_exprs(ExprStmt(expr=e), visit)
-    return out
 
 
 def _atom_polluted(a, polluted):
@@ -103,9 +90,7 @@ class _Abstractor:
         return s
 
     def cond(self, c, span):
-        if isinstance(c, N.NondetCond):
-            return c
-        if expr_vars(c) & self.polluted:
+        if any(v in self.polluted for v in N.cond_vars(c)):
             self.nondet.append(span)
             return N.NondetCond(origin_span=span)
         return c

@@ -50,8 +50,10 @@ reads it:
 - a statement that writes a relevant name is kept, and the names its
   encoding reads become relevant: MEM for a read of memory, a store's
   array or struct and its index;
-- the names in the condition of each `if` around a kept statement
-  become relevant, once per `if`.
+- the variables of the condition of each `if` around a kept statement
+  become relevant, once per `if`.  A condition compares atoms, so the
+  statements before the `if` that compute its operands are kept as any
+  other statement is.
 Loops are always kept, so every loop record, and every candidate, stays.
 The memory layout (`MemoryLayout`) comes from the whole program: a
 variable whose `&` the slice drops still lives in memory.  Only the
@@ -79,8 +81,7 @@ from typing import NamedTuple
 
 from .diagnostics import EncodeError, UnsupportedOperator, UnsupportedType
 from .frontend.ast import (
-    ArrayType, Binary, DoubleType, Index, IntLit, FloatLit, Member, Name,
-    NullLit, PointerType, StructType, Unary, VOID,
+    ArrayType, DoubleType, PointerType, StructType, VOID,
 )
 from . import normalize as N
 
@@ -799,7 +800,7 @@ class Encoder:
                 raise _Unencodable("deref of non-address")
             return self.mem_select(p, want_sort)
         if op == "member":
-            return self.member_term(s.args[0], s.fld, want_sort)
+            return self.member_term(s.args[0], s.fld)
         if op == "index":
             return self.index_term(s.args[0], s.args[1], want_sort)
         if op == "addr":
@@ -852,7 +853,7 @@ class Encoder:
         self.script.define(sym, value, guard=nonzero(divisor))
         return sym
 
-    def member_term(self, a, fld, want_sort):
+    def member_term(self, a, fld):
         if not isinstance(a, N.VarRef):
             raise _Unencodable("member of literal")
         name = a.name
@@ -972,79 +973,15 @@ class Encoder:
     # -- branches -----------------------------------------------------------
 
     def cond_term(self, c):
-        """Encode a branch condition to a Bool term, or None for nondet."""
+        """The Bool term of a branch condition, or None for a NondetCond
+        or a condition that cannot be encoded."""
         if isinstance(c, N.NondetCond):
             return None
         try:
-            return self.expr_bool(c)
+            args = [self.atom_term(a) for a in c.args]
+            return nonzero(*args) if c.op == "nonzero" else binary(c.op, *args)
         except _Unencodable:
             return None
-
-    def expr_bool(self, e):
-        if isinstance(e, Binary) and e.op in ("<", "<=", ">", ">=", "==",
-                                              "!="):
-            return binary(e.op, self.expr_term(e.lhs), self.expr_term(e.rhs))
-        if isinstance(e, Binary) and e.op in ("&&", "||"):
-            fn = "and" if e.op == "&&" else "or"
-            return Term(fn, (self.expr_bool(e.lhs), self.expr_bool(e.rhs)),
-                        "Bool")
-        if isinstance(e, Unary) and e.op == "!":
-            return Term("not", (self.expr_bool(e.operand),), "Bool")
-        return nonzero(self.expr_term(e))
-
-    def expr_term(self, e):
-        """Terms for the renamed AST expressions kept in conditions."""
-        if isinstance(e, IntLit):
-            return lit_int(e.value)
-        if isinstance(e, FloatLit):
-            return lit_real(e.value)
-        if isinstance(e, NullLit):
-            return NULL_ADDR
-        if isinstance(e, Name):
-            if e.ident not in self.env:
-                raise _Unencodable(f"{e.ident} untracked")
-            return self.env[e.ident]
-        if isinstance(e, Unary):
-            if e.op == "-":
-                t = self.expr_term(e.operand)
-                return Term("-", (t,), t.sort)
-            if e.op == "!":
-                return ite(self.expr_bool(e.operand), ZERO, ONE)
-            if e.op == "*":
-                p = self.expr_term(e.operand)
-                if p.sort != "Addr":
-                    raise _Unencodable("deref of non-address")
-                sort = self.layout.sort(getattr(e, "ctype", None)) or "Int"
-                return self.mem_select(p, sort)
-        if isinstance(e, Binary):
-            if e.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
-                return ite(self.expr_bool(e), ONE, ZERO)
-            a = self.expr_term(e.lhs)
-            b = self.expr_term(e.rhs)
-            if e.op in ("+", "-", "*"):
-                return binary(e.op, a, b)
-            raise _Unencodable(f"operator {e.op} in condition")
-        if isinstance(e, Member):
-            if not e.arrow and isinstance(e.obj, Name):
-                fake = N.VarRef(e.obj.ident)
-                return self.member_term(fake, e.name, None)
-            if e.arrow and isinstance(e.obj, Name):
-                addr = self._member_via_ptr(self.expr_term(e.obj),
-                                            N.VarRef(e.obj.ident), e.name)
-                sort = self.layout.sort(getattr(e, "ctype", None)) or "Int"
-                return self.mem_select(addr, sort)
-        if isinstance(e, Index):
-            if isinstance(e.arr, Name):
-                fake_arr = N.VarRef(e.arr.ident)
-                if isinstance(e.index, Name):
-                    fake_i = N.VarRef(e.index.ident)
-                elif isinstance(e.index, IntLit):
-                    fake_i = N.Lit(e.index.value, "int")
-                else:
-                    raise _Unencodable("complex index in condition")
-                sort = self.layout.sort(getattr(e, "ctype", None)) or "Int"
-                return self.index_term(fake_arr, fake_i, sort)
-        raise _Unencodable(f"expression {type(e).__name__} in condition")
 
     def encode_branch(self, s):
         cond = self.cond_term(s.cond)
@@ -1199,32 +1136,6 @@ class _Slice:
         kind = StructType if op == "member" else ArrayType
         return decl is None or not isinstance(decl.ctype, kind)
 
-    def _cond_reads(self, e, out):
-        """Append to `out` the names whose symbols the encoding of the
-        branch condition `e` can read.  A literal or a NondetCond reads
-        none, and the encoder gives up on any other expression, encoding
-        the whole condition as a fresh guard."""
-        kind = type(e)
-        if kind is Name:
-            out.append(e.ident)
-        elif kind is Binary:
-            self._cond_reads(e.lhs, out)
-            self._cond_reads(e.rhs, out)
-        elif kind is Unary:
-            if e.op == "*":
-                out.append(MEM)
-            self._cond_reads(e.operand, out)
-        elif kind is Member:
-            if e.arrow or self._reads_memory(
-                    "member", getattr(e.obj, "ident", None)):
-                out.append(MEM)
-            self._cond_reads(e.obj, out)
-        elif kind is Index:
-            if self._reads_memory("index", getattr(e.arr, "ident", None)):
-                out.append(MEM)
-            self._cond_reads(e.arr, out)
-            self._cond_reads(e.index, out)
-
     def _keep_ifs(self, f, todo):
         """Keep the `if` statement `f`, if any, and every one around it,
         adding the names that the conditions of the newly kept ones read
@@ -1232,9 +1143,7 @@ class _Slice:
         canon, kept = self.canon, self.kept
         while f is not None and id(f) not in kept:
             kept.add(id(f))
-            names = []
-            self._cond_reads(f.cond, names)
-            todo.extend([canon.get(v, v) for v in names])
+            todo.extend([canon.get(v, v) for v in N.cond_vars(f.cond)])
             f = self.enclosing.get(id(f))
 
     def _close(self, prog):

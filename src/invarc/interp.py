@@ -3,9 +3,9 @@
 Two execution engines share one value model:
 
   * SourceInterp runs a typechecked Ast (real calls, real aliasing).
-  * NormInterp runs a NormalizedProgram (simple statements; supports havoc
-    and nondet-condition resolvers so abstract programs can be replayed
-    against a recorded source execution).
+  * NormInterp runs a NormalizedProgram (simple statements and atom
+    conditions; a havoc resolver supplies the values of Havoc statements,
+    and a nondeterministic condition is false).
 
 Value model: mathematical integers for int/long, exact rationals for
 double (matching the real-arithmetic encoding), structs as dicts of cells,
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .diagnostics import StepBudgetExceeded
 from .frontend.ast import (
-    ArrayType, AssignStmt, Binary, BoolType, Call, CompoundStmt, DeclStmt,
+    ArrayType, AssignStmt, Binary, Call, CompoundStmt, DeclStmt,
     DoubleType, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, Index,
     IntLit, Member, Name, NullLit, PointerType, ReturnStmt, StructType,
     Unary, VOID, WhileStmt,
@@ -155,12 +155,14 @@ def apply_binop(op, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Shared expression evaluation (used by both engines)
+# Expression evaluation
 
 
 class _ExprMixin:
-    """Requires self.lookup(name) -> Cell, self.structs, self.steps and
-    self.budget."""
+    """Evaluation of AST expressions, for SourceInterp; NormInterp, whose
+    statements and conditions hold only atoms, uses only `tick` and
+    `store`.  Requires self.lookup(name) -> Cell, self.structs, self.steps
+    and self.budget."""
 
     def tick(self):
         self.steps += 1
@@ -526,13 +528,12 @@ def run_source(ast, entry, args, budget=200_000, record_points=False):
 class NormInterp(_ExprMixin):
     """Executes a NormalizedProgram (or AbstractProgram body).
 
-    ``havoc_value`` supplies values for Havoc statements; ``nondet`` maps a
-    NondetCond occurrence (by position order) to a branch outcome.  Both
-    default to deterministic stand-ins so plain normalized programs run
-    without them.
+    ``havoc_value`` supplies values for Havoc statements; it defaults to a
+    deterministic stand-in so plain normalized programs run without it.
+    A NondetCond is false.
     """
 
-    def __init__(self, prog, budget=200_000, havoc_value=None, nondet=None):
+    def __init__(self, prog, budget=200_000, havoc_value=None):
         self.prog = prog
         self.structs = {sd.name: sd for sd in prog.ast.struct_defs} \
             if prog.ast is not None else {}
@@ -540,31 +541,21 @@ class NormInterp(_ExprMixin):
         self.steps = 0
         self.env = {}
         self.loop_events = []
-        self.point_values = []
         self.havoc_value = havoc_value or (lambda var, ctype: 7777)
-        self.nondet = nondet or (lambda uid: False)
-        self.frames = [[self.env]]
 
-    def lookup(self, name):
-        if name not in self.env:
-            raise InterpError(f"unbound variable {name!r}")
-        return self.env[name]
-
-    def run(self, args=None, record_points=False):
+    def run(self, args=None):
         args = args or {}
-        self.record_points = record_points
         for name, decl in self.prog.decls.items():
             self.env[name] = Cell(default_value(decl.ctype, self.structs))
         for name, v in args.items():
             self.store(self.env[name], copy_value(v),
                        self.prog.decls[name].ctype)
         entry_values = self.scalar_snapshot()
-        self.exec_list(self.prog.body, top=True)
+        self.exec_list(self.prog.body)
         finals = self.scalar_snapshot()
         ret = self.env[self.prog.ret_var].value if self.prog.ret_var else None
         return RunResult(ret=ret, finals=finals, entry_values=entry_values,
-                         loop_events=self.loop_events,
-                         point_values=self.point_values)
+                         loop_events=self.loop_events)
 
     def scalar_snapshot(self):
         return {name: cell.value for name, cell in self.env.items()
@@ -580,11 +571,9 @@ class NormInterp(_ExprMixin):
             return PtrVal(tuple(v), 0)
         return v
 
-    def exec_list(self, stmts, top=False):
+    def exec_list(self, stmts):
         for s in stmts:
             self.exec_n(s)
-            if top and self.record_points:
-                self.point_values.append((s.span, self.scalar_snapshot()))
 
     def exec_n(self, s):
         self.tick()
@@ -625,9 +614,13 @@ class NormInterp(_ExprMixin):
             raise InterpError(f"cannot execute {type(s).__name__}")
 
     def cond_value(self, c):
+        self.tick()
         if isinstance(c, N.NondetCond):
-            return bool(self.nondet(c))
-        return truthy(self.eval(c))
+            return False
+        args = [self.atom_value(a) for a in c.args]
+        if c.op == "nonzero":
+            return truthy(args[0])
+        return bool(apply_binop(c.op, *args))
 
     def exec_loop(self, s):
         key = s.span
@@ -708,7 +701,5 @@ class NormInterp(_ExprMixin):
         raise InterpError(f"unknown op {op!r}")
 
 
-def run_normalized(prog, args=None, budget=200_000, havoc_value=None,
-                   nondet=None, record_points=False):
-    return NormInterp(prog, budget, havoc_value, nondet).run(
-        args, record_points=record_points)
+def run_normalized(prog, args=None, budget=200_000, havoc_value=None):
+    return NormInterp(prog, budget, havoc_value).run(args)

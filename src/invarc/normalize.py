@@ -9,8 +9,15 @@ every assignment leaf is one of:
     *x = y1            (store through a pointer-valued variable)
 
 plus the bookkeeping kinds Havoc, UnmodelableCall and Nop.
-Branch and loop conditions stay as (call-free) expressions; they contribute
-no dependency edges downstream.
+A branch or loop condition is an `NCond`: a comparison of two atoms, or
+the truth (`nonzero`) of one.  Any other operand is computed into a
+temporary by statements before the `if` or the loop, which a loop runs
+again at the end of its body, after `bend_at`; like every assignment,
+they add dependency edges.  A negated literal stays a literal, and `p->f`
+is read through the member's address (`pmember_addr`, then `deref`).
+Both operands of `&&` and `||` are evaluated, as a call in a condition
+is: an operand that C's short circuit would skip (`a[i]` in
+`i < n && a[i] > 0`) can trap in the normalized program.
 
 Calls are inlined.  A call through a function pointer becomes a chain of
 `if`s, one arm per possible target (`SubsetReport.fp_targets`), each
@@ -30,7 +37,7 @@ conservative.
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import (
     InlineDepthExceeded, NormalizeError, Span, UnsupportedExpression,
@@ -39,11 +46,11 @@ from .frontend.ast import (
     AssignStmt, Binary, BOOL, Call, CompoundStmt, DeclStmt, Expr,
     ExprStmt, FloatLit, FunctionDef, IfStmt, Index, INT, IntLit, Member,
     Name, NullLit, PointerType, ReturnStmt, StructType, Unary, WhileStmt,
-    expr_text, VOID,
+    VOID,
 )
 
-BINARY_OPS = {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
-              "&&", "||"}
+COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+BINARY_OPS = {"+", "-", "*", "/", "%", *COMPARISONS, "&&", "||"}
 ADDR_OPS = {"addr", "elem_addr", "member_addr", "pmember_addr", "funcaddr"}
 MAX_INLINE_DEPTH = 32   # nested calls inlined into one another
 
@@ -119,9 +126,29 @@ class NNop:
     uid: int = 0
 
 
+@dataclass(frozen=True)
+class NCond:
+    """A branch or loop condition: `op`, one of COMPARISONS, of two
+    atoms, or `nonzero`, the truth of one atom."""
+    op: str
+    args: tuple
+
+    def __str__(self):
+        if self.op == "nonzero":
+            return str(self.args[0])
+        return f"{self.args[0]} {self.op} {self.args[1]}"
+
+
+def cond_vars(c):
+    """The variables the condition `c` reads; a NondetCond reads none."""
+    if isinstance(c, NondetCond):
+        return []
+    return [v for a in c.args for v in atom_vars(a)]
+
+
 @dataclass
 class NIf:
-    cond: object       # Expr, or NondetCond after abstraction
+    cond: object       # NCond, or NondetCond after abstraction
     then: list = field(default_factory=list)
     els: list = field(default_factory=list)
     span: Span = None
@@ -132,7 +159,7 @@ class NIf:
 class NWhile:
     """A loop.  Its body ends at `bend_at`, by default after its last
     statement: the statements after it re-evaluate the calls hoisted out
-    of the condition."""
+    of the condition and the condition's operands."""
     cond: object
     body: list = field(default_factory=list)
     span: Span = None
@@ -597,14 +624,17 @@ class Lowerer:
         if isinstance(s, AssignStmt):
             return self.lower_assign(s)
         if isinstance(s, IfStmt):
+            out = []
+            cond = self.cond(s.cond, out)
             then = self.lower_block(s.then.stmts if isinstance(s.then, CompoundStmt)
                                     else [s.then])
             els = []
             if s.els is not None:
                 els = self.lower_block(s.els.stmts if isinstance(s.els, CompoundStmt)
                                        else [s.els])
-            return [NIf(cond=s.cond, then=then, els=els, span=s.span,
-                        uid=self.next_uid())]
+            out.append(NIf(cond=cond, then=then, els=els, span=s.span,
+                           uid=self.next_uid()))
+            return out
         if isinstance(s, WhileStmt):
             self.loop_id += 1
             lid = self.loop_id
@@ -613,8 +643,12 @@ class Lowerer:
             body = self.lower_block(stmts[:cut])
             bend_at = len(body)
             body += self.lower_block(stmts[cut:])
-            return [NWhile(cond=s.cond, body=body, span=s.span,
-                           uid=self.next_uid(), loop_id=lid, bend_at=bend_at)]
+            out = []
+            cond = self.cond(s.cond, out)
+            body += [replace(x, uid=self.next_uid()) for x in out]
+            out.append(NWhile(cond=cond, body=body, span=s.span,
+                              uid=self.next_uid(), loop_id=lid, bend_at=bend_at))
+            return out
         if isinstance(s, _UCallStmt):
             out = []
             atoms = [self.atom(a, out) for a in s.args]
@@ -769,6 +803,38 @@ class Lowerer:
     def _find_item(self, span):
         return None if span is None else self.report.item_at(span)
 
+    # -- conditions ----------------------------------------------------------
+
+    def cond(self, e, out):
+        """The NCond of the condition `e`; the statements that compute its
+        operands are appended to `out`."""
+        if isinstance(e, Binary) and e.op in COMPARISONS:
+            return NCond(e.op, (self.operand(e.lhs, out),
+                                self.operand(e.rhs, out)))
+        return NCond("nonzero", (self.operand(e, out),))
+
+    def operand(self, e, out):
+        """The atom of an operand of a condition.  A negated literal is a
+        literal, and `p->f` is read through the address of the member."""
+        if isinstance(e, Unary) and e.op == "-" \
+                and isinstance(e.operand, (IntLit, FloatLit)):
+            lit = self.atom(e.operand, out)
+            return Lit(-lit.value, lit.kind)
+        if isinstance(e, Member) and e.arrow:
+            p = self.atom(e.obj, out)
+            if not isinstance(p, VarRef):
+                raise UnsupportedExpression("member read needs a named base",
+                                            e.span)
+            pt = self.fresh("p", PointerType(e.ctype), e.span)
+            out.append(NAssign(lhs=pt, op="pmember_addr", args=[p], fld=e.name,
+                               span=e.span, uid=self.next_uid()))
+            self.designators[pt] = ("pmember", p.name, e.name)
+            t = self.fresh("t", e.ctype, e.span)
+            out.append(NAssign(lhs=t, op="deref", args=[VarRef(pt)],
+                               span=e.span, uid=self.next_uid()))
+            return VarRef(t)
+        return self.atom(e, out)
+
     # -- atoms ---------------------------------------------------------------
 
     def atom(self, e, out):
@@ -871,4 +937,4 @@ def program_text(prog_or_body, indent=0):
 def cond_text(c):
     if isinstance(c, NondetCond):
         return "nondet()"
-    return expr_text(c)
+    return str(c)

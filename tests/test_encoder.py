@@ -88,6 +88,39 @@ def test_zero_compared_with_a_pointer_encodes_as_null():
     assert "(mk-addr 0 0)" in scripts[0]
 
 
+BRANCH_ON = ("struct S {{ int f; }};\n"
+             "int f(struct S *p, int *q, int a, int b) {{\n"
+             "  struct S s; s.f = a; int arr[2]; arr[0] = a; arr[1] = b;\n"
+             "  int i = b; int r = 0; if ({}) {{ r = 1; }} return r; }}")
+
+
+def branch_condition(cond):
+    """The Bool term on which `r` merges after `if (cond)`, and each
+    symbol defined in the script mapped to its guard and value."""
+    enc = encode(BRANCH_ON.format(cond), "f")
+    defs = {sym.op: (guard, value) for sym, guard, value in
+            (definition(t) for t in enc.script.main if t.args)}
+    merged = defs[enc.exit_env["r"].op][1]
+    assert merged.op == "ite"
+    return merged.args[0], defs
+
+
+@pytest.mark.parametrize("cond", ["p->f > 0", "s.f > 0", "arr[i] > 0",
+                                  "*q > 0", "a / b > 3"])
+def test_a_condition_reads_defined_symbols(cond):
+    """A condition over memory, a member, an element or a quotient is
+    encoded, not replaced by a fresh guard: each symbol it reads has a
+    definition.  A quotient is bound only where its divisor is not 0."""
+    term, defs = branch_condition(cond)
+    assert term.sort == "Bool" and term.args
+    symbols = [x for x in term.args if "@" in x.op]
+    assert symbols and all(x.op in defs for x in symbols)
+    if "/" in cond:
+        (quotient,) = [defs[defs[x.op][1].op] for x in symbols]
+        guard, value = quotient
+        assert guard is not None and value.op == "cdiv"
+
+
 def test_ssa_single_assignment():
     enc = query_result(encode("int f(int a) { int x = a; x = x + 1;"
                               " x = x * 2; return x; }", "f"))

@@ -199,3 +199,55 @@ def test_condition_calls_do_not_run_after_an_inlined_return(n):
     its condition, and the condition's call, runs again."""
     ast, prog = norm(RETURN_IN_LOOP, "f")
     assert run_source(ast, "f", [n]).ret == run_normalized(prog, {"n": n}).ret
+
+
+COMPOUND_CONDITIONS = """struct S { int f; int g; };
+int h(int n, int m) {
+  int k = 0;
+  while (k < n && !(k * 2 > m + 3)) {
+    if (k - m == 1 || k > 4) { return k + 10; }
+    k = k + 1;
+  }
+  return k;
+}
+int f(int a, int b, int c) {
+  struct S s; struct S t; struct S *p = &t;
+  int arr[3]; int x = c; int *q = &x;
+  int r = 0; int i = 0;
+  s.f = a; s.g = b; t.f = b - c; t.g = a * c;
+  arr[0] = c; arr[1] = a + b; arr[2] = b;
+  if (s.f > p->f && arr[1] != *q) { r = r + 1; }
+  if (!(a < b) || s.g + 1 == p->g - 2) { r = r + 2; }
+  if (a * b - c) { r = r + 4; }
+  if (!s.f) { r = r + 8; }
+  if (p->f >= -1) { r = r + 16; }
+  while (i < 3 && arr[i - i] + i >= -4 || *q == 7) {
+    r = r + arr[i]; i = i + 1; x = x + 0;
+  }
+  r = r + h(a, b);
+  return r;
+}
+"""
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+def test_compound_conditions_agree(a):
+    """Conditions built from `&&`, `||`, `!`, arithmetic, `s.f`, `p->f`,
+    `a[i]` and `*p`, lowered to atoms, decide as the source's do, and a
+    loop inlined from a callee that returns early leaves at the same
+    iteration: the loop heads are the source's.  (A return in the loop
+    records no body end in the source.)  The operands stay in bounds:
+    the normalized program evaluates both operands of `&&` and `||`."""
+    ast, prog = norm(COMPOUND_CONDITIONS, "f")
+
+    def heads(run):
+        return [(span, snap) for span, phase, snap in run.loop_events
+                if phase == "head"]
+    for b in range(-3, 4):
+        for c in range(-3, 4):
+            want = run_source(ast, "f", [a, b, c])
+            got = run_normalized(prog, {"a": a, "b": b, "c": c})
+            assert got.ret == want.ret, (a, b, c)
+            assert len(heads(got)) == len(heads(want)), (a, b, c)
+            for (s1, v1), (s2, v2) in zip(heads(want), heads(got)):
+                assert s1 == s2 and all(v1[k] == v2[k] for k in v1), (a, b, c)

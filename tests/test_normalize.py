@@ -2,17 +2,21 @@
 
 import pytest
 
+from invarc.cli import build_pipeline
 from invarc.diagnostics import InlineDepthExceeded, NormalizeError
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.ast import Call
 from invarc.frontend.classify import classify_constructs, walk_exprs
 from invarc.interp import default_value, run_normalized, run_source
 from invarc.normalize import (
-    ADDR_OPS, BINARY_OPS, NAssign, NIf, NStore, NWhile, inline_functions,
-    program_text, to_simple_assignments, walk_stmts,
+    ADDR_OPS, BINARY_OPS, COMPARISONS, Lit, NAssign, NCond, NIf, NStore,
+    NWhile, NondetCond, VarRef, inline_functions, program_text,
+    to_simple_assignments, walk_stmts,
 )
 
-from conftest import corpus_entry, corpus_source
+from conftest import ENTRIES, corpus_entry, corpus_source
+from test_smt_digests import digest_programs
+from test_smt_sorts import PROBE
 
 
 def norm(src, entry):
@@ -144,3 +148,57 @@ def test_nonrecursive_mutual_calls_inline():
     assert_simple(prog)
     r = run_normalized(prog, {"x": 3})
     assert r.ret == (3 + 1) * 2 + 1
+
+
+def conditions(prog):
+    return [s.cond for s in walk_stmts(prog.body)
+            if isinstance(s, (NIf, NWhile))]
+
+
+def condition_programs():
+    """(label, source, entry) of the corpus, the digest programs and a
+    probe whose conditions hold `&&`, `||`, `!` and `q->x`."""
+    for name in sorted(ENTRIES):
+        yield name, corpus_source(name), corpus_entry(name)
+    for gen, seed, src in digest_programs():
+        yield f"{gen}-{seed}", src, "gen"
+    yield "probe", PROBE, "f"
+
+
+def test_conditions_are_atoms():
+    """Every normalized condition compares two atoms or tests one; after
+    abstraction, a condition is that or a nondeterministic one."""
+    ops = set()
+    for label, src, entry in condition_programs():
+        _, _, prog, _, ab, _ = build_pipeline(src, entry)
+        for c in conditions(prog):
+            assert isinstance(c, NCond), label
+            assert len(c.args) == (1 if c.op == "nonzero" else 2), label
+            assert c.op == "nonzero" or c.op in COMPARISONS, label
+            assert all(isinstance(a, (VarRef, Lit)) for a in c.args), label
+            ops.add(c.op)
+        for c in conditions(ab.program):
+            assert isinstance(c, (NCond, NondetCond)), label
+    assert ops >= {"nonzero", "<", "=="}
+
+
+def test_a_loop_condition_is_computed_again_at_the_end_of_its_body():
+    prog = norm("struct S { int n; };\n"
+                "int f(struct S *p) { int i = 0;"
+                " while (i < p->n) { i = i + 1; } return i; }", "f")
+    (loop,) = [s for s in walk_stmts(prog.body) if isinstance(s, NWhile)]
+    before = prog.body[prog.body.index(loop) - 2:prog.body.index(loop)]
+    assert [(s.op, s.fld) for s in before] == [("pmember_addr", "n"),
+                                               ("deref", None)]
+    assert loop.cond == NCond("<", (VarRef("i"), VarRef(before[1].lhs)))
+    again = loop.body[loop.bend_at:]
+    assert [program_text([s]) for s in again] == \
+        [program_text([s]) for s in before]
+    assert {s.uid for s in again}.isdisjoint(s.uid for s in before)
+
+
+def test_a_negated_literal_in_a_condition_stays_a_literal():
+    prog = norm("int f(int a) { int r = 0; if (a > -3) { r = 1; }"
+                " return r; }", "f")
+    (branch,) = [s for s in walk_stmts(prog.body) if isinstance(s, NIf)]
+    assert branch.cond == NCond(">", (VarRef("a"), Lit(-3, "int")))
