@@ -822,13 +822,9 @@ class Lowerer:
             return Lit(-lit.value, lit.kind)
         if isinstance(e, Member) and e.arrow:
             p = self.atom(e.obj, out)
-            if not isinstance(p, VarRef):
-                raise UnsupportedExpression("member read needs a named base",
-                                            e.span)
             pt = self.fresh("p", PointerType(e.ctype), e.span)
             out.append(NAssign(lhs=pt, op="pmember_addr", args=[p], fld=e.name,
                                span=e.span, uid=self.next_uid()))
-            self.designators[pt] = ("pmember", p.name, e.name)
             t = self.fresh("t", e.ctype, e.span)
             out.append(NAssign(lhs=t, op="deref", args=[VarRef(pt)],
                                span=e.span, uid=self.next_uid()))
