@@ -28,16 +28,16 @@ import itertools
 import sys
 
 from .diagnostics import InputError, InvarcError, ProtocolError, \
-    SolverNotFound, StepBudgetExceeded
-from .frontend.ast import IntType, LongType, ast_text
+    SolverNotFound
+from .frontend.ast import ast_text
 from .normalize import program_text
-from .invariants import detect_invariants
+from .invariants import detect_invariants, execute, input_count
 from .pipeline import build_pipeline   # re-exported: invarc.cli.build_pipeline
 from .solver import SolverConfig, discover_solver
-from .interp import InterpError, default_value, run_source
 
 DUMP_STAGES = ("ast", "normalized", "graph", "abstract", "smt")
 MAX_ORACLE_RUNS = 4096
+ORACLE_STEPS = 200_000     # the step budget of each oracle run
 
 
 def _read_source(path):
@@ -87,34 +87,23 @@ def _analyze_one(args, path, solver):
 def check_oracle(ast, entry, enc, report_obj, domain):
     """Brute-force every scalar input vector and cross-check each
     reported invariant; returns lines plus the list of violations."""
-    fn = ast.function(entry)
     lo, hi = domain
-    axes = []
-    for p in fn.params:
-        if isinstance(p.ctype, (IntType, LongType)):
-            axes.append(list(range(lo, hi + 1)))
-        else:
-            axes.append([None])  # non-scalar: default value
     # the candidates of a loop without a span of its own stay unchecked
     loop_spans = enc.loop_spans()
     violations = []
     checked = {c: 0 for c in range(len(report_obj.candidates))}
     runs = 0
-    structs = {sd.name: sd for sd in ast.struct_defs}
-    for vec in itertools.islice(itertools.product(*axes), MAX_ORACLE_RUNS):
-        args = [v if v is not None else default_value(p.ctype, structs)
-                for p, v in zip(fn.params, vec)]
-        try:
-            res = run_source(ast, entry, args)
-        except (InterpError, StepBudgetExceeded):
+    vectors = itertools.product(range(lo, hi + 1),
+                                repeat=input_count(ast.function(entry)))
+    for vec in itertools.islice(vectors, MAX_ORACLE_RUNS):
+        run = execute(ast, entry, vec, loop_spans, ORACLE_STEPS)
+        if run is None:
             continue
         runs += 1
-        changes = {kind: res.loop_changes(*phases)
-                   for kind, phases in _LOOP_PHASES.items()}
         for idx, c in enumerate(report_obj.candidates):
             if c.verdict != "invariant":
                 continue
-            ok = _check_candidate(c, res, loop_spans, changes)
+            ok = run.holds(c)
             if ok is None:
                 continue
             checked[idx] += 1
@@ -133,26 +122,6 @@ def check_oracle(ast, entry, enc, report_obj, domain):
         lines.append(f"oracle: {c.variable} {c.kind}: {status} "
                      f"({checked[idx]} checks)")
     return {"lines": lines, "violations": violations, "runs": runs}
-
-
-# the snapshot pair a loop candidate compares, per kind
-_LOOP_PHASES = {"loop": ("pre", "post"), "head-bend": ("head", "bend")}
-
-
-def _check_candidate(c, res, loop_spans, changes):
-    """True/False when checkable on this execution, None otherwise.
-    `changes` holds the run's loop-change index per candidate kind."""
-    if c.kind == "entry-exit":
-        a = res.entry_values.get(c.variable)
-        b = res.finals.get(c.variable)
-        if a is None or b is None:
-            return None
-        return a == b
-    compared, changed = changes[c.kind].get(loop_spans.get(c.loop_id),
-                                            ((), ()))
-    if c.variable not in compared:
-        return None
-    return c.variable not in changed
 
 
 class _Parser(argparse.ArgumentParser):

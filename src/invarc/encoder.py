@@ -445,7 +445,6 @@ class Encoding:
     exit_env: dict
     loops: list                     # LoopRecord, in encounter order
     points: list                    # (uid, span, env after it) per stmt
-    havocked: set
     sorts: dict                     # var -> sort (encodable vars only)
     work: int = 0                   # env entries copied + names merged
 
@@ -540,32 +539,36 @@ class MemoryLayout:
             v = s.lhs if kind is N.NAssign else s.var
             return (v, MEM) if v in self.at_vars else (v,)
         if kind is N.NStore:
-            return (self.register_target(s) or MEM,)
+            target = self.register_target(s)
+            return (target[0] if target else MEM,)
         if kind is N.NUnmodelableCall:
             return (s.lhs, MEM) if s.lhs else (MEM,)
         return ()
 
     def register_target(self, s):
-        """The array or struct variable with a symbol of its own that the
-        store `s` updates in place, or None for a store into memory."""
+        """`(array, index atom)` for the store `s` into an element of an
+        array with a symbol of its own, which it updates in place; None for
+        a store into memory.  A store into a member of a struct never gets
+        one: the `member_addr` before it puts the struct in memory."""
         d = self.designators.get(
             s.ptr.name if isinstance(s.ptr, N.VarRef) else None)
-        if d is None or d[0] not in ("elem", "member") \
-                or d[1] in self.at_vars:
+        if d is None or d[0] in self.at_vars:
             return None
-        decl = self.decls.get(d[1])
-        kind = ArrayType if d[0] == "elem" else StructType
-        if decl is None or not isinstance(decl.ctype, kind) \
+        decl = self.decls.get(d[0])
+        if decl is None or not isinstance(decl.ctype, ArrayType) \
                 or self.sort(decl.ctype) is None:
             return None
-        return d[1]
+        return d
 
 
 class Encoder:
     def __init__(self, prog, havocked=None, layout=None, declared=None):
         """An encoder of `prog` with the memory layout `layout` (by
         default `prog`'s own), declaring a symbol for each variable of
-        `declared` (by default, for every variable)."""
+        `declared` (by default, for every variable).  `havocked` holds the
+        variables the abstraction havocs (`AbstractProgram.havocked`),
+        every `NHavoc` variable among them: a store does not reread an
+        address-taken scalar of `havocked` from its cell."""
         self.prog = prog
         self.ast = prog.ast
         self.layout = layout or MemoryLayout(prog)
@@ -580,7 +583,7 @@ class Encoder:
         self.work = 0
         self.loops = []
         self.points = []
-        self.havocked = set(havocked or ())
+        self.havocked = havocked or ()
         self.at_vars = self.layout.at_vars
         self.at_scalars = self.layout.at_scalars
         # what a loop record keeps besides the modified names
@@ -588,11 +591,6 @@ class Encoder:
                                  if d.kind != "temp"]
         self.sorts = {}
         encode_types(self.ast.struct_defs if self.ast else [], self.script)
-
-    # -- sorts --------------------------------------------------------------
-
-    def sort_of(self, ctype):
-        return sort_of(ctype, self.structs)
 
     # -- environment --------------------------------------------------------
 
@@ -683,7 +681,7 @@ class Encoder:
         for v in self.at_scalars:
             if v in self.havocked:
                 continue
-            sort = self.sort_of(self.prog.decls[v].ctype)
+            sort = self.layout.sort(self.prog.decls[v].ctype)
             self.bind(v, self.mem_select(self.cell(v), sort))
 
     def _mirror_at_scalar(self, var):
@@ -717,8 +715,7 @@ class Encoder:
         self.encode_stmts(self.prog.body)
         return Encoding(script=self.script, entry_env=entry_env,
                         exit_env=self._snapshot(self.env), loops=self.loops,
-                        points=self.points, havocked=self.havocked,
-                        sorts=self.sorts, work=self.work)
+                        points=self.points, sorts=self.sorts, work=self.work)
 
     def encode_stmts(self, stmts):
         for s in stmts:
@@ -731,7 +728,6 @@ class Encoder:
         elif isinstance(s, N.NStore):
             self.encode_store(s)
         elif isinstance(s, N.NHavoc):
-            self.havocked.add(s.var)
             if s.var in self.env:
                 self.unconstrained(s.var, self.env[s.var].sort)
                 self._mirror_at_scalar(s.var)
@@ -869,7 +865,7 @@ class Encoder:
         if rec is None:
             raise _Unencodable("struct value untracked")
         sel = f"{struct_sort(decl.ctype.name)}${fld}"
-        return Term(sel, (rec,), self.sort_of(sd.member_type(fld)))
+        return Term(sel, (rec,), self.layout.sort(sd.member_type(fld)))
 
     def index_term(self, arr, idx, want_sort):
         i = self.atom_term(idx)
@@ -880,7 +876,8 @@ class Encoder:
                 a = self.env.get(arr.name)
                 if a is None:
                     raise _Unencodable("array untracked")
-                return Term("select", (a, i), self.sort_of(decl.ctype.elem))
+                return Term("select", (a, i),
+                            self.layout.sort(decl.ctype.elem))
             if decl is not None and isinstance(decl.ctype, ArrayType):
                 # memory-resident array: cells at (base, i)
                 sort = self.layout.sort(decl.ctype.elem)
@@ -942,33 +939,21 @@ class Encoder:
             self.havoc_mem()
 
     def _store_precise(self, s):
-        base = self.layout.register_target(s)
-        if base is None:    # a store through an address term
+        target = self.layout.register_target(s)
+        if target is None:    # a store through an address term
             p = self.atom_term(s.ptr)
             if p.sort != "Addr":
                 raise _Unencodable("store through non-address")
             self.mem_store(p, self.atom_term(s.value))
             return
-        kind, _, sel = self.prog.designators[s.ptr.name]
-        ctype = self.prog.decls[base].ctype
+        base, idx = target
         old = self.env[base]
-        if kind == "elem":
-            i = self.atom_term(sel)
-            esort = self.sort_of(ctype.elem)
-            v = coerce(self.atom_term(s.value, esort), esort)
-            if v is None:
-                raise _Unencodable("element sort mismatch")
-            self.bind(base, Term("store", (old, i, v), old.sort))
-            return
-        sd = self.structs[ctype.name]
-        fsort = self.sort_of(sd.member_type(sel))
-        v = coerce(self.atom_term(s.value, fsort), fsort)
+        i = self.atom_term(idx)
+        esort = self.layout.sort(self.prog.decls[base].ctype.elem)
+        v = coerce(self.atom_term(s.value, esort), esort)
         if v is None:
-            raise _Unencodable("member sort mismatch")
-        parts = tuple(
-            v if m == sel else Term(f"{old.sort}${m}", (old,), self.sort_of(t))
-            for m, t in sd.members)
-        self.bind(base, Term(f"mk${sd.name}", parts, old.sort))
+            raise _Unencodable("element sort mismatch")
+        self.bind(base, Term("store", (old, i, v), old.sort))
 
     # -- branches -----------------------------------------------------------
 
@@ -1067,7 +1052,6 @@ class _Slice:
         self.enclosing = {}   # id of a statement -> innermost enclosing NIf
         self.looped = set()   # names written inside a loop
         self.loops = []
-        self.havocs = set()   # variables of every NHavoc
         self.kept = set()     # ids of the kept simple statements and ifs
         self.work = 0
         self._index(prog.body, None, False)
@@ -1090,8 +1074,6 @@ class _Slice:
                 self.loops.append(s)
                 self._index(s.body, enclosing, True)
                 continue
-            if isinstance(s, N.NHavoc):
-                self.havocs.add(s.var)
             for v in self.layout.writes(s):
                 v = canon.get(v, v)
                 ws = writers.get(v)
@@ -1119,11 +1101,11 @@ class _Slice:
                 names.append(MEM)
             return names
         if kind is N.NStore:
-            base = self.layout.register_target(s)
-            if base is None:
+            target = self.layout.register_target(s)
+            if target is None:
                 return [*N.atom_vars(s.ptr), *N.atom_vars(s.value), MEM]
-            _, _, sel = self.layout.designators[s.ptr.name]   # index or field
-            return [base, *N.atom_vars(sel), *N.atom_vars(s.value)]
+            base, idx = target
+            return [base, *N.atom_vars(idx), *N.atom_vars(s.value)]
         return ()
 
     def _reads_memory(self, op, name):
@@ -1198,6 +1180,5 @@ def encode_program(prog, havocked=None):
     declared.update(layout.at_scalars)
     enc = Encoder(sl.program, havocked, layout, declared).encode_program()
     enc.exit_env = {v: t for v, t in enc.exit_env.items() if v in sl.relevant}
-    enc.havocked |= sl.havocs
     enc.work += sl.work
     return enc

@@ -330,7 +330,8 @@ def _decl_text(name, t):
     return f"{pre}{name}{suf}"
 
 
-_PREC = {
+# Binding strength of each binary operator; all associate to the left.
+PRECEDENCE = {
     "||": 1, "&&": 2,
     "==": 3, "!=": 3,
     "<": 4, "<=": 4, ">": 4, ">=": 4,
@@ -355,7 +356,7 @@ def expr_text(e, parent_prec=0):
         # operand of a postfix expression needs explicit parentheses.
         return f"({s})" if parent_prec > 7 else s
     if isinstance(e, Binary):
-        p = _PREC[e.op]
+        p = PRECEDENCE[e.op]
         s = f"{expr_text(e.lhs, p)} {e.op} {expr_text(e.rhs, p + 1)}"
         return f"({s})" if p < parent_prec else s
     if isinstance(e, Member):

@@ -25,25 +25,17 @@ from ..diagnostics import ParseFailure
 from .ast import (
     Ast, AssignStmt, ArrayType, Binary, Call, CompoundStmt, DeclStmt,
     DOUBLE, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, INT,
-    IntLit, LONG, Member, Name, NullLit, Param, PointerType, ReturnStmt,
-    StructDef, StructType, Unary, VarDecl, VOID, WhileStmt, Index,
+    IntLit, LONG, Member, Name, NullLit, Param, PointerType, PRECEDENCE,
+    ReturnStmt, StructDef, StructType, Unary, VarDecl, VOID, WhileStmt,
+    Index,
 )
 from .lexer import lex
 
 MAX_NESTING = 64
 MAX_OPERATORS = 128
 
-# Binding strength of each binary operator; all associate to the left.
-# The parser looks tokens up here and in `_POSTFIX` by text alone, since
-# no identifier or number is spelled like a punctuator.
-_LEVEL = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
+# The parser looks tokens up in `PRECEDENCE` and `_POSTFIX` by text
+# alone, since no identifier or number is spelled like a punctuator.
 _POSTFIX = (".", "->", "[", "(")
 
 
@@ -409,11 +401,11 @@ class Parser:
 
     def parse_binary(self, min_level=1):
         """Operands joined by binary operators that bind at least as
-        tightly as `min_level` (precedence climbing over `_LEVEL`)."""
+        tightly as `min_level` (precedence climbing over `PRECEDENCE`)."""
         lhs = self.parse_unary()
         while True:
             t = self.toks[self.pos]
-            level = _LEVEL.get(t.text, 0)
+            level = PRECEDENCE.get(t.text, 0)
             if level < min_level:
                 return lhs
             self.pos += 1

@@ -38,6 +38,8 @@ proportional to the size of the normalized program, runs out.  It is
 not made for a program with a construct that `classify` flags: the
 abstraction havocs what such a construct touches, and the interpreter
 cannot run a library call.  Entry-exit candidates stay with the solver.
+`--oracle` (`cli.check_oracle`) judges reported invariants by the same
+rule, `Execution.holds`, on every input vector of a domain.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ def build_candidates(ab, enc):
     """Candidates for an AbstractProgram and its Encoding, before the
     execution."""
     prog = ab.program
-    havocked = set(ab.havocked) | set(enc.havocked)
     cands = []
-    cvars = _candidate_vars(prog, enc, havocked)
+    cvars = _candidate_vars(prog, enc, ab.havocked)
     for name, decl in cvars:
         if decl.kind in ("param", "global") and name in enc.entry_env \
                 and name in enc.exit_env:
@@ -136,36 +137,85 @@ def build_candidates(ab, enc):
 
 def settle_by_execution(prog, enc, cands):
     """Run the normalized program `prog`'s source once and settle each open
-    head-bend candidate of `cands` whose variable that run changes across
-    an iteration of its loop: its verdict becomes unknown and it keeps no
-    pair to query.  Returns the settled candidates."""
+    head-bend candidate of `cands` that the run breaks (`Execution.holds`):
+    its verdict becomes unknown and it keeps no pair to query.  Returns the
+    settled candidates."""
     open_ = [c for c in cands if c.kind == "head-bend"
              and c.verdict is None and c.pairs[0][0] != c.pairs[0][1]]
     if not open_ or prog.report.unmodelable_items:
         return []
+    rng = random.Random(EXECUTION_SEED)
+    inputs = iter(lambda: rng.randint(*EXECUTION_INPUTS), None)   # endless
+    run = execute(prog.ast, prog.entry, inputs, enc.loop_spans(),
+                  STEPS_PER_STMT * sum(1 for _ in prog.walk()))
+    if run is None:
+        return []
+    settled = [c for c in open_ if run.holds(c) is False]
+    for c in settled:
+        c.verdict, c.pairs = "unknown", []
+    return settled
+
+
+# the snapshot pair a loop candidate compares, per kind
+_LOOP_PHASES = {"loop": ("pre", "post"), "head-bend": ("head", "bend")}
+
+
+def input_count(fn):
+    """How many input values an execution of the function `fn` reads: one
+    per integer parameter."""
+    return sum(isinstance(p.ctype, (IntType, LongType)) for p in fn.params)
+
+
+def execute(ast, entry, inputs, loop_spans, budget):
+    """Run the function `entry` of the source `ast` in the source
+    interpreter, within `budget` steps: each integer parameter takes the
+    next of the values `inputs`, and any other its type's default value.
+    `loop_spans` is the encoding's `Encoding.loop_spans()`.  Returns the
+    Execution, or None when the run traps or exhausts its budget."""
     from .interp import InterpError, default_value, run_source
 
-    ast = prog.ast
-    fn = ast.function(prog.entry)
     structs = {sd.name: sd for sd in ast.struct_defs}
-    rng = random.Random(EXECUTION_SEED)
-    args = [rng.randint(*EXECUTION_INPUTS)
-            if isinstance(p.ctype, (IntType, LongType))
-            else default_value(p.ctype, structs) for p in fn.params]
-    budget = STEPS_PER_STMT * sum(1 for _ in prog.walk())
+    inputs = iter(inputs)
+    args = [next(inputs) if isinstance(p.ctype, (IntType, LongType))
+            else default_value(p.ctype, structs)
+            for p in ast.function(entry).params]
     try:
-        run = run_source(ast, prog.entry, args, budget=budget)
+        return Execution(run_source(ast, entry, args, budget=budget),
+                         loop_spans)
     except (InterpError, StepBudgetExceeded):
-        return []
-    changes = run.loop_changes()
-    spans = enc.loop_spans()
-    settled = []
-    for c in open_:
-        _, changed = changes.get(spans.get(c.loop_id), ((), ()))
-        if c.variable in changed:
-            c.verdict, c.pairs = "unknown", []
-            settled.append(c)
-    return settled
+        return None
+
+
+class Execution:
+    """One concrete run of the entry function, and its verdict on each
+    candidate.  A loop's change index is built from the run's events the
+    first time a candidate of its kind asks."""
+
+    def __init__(self, run, loop_spans):
+        self.run = run
+        self.loop_spans = loop_spans
+        self._changes = {}   # kind -> the run's loop-change index
+
+    def holds(self, c):
+        """Whether the candidate `c`'s variable keeps its value in this
+        run: its entry value against its final one for entry-exit, and
+        each `_LOOP_PHASES` pair of its loop's snapshots for a loop kind.
+        None where the run does not give both values, or where the loop
+        has no span of its own."""
+        run = self.run
+        if c.kind == "entry-exit":
+            a = run.entry_values.get(c.variable)
+            b = run.finals.get(c.variable)
+            return None if a is None or b is None else a == b
+        index = self._changes.get(c.kind)
+        if index is None:
+            index = self._changes[c.kind] = \
+                run.loop_changes(*_LOOP_PHASES[c.kind])
+        compared, changed = index.get(self.loop_spans.get(c.loop_id),
+                                      ((), ()))
+        if c.variable not in compared:
+            return None
+        return c.variable not in changed
 
 
 def emit_query(cand, script, name):

@@ -192,9 +192,10 @@ class NormalizedProgram:
     decls: dict          # name -> NDecl, insertion-ordered
     body: list
     ret_var: str = None
+    # the pointer temporary of each store into an array element ->
+    # (array, index atom): the encoder updates an array with a symbol of
+    # its own in place
     designators: dict = field(default_factory=dict)
-    # designators: pointer temp -> ('elem', base, idx_atom) | ('member', base, fld)
-    #              | ('pmember', ptr, fld) | ('addrof', base)
     ast: object = None   # the inlined Ast (struct defs etc.)
     report: object = None   # the unit's SubsetReport
 
@@ -683,7 +684,7 @@ class Lowerer:
             pt = self.fresh("p", PointerType(t.ctype), s.span)
             st = NAssign(lhs=pt, op="elem_addr", args=[base, idx], span=s.span,
                          uid=self.next_uid())
-            self.designators[pt] = ("elem", base.name, idx)
+            self.designators[pt] = (base.name, idx)
             out.extend([st, NStore(ptr=VarRef(pt), value=v, span=s.span,
                                    uid=self.next_uid())])
             return out
@@ -697,7 +698,6 @@ class Lowerer:
                                                 s.span)
                 st = NAssign(lhs=pt, op="pmember_addr", args=[p], fld=t.name,
                              span=s.span, uid=self.next_uid())
-                self.designators[pt] = ("pmember", p.name, t.name)
             else:
                 if not isinstance(t.obj, Name):
                     raise UnsupportedExpression(
@@ -705,7 +705,6 @@ class Lowerer:
                 base = VarRef(t.obj.ident)
                 st = NAssign(lhs=pt, op="member_addr", args=[base], fld=t.name,
                              span=s.span, uid=self.next_uid())
-                self.designators[pt] = ("member", base.name, t.name)
             out.extend([st, NStore(ptr=VarRef(pt), value=v, span=s.span,
                                    uid=self.next_uid())])
             return out
@@ -760,11 +759,9 @@ class Lowerer:
             if isinstance(inner.decl, FunctionDef):
                 return NAssign(lhs=lhs, op="funcaddr", args=[],
                                func=inner.decl.name, span=span, uid=uid)
-            stmt = NAssign(lhs=lhs, op="addr", args=[VarRef(inner.ident)],
+            return NAssign(lhs=lhs, op="addr", args=[VarRef(inner.ident)],
                            span=span, uid=uid, item=self._find_item(e.span),
                            base_hint=("var", inner.ident))
-            self.designators[lhs] = ("addrof", inner.ident)
-            return stmt
         if isinstance(inner, (Member, Index)):
             # materialize the member value, then take the temporary's address;
             # the true base is kept for base-variable resolution

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarc import interp
-from invarc.cli import build_pipeline
+from invarc.cli import build_pipeline, check_oracle
 from invarc.encoder import nonzero
-from invarc.invariants import Candidate, build_candidates, emit_query, \
-    enumerate_candidates, settle_by_execution
+from invarc.invariants import Candidate, InvariantReport, build_candidates, \
+    emit_query, enumerate_candidates, settle_by_execution
 from invarc.refute import refute_queries
 
 from conftest import ENTRIES, ROOT, corpus_entry, corpus_source, \
@@ -93,6 +93,22 @@ def test_settlement_only_drops_the_settled_queries():
         assert with_queries(src, entry, result_query).render() == \
             script_without(src, entry, settled, result_query)
     assert dropped >= 40
+
+
+def test_the_oracle_breaks_every_settled_candidate():
+    """Settlement and `--oracle` judge a candidate by one rule: each
+    settled candidate, reported invariant, is an oracle FAIL."""
+    settled = 0
+    for src, entry, _ in pinned_programs():
+        ast, _, prog, _, ab, enc = build_pipeline(src, entry)
+        cands = build_candidates(ab, enc)
+        for c in settle_by_execution(ab.program, enc, cands):
+            c.verdict = "invariant"
+            settled += 1
+        rep = InvariantReport(prog.entry, cands, [], [])
+        lines = check_oracle(ast, prog.entry, enc, rep, (-3, 3))["lines"]
+        assert all(": FAIL (" in line for line in lines[1:]), lines
+    assert settled >= 40
 
 
 def settlement(src, entry):
