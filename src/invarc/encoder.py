@@ -567,8 +567,8 @@ class Encoder:
         default `prog`'s own), declaring a symbol for each variable of
         `declared` (by default, for every variable).  `havocked` holds the
         variables the abstraction havocs (`AbstractProgram.havocked`),
-        every `NHavoc` variable among them: a store does not reread an
-        address-taken scalar of `havocked` from its cell."""
+        every `NHavoc` variable among them: a write to memory does not
+        reread an address-taken scalar of `havocked` from its cell."""
         self.prog = prog
         self.ast = prog.ast
         self.layout = layout or MemoryLayout(prog)

@@ -188,8 +188,9 @@ def execute(ast, entry, inputs, loop_spans, budget):
 
 class Execution:
     """One concrete run of the entry function, and its verdict on each
-    candidate.  A loop's change index is built from the run's events the
-    first time a candidate of its kind asks."""
+    candidate.  The loop-change index of a candidate kind is built when
+    the first candidate of that kind asks, so settlement builds only the
+    head-bend one."""
 
     def __init__(self, run, loop_spans):
         self.run = run
