@@ -86,7 +86,8 @@ def _analyze_one(args, path, solver):
 
 def check_oracle(ast, entry, enc, report_obj, domain):
     """Brute-force every scalar input vector and cross-check each
-    reported invariant; returns lines plus the list of violations."""
+    reported invariant; returns lines plus the list of violations, each
+    `(candidate index, variable, kind, input vector)`."""
     lo, hi = domain
     # the candidates of a loop without a span of its own stay unchecked
     loop_spans = enc.loop_spans()
@@ -108,14 +109,15 @@ def check_oracle(ast, entry, enc, report_obj, domain):
                 continue
             checked[idx] += 1
             if not ok:
-                violations.append((c.variable, c.kind, vec))
+                violations.append((idx, c.variable, c.kind, vec))
+    failed = {v[0] for v in violations}
     lines = [f"oracle: {runs} executions over [{lo}, {hi}]"]
     for idx, c in enumerate(report_obj.candidates):
         if c.verdict != "invariant":
             continue
         if not checked[idx]:
             status = "unchecked"     # no execution gave both values
-        elif any(v[0] == c.variable and v[1] == c.kind for v in violations):
+        elif idx in failed:
             status = "FAIL"
         else:
             status = "pass"

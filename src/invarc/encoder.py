@@ -529,6 +529,24 @@ class MemoryLayout:
                     at.add(a.name)
         return at
 
+    def _aggregate(self, a):
+        """Whether the atom `a` names an array or a struct."""
+        decl = self.decls.get(a.name) if isinstance(a, N.VarRef) else None
+        return decl is not None and \
+            isinstance(decl.ctype, (ArrayType, StructType))
+
+    def in_cells(self, a):
+        """Whether the atom `a` names an array or struct in memory, whose
+        elements or members are its own cells, at its base address."""
+        return self._aggregate(a) and a.name in self.at_vars
+
+    def reads_memory(self, s):
+        """Whether the `index` or `member` statement `s` reads memory:
+        it does but for an element of an array, or a member of a struct,
+        with a symbol of its own."""
+        a = s.args[0]
+        return not self._aggregate(a) or a.name in self.at_vars
+
     def writes(self, s):
         """The names that the encoding of the statement `s` can bind, not
         counting those of the statements it holds.  Assigning a variable
@@ -790,29 +808,22 @@ class Encoder:
             return ite(Term("=", (t, zero(t.sort)), "Bool"), ONE, ZERO)
         if op in N.BINARY_OPS:
             return self.binop_term(s, op)
-        if op == "deref":
-            p = self.atom_term(s.args[0])
-            if p.sort != "Addr":
-                raise _Unencodable("deref of non-address")
-            return self.mem_select(p, want_sort)
-        if op == "member":
-            return self.member_term(s.args[0], s.fld)
-        if op == "index":
-            return self.index_term(s.args[0], s.args[1], want_sort)
-        if op == "addr":
-            base = s.args[0].name if isinstance(s.args[0], N.VarRef) else None
-            if base is None or base not in self.at_vars:
-                raise _Unencodable("address of unregistered variable")
-            return self.cell(base)
-        if op == "elem_addr":
-            return self.elem_addr_term(s)
-        if op == "member_addr":
-            return self.member_addr_term(s)
-        if op == "pmember_addr":
-            return self._member_via_ptr(self.atom_term(s.args[0]), s.args[0],
-                                        s.fld)
         if op == "funcaddr":
             return self.fn_addr_const(s.func)
+        if op in N.ADDR_OPS:
+            return self.address(s)[0]
+        if op in ("index", "member") and not self.layout.reads_memory(s):
+            # an element or member of a variable with a symbol of its own
+            rec = self.atom_term(s.args[0])
+            ctype = self.prog.decls[s.args[0].name].ctype
+            if op == "index":
+                return Term("select", (rec, self.atom_term(s.args[1])),
+                            self.layout.sort(ctype.elem))
+            return Term(f"{rec.sort}${s.fld}", (rec,), self.layout.sort(
+                self.structs[ctype.name].member_type(s.fld)))
+        if op in ("deref", "index", "member"):
+            addr, sort = self.address(s)
+            return self.mem_select(addr, sort or want_sort)
         raise _Unencodable(f"op {op}")
 
     def binop_term(self, s, op):
@@ -849,86 +860,51 @@ class Encoder:
         self.script.define(sym, value, guard=nonzero(divisor))
         return sym
 
-    def member_term(self, a, fld):
-        if not isinstance(a, N.VarRef):
-            raise _Unencodable("member of literal")
-        name = a.name
-        decl = self.prog.decls.get(name)
-        if decl is None or not isinstance(decl.ctype, StructType):
-            raise _Unencodable("member of non-struct")
-        sd = self.structs[decl.ctype.name]
-        if name in self.at_vars and name not in self.env:
-            # memory-resident aggregate: scalar members live in cells
-            off, sort = self._member_cell(sd, fld)
-            return self.mem_select(self.cell(name, off), sort)
-        rec = self.env.get(name)
-        if rec is None:
-            raise _Unencodable("struct value untracked")
-        sel = f"{struct_sort(decl.ctype.name)}${fld}"
-        return Term(sel, (rec,), self.layout.sort(sd.member_type(fld)))
+    def address(self, s):
+        """The address of the cell that the address op `s` (`addr`,
+        `elem_addr`, `member_addr`, `pmember_addr`) computes, or that the
+        memory read `s` (`deref`, or an `index` or `member` for which
+        `MemoryLayout.reads_memory` holds) reads, and the sort of that
+        cell where its declaration fixes it: None for `addr`, for `deref`
+        and for an element through a pointer.  Any variable under `addr`,
+        and an array or struct in memory, is addressed by its own cells; a
+        pointer by its value."""
+        op, a = s.op, s.args[0]
+        if op == "addr":
+            if a.name not in self.at_vars:
+                raise _Unencodable("address of unregistered variable")
+            return self.cell(a.name), None
+        if op == "deref":
+            return self._pointer(a), None
+        if op in ("index", "elem_addr"):
+            off = self.atom_term(s.args[1])
+            if not self.layout.in_cells(a):
+                return offset_addr(self._pointer(a), off), None
+            sort = self.layout.sort(self.prog.decls[a.name].ctype.elem)
+        else:   # member, member_addr, pmember_addr
+            decl = self.prog.decls.get(getattr(a, "name", None))
+            ctype = decl.ctype if decl else None
+            if op == "pmember_addr" and isinstance(ctype, PointerType):
+                ctype = ctype.target
+            if not isinstance(ctype, StructType):
+                raise _Unencodable("member of non-struct")
+            sd = self.structs[ctype.name]
+            sort = self.layout.sort(sd.member_type(s.fld))
+            off = lit_int(sd.member_ordinal(s.fld))
+        if sort not in _MEM_FIELD:
+            raise _Unencodable("no cell of this sort")
+        if op == "pmember_addr":
+            return offset_addr(self._pointer(a), off), sort
+        if not self.layout.in_cells(a):
+            raise _Unencodable("member of a struct outside memory")
+        return self.cell(a.name, off), sort
 
-    def index_term(self, arr, idx, want_sort):
-        i = self.atom_term(idx)
-        if isinstance(arr, N.VarRef):
-            decl = self.prog.decls.get(arr.name)
-            if decl is not None and isinstance(decl.ctype, ArrayType) \
-                    and arr.name not in self.at_vars:
-                a = self.env.get(arr.name)
-                if a is None:
-                    raise _Unencodable("array untracked")
-                return Term("select", (a, i),
-                            self.layout.sort(decl.ctype.elem))
-            if decl is not None and isinstance(decl.ctype, ArrayType):
-                # memory-resident array: cells at (base, i)
-                sort = self.layout.sort(decl.ctype.elem)
-                if sort not in ("Int", "Real", "Addr"):
-                    raise _Unencodable("array elements not memory-resident")
-                return self.mem_select(self.cell(arr.name, i), sort)
-        p = self.atom_term(arr)
-        if p.sort != "Addr":
-            raise _Unencodable("index of non-pointer")
-        return self.mem_select(offset_addr(p, i), want_sort)
-
-    def elem_addr_term(self, s):
-        a, i = s.args
-        it = self.atom_term(i)
-        if isinstance(a, N.VarRef) and a.name in self.at_vars:
-            return self.cell(a.name, it)
+    def _pointer(self, a):
+        """The value of the atom `a`, an address."""
         p = self.atom_term(a)
         if p.sort != "Addr":
-            raise _Unencodable("element address of non-pointer")
-        return offset_addr(p, it)
-
-    def member_addr_term(self, s):
-        base = s.args[0].name if isinstance(s.args[0], N.VarRef) else None
-        if base is None or base not in self.at_vars:
-            raise _Unencodable("member address of unregistered variable")
-        decl = self.prog.decls.get(base)
-        if decl is None or not isinstance(decl.ctype, StructType):
-            raise _Unencodable("member address of non-struct")
-        off, _ = self._member_cell(self.structs[decl.ctype.name], s.fld)
-        return self.cell(base, off)
-
-    def _member_via_ptr(self, p, ptr_atom, fld):
-        """The address of member `fld` of the struct that `p`, the value
-        of the variable `ptr_atom`, points to."""
-        if p.sort != "Addr":
-            raise _Unencodable("member through non-address")
-        decl = self.prog.decls.get(ptr_atom.name)
-        tgt = decl.ctype.target if decl and \
-            isinstance(decl.ctype, PointerType) else None
-        if not isinstance(tgt, StructType):
-            raise _Unencodable("member through non-struct pointer")
-        off, _ = self._member_cell(self.structs[tgt.name], fld)
-        return offset_addr(p, off)
-
-    def _member_cell(self, sd, fld):
-        """The cell offset and the sort of the scalar member `fld` of the
-        struct `sd`, laid out one member per cell."""
-        sort = self.layout.sort(sd.member_type(fld))
-        if sort not in _MEM_FIELD:
-            raise _Unencodable("member not memory-resident")
-        return lit_int(sd.member_ordinal(fld)), sort
+            raise _Unencodable("access through a non-address")
+        return p
 
     # -- stores -------------------------------------------------------------
 
@@ -1092,12 +1068,11 @@ class _Slice:
             op, args = s.op, s.args
             if op in ("addr", "member_addr", "funcaddr"):
                 return ()
-            if op == "elem_addr" and isinstance(args[0], N.VarRef) \
-                    and args[0].name in self.layout.at_vars:
+            if op == "elem_addr" and self.layout.in_cells(args[0]):
                 args = args[1:]     # a cell address of a variable in memory
             names = [a.name for a in args if isinstance(a, N.VarRef)]
             if op == "deref" or op in ("member", "index") and \
-                    self._reads_memory(op, getattr(args[0], "name", None)):
+                    self.layout.reads_memory(s):
                 names.append(MEM)
             return names
         if kind is N.NStore:
@@ -1107,16 +1082,6 @@ class _Slice:
             base, idx = target
             return [base, *N.atom_vars(idx), *N.atom_vars(s.value)]
         return ()
-
-    def _reads_memory(self, op, name):
-        """Whether `member` or `index` of the variable `name` (None for
-        another operand) reads memory: it does but for a member of a
-        struct, or an element of an array, with a symbol of its own."""
-        if name is None or name in self.layout.at_vars:
-            return True
-        decl = self.layout.decls.get(name)
-        kind = StructType if op == "member" else ArrayType
-        return decl is None or not isinstance(decl.ctype, kind)
 
     def _keep_ifs(self, f, todo):
         """Keep the `if` statement `f`, if any, and every one around it,

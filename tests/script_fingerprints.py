@@ -1,0 +1,71 @@
+"""Fingerprints of the scripts and verdicts of 709 programs, for checking
+that a change to the pipeline leaves both byte-identical.
+
+For each of the 9 corpus programs, the 100 `DIGEST_GENERATORS` programs
+and the 600 programs of `perfbench` seeds 1 and 41 (100 per workload),
+it prints one line: the program's label, the sha256 of
+`SolverScript.render()` with the queries the CLI emits, and the sha256
+of the verdict list of `detect_invariants(ab, enc, lambda: None)` (no
+solver: in-process refutation only).  Run it before and after a change
+and compare the two outputs:
+
+    PYTHONPATH=src python tests/script_fingerprints.py > before.txt
+    ... apply the change ...
+    PYTHONPATH=src python tests/script_fingerprints.py > after.txt
+    diff before.txt after.txt
+
+It is not a test (pytest does not collect it): the fingerprints of one
+commit are compared with those of another, not with a committed file.
+"""
+
+import hashlib
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+sys.path.insert(0, str(HERE))     # before perfbench, for its conftest
+
+from invarc.cli import build_pipeline  # noqa: E402
+from invarc.invariants import detect_invariants  # noqa: E402
+
+from conftest import ENTRIES, corpus_entry, corpus_source  # noqa: E402
+from test_smt_digests import digest_programs  # noqa: E402
+from workloads import WORKLOADS, generate  # noqa: E402
+
+PERFBENCH_SEEDS = (1, 41)
+
+
+def programs():
+    """(label, source, entry) of every fingerprinted program."""
+    for name in sorted(ENTRIES):
+        yield name, corpus_source(name), corpus_entry(name)
+    for gen, seed, src in digest_programs():
+        yield f"{gen}-{seed}", src, "gen"
+    for seed in PERFBENCH_SEEDS:
+        for workload in WORKLOADS:
+            for p in generate(workload, seed):
+                yield f"{p.name}@{seed}", p.source, p.entry
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(source, entry):
+    """The sha256 of the rendered script and of the verdict list."""
+    *_, ab, enc = build_pipeline(source, entry)
+    report = detect_invariants(ab, enc, lambda: None)
+    verdicts = [(c.variable, c.kind, c.points, c.loop_id, c.verdict)
+                for c in report.candidates]
+    return sha(enc.script.render()), sha(repr(verdicts))
+
+
+def main():
+    for label, source, entry in programs():
+        script, verdicts = fingerprint(source, entry)
+        print(label, script, verdicts, flush=True)
+
+
+if __name__ == "__main__":
+    main()

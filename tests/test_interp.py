@@ -214,7 +214,7 @@ int f(int a, int b, int c) {
   struct S s; struct S t; struct S *p = &t;
   int arr[3]; int x = c; int *q = &x;
   int r = 0; int i = 0;
-  s.f = a; s.g = b; t.f = b - c; t.g = a * c;
+  s.f = a; s.g = b; t.f = b - c; t.g = a * c; p->g = t.g + b;
   arr[0] = c; arr[1] = a + b; arr[2] = b;
   if (s.f > p->f && arr[1] != *q) { r = r + 1; }
   if (!(a < b) || s.g + 1 == p->g - 2) { r = r + 2; }
@@ -233,11 +233,12 @@ int f(int a, int b, int c) {
 @pytest.mark.parametrize("a", range(-3, 4))
 def test_compound_conditions_agree(a):
     """Conditions built from `&&`, `||`, `!`, arithmetic, `s.f`, `p->f`,
-    `a[i]` and `*p`, lowered to atoms, decide as the source's do, and a
-    loop inlined from a callee that returns early leaves at the same
-    iteration: the loop heads are the source's.  (A return in the loop
-    records no body end in the source.)  The operands stay in bounds:
-    the normalized program evaluates both operands of `&&` and `||`."""
+    `a[i]` and `*p`, lowered to atoms, after a store through `p->g`,
+    decide as the source's do, and a loop inlined from a callee that
+    returns early leaves at the same iteration: the loop heads are the
+    source's.  (A return in the loop records no body end in the source.)
+    The operands stay in bounds: the normalized program evaluates both
+    operands of `&&` and `||`."""
     ast, prog = norm(COMPOUND_CONDITIONS, "f")
 
     def heads(run):

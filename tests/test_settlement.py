@@ -111,6 +111,27 @@ def test_the_oracle_breaks_every_settled_candidate():
     assert settled >= 40
 
 
+def test_the_oracle_fails_only_the_candidate_a_run_breaks():
+    """`k` is unchanged in the first loop and incremented in the second:
+    with both `k` head-bend candidates reported invariant, only the
+    second loop's line is a FAIL."""
+    src = ("int f(int n) { int i = 0; int k = 0;\n"
+           "  while (i < 2) { i = i + 1; }\n"
+           "  while (i < 4) { k = k + 1; i = i + 1; }\n"
+           "  return k + n; }\n")
+    ast, _, prog, _, ab, enc = build_pipeline(src, "f")
+    cands = build_candidates(ab, enc)
+    reported = [c for c in cands if (c.variable, c.kind) == ("k", "head-bend")]
+    assert [c.loop_id for c in reported] == [1, 2]
+    for c in reported:
+        c.verdict = "invariant"
+    oracle = check_oracle(ast, prog.entry, enc,
+                          InvariantReport(prog.entry, cands, [], []), (-3, 3))
+    assert oracle["lines"][1:] == ["oracle: k head-bend: pass (7 checks)",
+                                   "oracle: k head-bend: FAIL (7 checks)"]
+    assert {v[0] for v in oracle["violations"]} == {cands.index(reported[1])}
+
+
 def settlement(src, entry):
     *_, ab, enc = build_pipeline(src, entry)
     return [(c.variable, c.loop_id, c.verdict, c.pairs)

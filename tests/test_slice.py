@@ -13,7 +13,10 @@ import sys
 
 import pytest
 
+from invarc import normalize as N
 from invarc.cli import build_pipeline, main
+from invarc.encoder import MEM, ZERO, Encoder, MemoryLayout, Term, _Slice, \
+    definition, leaves
 from invarc.invariants import detect_invariants
 
 from conftest import ENTRIES, ROOT, corpus_entry, corpus_source, \
@@ -116,3 +119,104 @@ def test_memory_layout_comes_from_the_whole_program():
     (lr,) = enc.loops
     assert lr.head["x"] != lr.pre["x"]
     assert verdicts(ab, enc) == verdicts(ab, reference_encoding(ab))
+
+
+STORES_THROUGH_ADDRESS_TAKEN_POINTERS = {
+    "p": "int g;\n"
+         "int f(int *p, int n) { int *q = &g; int **pp = &p; p[0] = n;"
+         " return 0; }",
+    "gp": "int g; int *gp;\n"
+          "int f(int n) { int *q = &g; int **pp = &gp; gp[0] = n;"
+          " return 0; }",
+}
+
+
+def subterms(t):
+    yield t
+    for a in t.args:
+        yield from subterms(a)
+
+
+@pytest.mark.parametrize("ptr", sorted(STORES_THROUGH_ADDRESS_TAKEN_POINTERS))
+def test_a_store_through_an_address_taken_pointer_goes_where_it_points(ptr):
+    """`p[0] = n` stores where `p` points, which may be `g`, not into the
+    cell that holds `p` itself.  `p` lives in memory and has no symbol of
+    its own, so the address is unconstrained.  (An `--oracle` run passes
+    NULL for `p` and traps, so the check is on the encoding.)"""
+    src = STORES_THROUGH_ADDRESS_TAKEN_POINTERS[ptr]
+    *_, enc = build_pipeline(src, "f")
+    n = enc.entry_env["n"]
+    values = dict(definition(t)[::2] for t in enc.script.main if t.args)
+    addresses = [values.get(t.args[1], t.args[1])
+                 for d in enc.script.main for t in subterms(d)
+                 if t.op == "store" and t.args[2] == n]
+    own_cell = Term("mk-addr", (Term(f"base${ptr}", (), "Int"), ZERO), "Addr")
+    assert addresses
+    assert own_cell not in addresses
+
+
+class ReadChecker(Encoder):
+    """An encoder of the slice of an abstracted program that checks, for
+    each kept simple statement, that every symbol from before it which
+    its encoding reads is the current symbol of a name in the slicer's
+    reads of it.  An address-taken scalar counts as MEM, and a statement
+    that writes memory also reads the memory before it.  Every variable
+    is declared, so the encoder reads at least what it reads in the
+    slice's own encoding."""
+
+    def __init__(self, ab):
+        layout = MemoryLayout(ab.program)
+        self.slice = _Slice(ab.program, layout)
+        super().__init__(self.slice.program, ab.havocked, layout)
+        self.unread = []    # (statement text, symbol) per stray read
+        self.checked = 0
+
+    def encode_stmt(self, s):
+        if isinstance(s, (N.NIf, N.NWhile)):
+            return super().encode_stmt(s)
+        names = set(self.slice._reads(s))
+        if MEM in self.layout.writes(s):
+            names.add(MEM)
+        memory = {MEM, *self.at_scalars}
+        if names & memory:
+            names |= memory
+        allowed = {self.env[v].op for v in names if v in self.env}
+        main = self.script.main
+        n = len(main)
+        super().encode_stmt(s)
+        new = main[n:]
+        fresh = {t.op for t in new if not t.args}
+        read = {x for t in new for x in leaves(t) if "@" in x}
+        self.unread += [(N.stmt_text(s), x)
+                        for x in sorted(read - fresh - allowed)]
+        self.checked += 1
+
+
+# every address op and memory read: `a` and `s` live in memory, `b` and
+# `u` have symbols of their own, `p`, `q`, `ps` and `px` are pointers
+ACCESSES = """struct S { int f; int g; };
+int g;
+int f(int *p, int n, int i) {
+  struct S s; struct S t; struct S u; struct S *ps = &t;
+  int a[4]; int b[4]; int *q = a; int x = n; int *px = &x; int *pg = &g;
+  int r = 0;
+  s.f = n; t.g = n + 1; u = t;
+  a[i] = n; b[1] = n;
+  r = p[i] + a[i] + b[i] + q[1];
+  r = r + s.f + ps->g + u.g + *px + *p;
+  ps->f = r; p[1] = r; *p = x;
+  g = r + x;
+  return r;
+}
+"""
+
+
+def test_the_slicer_reads_every_symbol_the_encoder_reads():
+    checked = 0
+    for label, src, entry in [*slice_programs(), ("accesses", ACCESSES, "f")]:
+        *_, ab, _ = build_pipeline(src, entry)
+        enc = ReadChecker(ab)
+        enc.encode_program()
+        assert enc.unread == [], label
+        checked += enc.checked
+    assert checked > 1000
