@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import InconsistentInput
 from . import normalize as N
-from .pollution import build_dependency_graph, propagate, _store_bases
+from .pollution import build_dependency_graph, _store_bases
 
 
 @dataclass
@@ -42,6 +42,13 @@ class _Abstractor:
         self.havocked.add(var)
         return N.NHavoc(var=var, span=span, uid=uid)
 
+    def bases_polluted(self, s):
+        """Whether every base the store `s` may write is polluted."""
+        if not self.polluted:
+            return False
+        bases = _store_bases(s, self.analysis)
+        return bool(bases) and bases <= self.polluted
+
     def body(self, stmts):
         out = []
         for s in stmts:
@@ -57,11 +64,8 @@ class _Abstractor:
                 return self.havoc(s.lhs, s.span, s.uid)
             return s
         if isinstance(s, N.NStore):
-            ptr_bad = _atom_polluted(s.ptr, p)
-            val_bad = _atom_polluted(s.value, p)
-            bases = _store_bases(s, self.analysis)
-            bases_bad = bool(bases) and bases <= p
-            if ptr_bad or val_bad or bases_bad:
+            if _atom_polluted(s.ptr, p) or _atom_polluted(s.value, p) \
+                    or self.bases_polluted(s):
                 self.removed.append(s.span)
                 return None
             return s
@@ -97,9 +101,15 @@ class _Abstractor:
 
 
 def abstract_program(prog, polluted, graph=None):
-    graph = graph or build_dependency_graph(prog)
-    closure = propagate(graph, polluted & graph.vertices)
-    if closure != set(polluted):
+    if not polluted and not prog.report.unmodelable_items:
+        # no item's call to drop and no name to havoc
+        return AbstractProgram(program=prog)
+    if graph is None:
+        graph = build_dependency_graph(prog)
+    # closed under reachability: every polluted name is a vertex whose
+    # successors are all polluted
+    if not all(v in graph.adj and graph.adj[v] <= polluted
+               for v in polluted):
         raise InconsistentInput(
             "polluted set is not closed under graph reachability")
     ab = _Abstractor(prog, set(polluted), graph.analysis)

@@ -15,9 +15,10 @@ The solver is looked for only when a program has a query for it, and
 then once per run.  A program without queries is analysed, and exits 0,
 on a machine with no solver; one with queries exits 3 there.  With
 several inputs, the reports before the first program that needs a
-missing solver are printed before the exit with code 3.  `--solver none`
-runs no solver: each query is only tried by in-process refutation, and
-a candidate whose query it leaves is reported unknown, with a note.
+missing solver are printed before the exit with code 3, and so is every
+`--dump` of that program.  `--solver none` runs no solver: each query
+is only tried by in-process refutation, and a candidate whose query it
+leaves is reported unknown, with a note.
 """
 
 from __future__ import annotations
@@ -67,9 +68,22 @@ def _analyze_one(args, path, solver):
         out.write(graph.dump())
     if "abstract" in args.dump:
         out.write(program_text(ab.program))
-    report_obj = detect_invariants(ab, enc, solver, program_name=prog.entry)
-    if "smt" in args.dump:
-        out.write(enc.script.render())
+
+    @functools.cache
+    def dump_smt():
+        """Write the SMT dump, if asked for, once."""
+        if "smt" in args.dump:
+            out.write(enc.script.render())
+
+    def solver_after_dump():
+        """`solver()`, looked for only once the script, queries and
+        all, is dumped: a missing solver still shows the dump."""
+        dump_smt()
+        return solver()
+
+    report_obj = detect_invariants(ab, enc, solver_after_dump,
+                                   program_name=prog.entry)
+    dump_smt()
     if args.fmt == "json":
         out.write(report_obj.to_json() + "\n")
     else:

@@ -454,23 +454,34 @@ class Inliner:
         return pre, new
 
     def _rewrite(self, e, rename, depth, pre, drop_value=False):
+        """`e` with its calls hoisted into `pre` and its names renamed;
+        `e` itself when it holds no call and no renamed name."""
         if e is None:
             return None
         if isinstance(e, Call):
             return self.hoist_call(e, rename, depth, pre, drop_value)
+        changed = {}
+        if isinstance(e, Name):
+            ident = rename.get(e.ident, e.ident)
+            if ident != e.ident:
+                changed["ident"] = ident
+        else:
+            for attr, v in vars(e).items():
+                if isinstance(v, Expr):
+                    new = self._rewrite(v, rename, depth, pre)
+                    if new is not v:
+                        changed[attr] = new
+                elif isinstance(v, list):
+                    new = [self._rewrite(x, rename, depth, pre)
+                           if isinstance(x, Expr) else x for x in v]
+                    if any(a is not b for a, b in zip(new, v)):
+                        changed[attr] = new
+        if not changed:
+            return e
         # a shallow copy, as copy.copy makes it, without its dispatch
         new = object.__new__(type(e))
         new.__dict__.update(e.__dict__)
-        if isinstance(e, Name):
-            if e.ident in rename:
-                new.ident = rename[e.ident]
-            return new
-        for attr, v in vars(e).items():
-            if isinstance(v, Expr):
-                setattr(new, attr, self._rewrite(v, rename, depth, pre))
-            elif isinstance(v, list):
-                setattr(new, attr, [self._rewrite(x, rename, depth, pre)
-                                    if isinstance(x, Expr) else x for x in v])
+        new.__dict__.update(changed)
         return new
 
     def hoist_call(self, e, rename, depth, pre, drop_value=False):

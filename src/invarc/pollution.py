@@ -5,15 +5,19 @@ vertex per variable and an edge (y, x) whenever x may take a value
 derived from y.  Store statements route their edges to the base
 variables the written pointer may target, resolved by a flow-insensitive
 address-taken analysis.  The set of variables polluted by an unmodelable
-item is the breadth-first reachability closure of the item's initial
-labels.  A call that inlining did not eliminate labels its result, the
-bases of its pointer arguments and every global its callee may write.
+item is the reachability closure of the item's initial labels.  A call
+that inlining did not eliminate labels its result, the bases of its
+pointer arguments and every global its callee may write.
+
+The graph and the address-taken analysis are built on first use, so a
+unit without unmodelable items pays for neither unless the graph is
+asked for (`--dump graph`, `DependencyGraph.edges`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import ItemNotFound, NotAPointer
 from .frontend.ast import (
@@ -28,25 +32,44 @@ from . import normalize as N
 TOP = object()  # unknown points-to set
 
 
-@dataclass
 class DependencyGraph:
-    vertices: set = field(default_factory=set)
-    edges: set = field(default_factory=set)           # (src, dst) pairs
-    adj: dict = field(default_factory=dict)           # src -> sorted later
-    analysis: object = None   # the _BaseAnalysis the store edges came from
+    """The dependency graph of the normalized program `prog`, built on
+    first use.  `adj` maps every vertex to the set of its successors;
+    `edges`, the (src, dst) pairs, is derived from it when read.  Store
+    edges come from `analysis`, the program's `_BaseAnalysis`."""
 
-    def add_vertex(self, v):
-        self.vertices.add(v)
-        self.adj.setdefault(v, set())
+    def __init__(self, prog, analysis=None):
+        self.prog = prog
+        if analysis is not None:
+            self.analysis = analysis
 
-    def add_edge(self, src, dst):
-        self.add_vertex(src)
-        self.add_vertex(dst)
-        self.edges.add((src, dst))
-        self.adj[src].add(dst)
+    @cached_property
+    def analysis(self):
+        return _BaseAnalysis(self.prog)
+
+    @cached_property
+    def adj(self):
+        adj = {v: set() for v in self.prog.decls}
+        for s in self.prog.walk():
+            srcs, dsts = _stmt_edges(s, self.analysis)
+            if not (srcs and dsts):
+                continue
+            for v in srcs:
+                adj.setdefault(v, set()).update(dsts)
+            for v in dsts:
+                adj.setdefault(v, set())
+        return adj
+
+    @property
+    def vertices(self):
+        return self.adj.keys()
+
+    @cached_property
+    def edges(self):
+        return {(a, b) for a, succ in self.adj.items() for b in succ}
 
     def successors(self, v):
-        return self.adj.get(v, set())
+        return self.adj.get(v, ())
 
     def dump(self):
         """Deterministic textual form, one `a -> b` line per edge."""
@@ -85,19 +108,22 @@ class _BaseAnalysis:
         return d.ctype if d else None
 
     def _run(self):
-        stmts = [s for s in self.prog.walk() if isinstance(s, N.NAssign)]
-        for s in stmts:
+        flows = []
+        for s in self.prog.walk():
+            if not isinstance(s, N.NAssign):
+                continue
             if s.op in N.ADDR_OPS and s.op != "funcaddr":
                 base = self._hint_base(s)
                 if base is not None and not callable(base):
                     self.address_taken.update(base)
+            # whether `_flow` is None depends on the statement, not on pts
+            if self._flow(s) is not None:
+                flows.append(s)
         changed = True
         while changed:
             changed = False
-            for s in stmts:
+            for s in flows:
                 new = self._flow(s)
-                if new is None:
-                    continue
                 old = self.pts.get(s.lhs, set())
                 if old is TOP:
                     continue
@@ -196,27 +222,21 @@ def resolve_base_variables(p, prog, _analysis=None):
 
 
 def _stmt_edges(s, analysis):
-    """Edges contributed by one simple statement, per the graph rules."""
-    edges = []
+    """The edges contributed by one simple statement, per the graph
+    rules, as (sources, destinations): an edge runs from every source to
+    every destination."""
     if isinstance(s, N.NAssign):
-        for a in s.args:
-            for v in N.atom_vars(a):
-                edges.append((v, s.lhs))
-    elif isinstance(s, N.NStore):
-        bases = _store_bases(s, analysis)
+        return [v for a in s.args for v in N.atom_vars(a)], (s.lhs,)
+    if isinstance(s, N.NStore):
         srcs = N.atom_vars(s.value) + N.atom_vars(s.ptr)
-        for b in bases:
-            for v in srcs:
-                edges.append((v, b))
-    elif isinstance(s, N.NUnmodelableCall):
+        return srcs, _store_bases(s, analysis) if srcs else ()
+    if isinstance(s, N.NUnmodelableCall):
         argvars = [v for a in s.args for v in N.atom_vars(a)]
+        dsts = _pointer_arg_bases(s, analysis)
         if s.lhs:
-            for v in argvars:
-                edges.append((v, s.lhs))
-        for b in _pointer_arg_bases(s, analysis):
-            for v in argvars:
-                edges.append((v, b))
-    return edges
+            dsts.add(s.lhs)
+        return argvars, dsts
+    return (), ()
 
 
 def _store_bases(s, analysis):
@@ -240,14 +260,7 @@ def _pointer_arg_bases(s, analysis):
 
 
 def build_dependency_graph(prog, _analysis=None):
-    analysis = _analysis or _BaseAnalysis(prog)
-    g = DependencyGraph(analysis=analysis)
-    for v in prog.decls:
-        g.add_vertex(v)
-    for s in prog.walk():
-        for a, b in _stmt_edges(s, analysis):
-            g.add_edge(a, b)
-    return g
+    return DependencyGraph(prog, _analysis)
 
 
 def _tagged_statements(prog):
@@ -332,39 +345,44 @@ def initial_labels(prog, item, _analysis=None, _tagged=None):
 
 
 def propagate(g, seeds):
-    """Breadth-first reachability closure of `seeds` in `g`."""
+    """Reachability closure of `seeds` in `g`."""
     seen = set(seeds)
-    queue = deque(sorted(seeds))
-    while queue:
-        v = queue.popleft()
-        for w in sorted(g.successors(v)):
+    todo = list(seen)
+    while todo:
+        for w in g.successors(todo.pop()):
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                todo.append(w)
     return seen
 
 
 @dataclass
 class PollutionResult:
+    """One item's initial labels and, computed on first read, their
+    closure `polluted` in `graph`."""
     item: object
     initial: set
-    polluted: set
+    graph: DependencyGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def polluted(self):
+        return propagate(self.graph, self.initial)
 
 
 def analyze_pollution(prog, report):
-    """One PollutionResult per unmodelable item, plus the union closure."""
-    analysis = _BaseAnalysis(prog)
-    g = build_dependency_graph(prog, analysis)
+    """The dependency graph, one PollutionResult per unmodelable item
+    found in `prog`, and the closure of all their initial labels."""
+    g = DependencyGraph(prog)
+    if not report.unmodelable_items:
+        return g, [], set()
     tagged = _tagged_statements(prog)
     results = []
-    union = set()
+    seeds = set()
     for item in report.unmodelable_items:
         try:
-            seeds = initial_labels(prog, item, analysis, tagged)
+            initial = initial_labels(prog, item, g.analysis, tagged)
         except ItemNotFound:
             continue  # item was in dead/unreached code after inlining
-        closure = propagate(g, seeds)
-        results.append(PollutionResult(item=item, initial=seeds,
-                                       polluted=closure))
-        union |= closure
-    return g, results, union
+        results.append(PollutionResult(item=item, initial=initial, graph=g))
+        seeds |= initial
+    return g, results, propagate(g, seeds)

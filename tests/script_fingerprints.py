@@ -4,9 +4,11 @@ that a change to the pipeline leaves both byte-identical.
 For each of the 9 corpus programs, the 100 `DIGEST_GENERATORS` programs
 and the 600 programs of `perfbench` seeds 1 and 41 (100 per workload),
 it prints one line: the program's label, the sha256 of
-`SolverScript.render()` with the queries the CLI emits, and the sha256
-of the verdict list of `detect_invariants(ab, enc, lambda: None)` (no
-solver: in-process refutation only).  Run it before and after a change
+`SolverScript.render()` with the queries the CLI emits, the sha256 of
+the verdict list of `detect_invariants(ab, enc, lambda: None)` (no
+solver: in-process refutation only), and the sha256 of the pollution
+outputs: the report's `polluted` and `removed_stmts` and the dependency
+graph's `dump()`.  Run it before and after a change
 and compare the two outputs:
 
     PYTHONPATH=src python tests/script_fingerprints.py > before.txt
@@ -53,18 +55,20 @@ def sha(text):
 
 
 def fingerprint(source, entry):
-    """The sha256 of the rendered script and of the verdict list."""
-    *_, ab, enc = build_pipeline(source, entry)
+    """The sha256 of the rendered script, of the verdict list and of the
+    pollution outputs."""
+    *_, graph, ab, enc = build_pipeline(source, entry)
     report = detect_invariants(ab, enc, lambda: None)
     verdicts = [(c.variable, c.kind, c.points, c.loop_id, c.verdict)
                 for c in report.candidates]
-    return sha(enc.script.render()), sha(repr(verdicts))
+    pollution = repr((report.polluted,
+                      [str(s) for s in report.removed_stmts])) + graph.dump()
+    return sha(enc.script.render()), sha(repr(verdicts)), sha(pollution)
 
 
 def main():
     for label, source, entry in programs():
-        script, verdicts = fingerprint(source, entry)
-        print(label, script, verdicts, flush=True)
+        print(label, *fingerprint(source, entry), flush=True)
 
 
 if __name__ == "__main__":

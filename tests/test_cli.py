@@ -284,6 +284,15 @@ def test_node_without_z3_solver_is_not_found(capsys, node_only):
     assert "node must not run" not in err
 
 
+def test_smt_dump_is_printed_before_a_missing_solver_stops_the_run(
+        capsys, node_only):
+    code, out, err = run(capsys, FOO, "--entry", "foo", "--dump", "smt")
+    assert code == 3
+    assert "(check-sat)" in out and "VARIABLE" not in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{FOO}: error: no SMT solver found")
+
+
 def test_discovered_solver_takes_cli_options(capsys, monkeypatch, tmp_path):
     slow = make_executable(tmp_path / "slow", "#!/bin/sh\nexec sleep 5\n")
     monkeypatch.setenv("INVARC_SOLVER", str(slow))

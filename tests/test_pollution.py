@@ -2,26 +2,39 @@
 
 The closure computed by ``propagate`` is cross-checked against an
 independent oracle: boolean reachability via repeated numpy matrix
-squaring over the edge adjacency matrix.
+squaring over the edge adjacency matrix.  The lazy paths of
+``analyze_pollution`` and ``abstract_program`` are compared with an
+eager reference: a points-to fixpoint over every assignment, the edge
+set statement by statement, one closure per item and the abstraction's
+walk over the whole program.
 """
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invarc import normalize as N
 from invarc import pollution
+from invarc.abstraction import _Abstractor, abstract_program
+from invarc.cli import main
 from invarc.diagnostics import ItemNotFound
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
-from invarc.normalize import to_simple_assignments
+from invarc.normalize import program_text, to_simple_assignments
 from invarc.pipeline import build_pipeline
 from invarc.pollution import (
     analyze_pollution, build_dependency_graph, initial_labels, propagate,
 )
 
-from conftest import corpus_entry, corpus_source
+from conftest import ENTRIES, ROOT, corpus_entry, corpus_source
 from genprog import random_normalized
+from test_smt_digests import digest_programs
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS, generate  # noqa: E402
 
 
 def pipeline(src, entry):
@@ -186,3 +199,138 @@ def test_one_points_to_analysis_per_program(monkeypatch):
         corpus_source("sequential_scan.c"), "SequentialScan")
     assert runs == [prog]
     assert graph.analysis.prog is prog
+
+
+# --- the lazy analysis against an eager reference ---------------------------
+
+class EagerAnalysis(pollution._BaseAnalysis):
+    """The points-to fixpoint iterated over every assignment, not only
+    over those whose transfer can contribute."""
+
+    def _run(self):
+        stmts = [s for s in self.prog.walk() if isinstance(s, N.NAssign)]
+        for s in stmts:
+            base = self._hint_base(s)
+            if base is not None and not callable(base):
+                self.address_taken |= base
+        changed = True
+        while changed:
+            changed = False
+            for s in stmts:
+                new = self._flow(s)
+                old = self.pts.get(s.lhs, set())
+                if new is None or old is pollution.TOP \
+                        or (new is not pollution.TOP and new <= old):
+                    continue
+                self.pts[s.lhs] = new if new is pollution.TOP else old | new
+                changed = True
+
+
+def eager_edges(prog, analysis):
+    """The edge set, one (src, dst) pair per application of a graph
+    rule to a statement."""
+    edges = set()
+    for s in prog.walk():
+        if isinstance(s, N.NAssign):
+            edges |= {(v, s.lhs) for a in s.args for v in N.atom_vars(a)}
+        elif isinstance(s, N.NStore):
+            srcs = N.atom_vars(s.value) + N.atom_vars(s.ptr)
+            edges |= {(v, b) for b in pollution._store_bases(s, analysis)
+                      for v in srcs}
+        elif isinstance(s, N.NUnmodelableCall):
+            dsts = pollution._pointer_arg_bases(s, analysis)
+            dsts |= {s.lhs} if s.lhs else set()
+            edges |= {(v, b) for a in s.args for v in N.atom_vars(a)
+                      for b in dsts}
+    return edges
+
+
+def reach(edges, seeds):
+    """The vertices reachable from `seeds` along `edges`."""
+    out = set(seeds)
+    while True:
+        more = {b for a, b in edges if a in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+TWO_ITEMS = ("int g1; int g2;\n"
+             "int f(int a) { int x = lib1(a); int y = x + 1; g1 = y;"
+             " int u = lib2(a); int v = u * 2; g2 = v; return a; }")
+NO_LABEL = "int g; int f(int a) { g = a; tick(); return g; }"
+
+
+def differential_programs():
+    """(label, source, entry) of a unit whose two items pollute disjoint
+    sets, of one whose item labels nothing, of the corpus, the digest
+    programs and the first 10 seed-1 programs of each benchmark
+    workload."""
+    yield "two_items", TWO_ITEMS, "f"
+    yield "no_label", NO_LABEL, "f"
+    for name in sorted(ENTRIES):
+        yield name, corpus_source(name), corpus_entry(name)
+    for gen, seed, src in digest_programs():
+        yield f"{gen}-{seed}", src, "gen"
+    for workload in WORKLOADS:
+        for p in generate(workload, 1)[:10]:
+            yield p.name, p.source, p.entry
+
+
+def test_lazy_pollution_matches_the_eager_reference():
+    """`analyze_pollution` and `abstract_program` skip a unit without
+    items, build the successor map in one walk, iterate the points-to
+    fixpoint over the statements that can contribute and close the seeds
+    of all items at once; the eager reference does none of that."""
+    with_items = 0
+    for label, src, entry in differential_programs():
+        prog, report = pipeline(src, entry)
+        graph, results, union = analyze_pollution(prog, report)
+        ab = abstract_program(prog, union, graph)
+
+        ref = EagerAnalysis(prog)
+        edges = eager_edges(prog, ref)
+        tagged = pollution._tagged_statements(prog)
+        ref_items = []
+        for item in report.unmodelable_items:
+            try:
+                initial = initial_labels(prog, item, ref, tagged)
+            except ItemNotFound:
+                continue
+            ref_items.append((item, initial, reach(edges, initial)))
+        ref_union = set().union(*(p for *_, p in ref_items))
+        ref_ab = _Abstractor(prog, ref_union, ref)
+        ref_body = ref_ab.body(prog.body)
+
+        assert union == ref_union, label
+        assert [(r.item, r.initial, r.polluted) for r in results] \
+            == ref_items, label
+        assert ab.removed_stmts == ref_ab.removed, label
+        assert ab.havocked == ref_ab.havocked | ref_union, label
+        assert program_text(ab.program) == program_text(ref_body), label
+        assert graph.analysis.pts == ref.pts, label
+        assert graph.analysis.address_taken == ref.address_taken, label
+        assert graph.edges == edges, label
+        assert graph.dump() == build_dependency_graph(prog, ref).dump(), \
+            label
+        with_items += bool(ref_items)
+    assert with_items >= 10
+
+
+def test_item_free_unit_dumps_the_whole_graph(capsys, tmp_path):
+    src = ("int g; int f(int a, int *p) { int b = a + g; *p = b;"
+           " int *q = &g; *q = b * 2; return b; }")
+    prog, report = pipeline(src, "f")
+    assert not report.unmodelable_items
+    graph, results, union = analyze_pollution(prog, report)
+    assert (results, union) == ([], set())
+    ab = abstract_program(prog, union, graph)
+    assert ab.program is prog and ab.havocked == set()
+    dump = build_dependency_graph(prog).dump()
+    assert "b -> g" in dump
+    path = tmp_path / "f.c"
+    path.write_text(src)
+    assert main([str(path), "--dump", "graph", "--solver", "none",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out[:len(dump)] == dump and out[len(dump)] == "{"
