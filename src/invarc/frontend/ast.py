@@ -234,6 +234,23 @@ class ExprStmt(Stmt):
     expr: Expr = None
 
 
+def nested_stmts(s):
+    """`s` and every statement nested in it, pre-order: the statements
+    of a block and the arms of an `if` or a `while`."""
+    todo = [s]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            continue
+        yield s
+        if isinstance(s, CompoundStmt):
+            todo += reversed(s.stmts)
+        elif isinstance(s, IfStmt):
+            todo += (s.els, s.then)
+        elif isinstance(s, WhileStmt):
+            todo.append(s.body)
+
+
 # ---------------------------------------------------------------------------
 # Top level
 

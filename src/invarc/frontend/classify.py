@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import (
-    ArrayType, Call, DeclStmt, FuncPtrType, FunctionDef, Index, Member,
-    Name, StructType, Unary, same_type,
+    ArrayType, AssignStmt, Call, DeclStmt, FuncPtrType, FunctionDef, Index,
+    Member, Name, StructType, Unary, VarDecl, nested_stmts, same_type,
 )
 
 @dataclass(frozen=True)
@@ -36,13 +36,19 @@ class SubsetItem:
 class SubsetReport:
     """The flagged constructs of a unit, and the unit facts the later
     stages read instead of walking the unit again: the functions on a
-    call-graph cycle, and the functions whose address the unit takes,
-    by `&f` or by naming `f` other than as the callee of a call, in
-    order of first use.  `fp_targets` holds the one rule for the
-    functions a call through a pointer may reach."""
+    call-graph cycle, the functions whose address the unit takes, by
+    `&f` or by naming `f` other than as the callee of a call, in order
+    of first use, and the call graph `calls`, each defined function
+    mapped to the defined functions it may call, by name or through a
+    pointer.  `fp_targets` holds the one rule for the functions a call
+    through a pointer may reach."""
     unmodelable_items: list = field(default_factory=list)
     recursive: frozenset = frozenset()
     address_taken: tuple = ()
+    calls: dict = field(default_factory=dict)
+    # function -> the globals its own body may write, built on first ask
+    _writes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def item_at(self, span):
         for it in self.unmodelable_items:
@@ -62,24 +68,57 @@ class SubsetReport:
                 out.append(fname)
         return out
 
+    def written_globals(self, ast, fname):
+        """Globals that the function `fname`, or a function it may call,
+        may write: assigned by name (whole, or one element or member), or
+        reachable through a pointer they make, by `&` or by using an
+        array as a value.  A body is walked the first time it is asked
+        about."""
+        out = set()
+        if fname not in self.calls:
+            return out      # a library function
+        for f in _reachable(self.calls, (fname,)):
+            if f not in self._writes:
+                self._writes[f] = _own_writes(ast.function(f))
+            out |= self._writes[f]
+        return out
 
-def _on_cycles(graph):
-    """The functions that can reach themselves in the call graph `graph`
-    (function name -> names of the defined functions it calls)."""
-    out = set()
-    for start in graph:
-        seen = set()
-        stack = list(graph[start])
-        while stack:
-            f = stack.pop()
-            if f == start:
-                out.add(start)
-                break
-            if f in seen:
-                continue
+
+def _reachable(graph, roots):
+    """The functions reachable from `roots` in the call graph `graph`,
+    `roots` included."""
+    seen, todo = set(), list(roots)
+    while todo:
+        f = todo.pop()
+        if f not in seen:
             seen.add(f)
-            stack.extend(graph.get(f, ()))
-    return frozenset(out)
+            todo.extend(graph.get(f, ()))
+    return seen
+
+
+def _own_writes(fn):
+    """The globals the body of `fn` may write by name or through a
+    pointer it makes (see `SubsetReport.written_globals`)."""
+    out = set()
+
+    def add_root(e):
+        while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
+                or (isinstance(e, Member) and not e.arrow):
+            e = e.arr if isinstance(e, Index) else e.obj
+        if isinstance(e, Name) and isinstance(e.decl, VarDecl):
+            out.add(e.ident)
+
+    def visit(e):
+        if isinstance(e, Unary) and e.op == "&":
+            add_root(e.operand)
+        elif isinstance(e, Name) and isinstance(e.ctype, ArrayType):
+            add_root(e)     # an array used anywhere may decay to a pointer
+
+    walk_exprs(fn.body, visit)
+    for s in nested_stmts(fn.body):
+        if isinstance(s, AssignStmt):
+            add_root(s.target)
+    return out
 
 
 def walk_exprs(node, visit):
@@ -127,7 +166,7 @@ def classify_constructs(ast):
     """Deterministic SubsetReport over a well-formed, typechecked Ast, from
     one walk over the unit."""
     items = []
-    graph = {}          # function -> defined functions it calls
+    graph = {}          # function -> defined functions it may call
     direct = []         # (span, callee) of each call to a defined function
     indirect = []       # (span, caller, type) of each call through a pointer
     taken = {}          # address-taken functions, in order
@@ -172,14 +211,14 @@ def classify_constructs(ast):
     for g in ast.globals:
         if g.init is not None:
             walk_exprs(DeclStmt(name=g.name, ctype=g.ctype, init=g.init), visit)
-    report = SubsetReport(address_taken=tuple(taken))
+    report = SubsetReport(address_taken=tuple(taken), calls=graph)
     targets = []        # (span, possible targets) of each pointer call
     for span, fn, sig in indirect:
         names = report.fp_targets(ast, sig)
         targets.append((span, names))
         if fn is not None:
             graph[fn].update(names)
-    recursive = _on_cycles(graph)
+    recursive = frozenset(f for f in graph if f in _reachable(graph, graph[f]))
     items.extend(SubsetItem("recursive-call", span,
                             "inlining cannot eliminate a recursive call")
                  for span, name in direct if name in recursive)

@@ -23,7 +23,7 @@ from .frontend.ast import (
     ArrayType, AssignStmt, Binary, Call, CompoundStmt, DeclStmt,
     DoubleType, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, Index,
     IntLit, Member, Name, NullLit, PointerType, ReturnStmt, StructType,
-    Unary, VOID, WhileStmt,
+    Unary, VOID, WhileStmt, nested_stmts,
 )
 from . import normalize as N
 
@@ -342,20 +342,7 @@ def _renamed_locals(ast, fn):
     than once in `fn`, of which it gives the name to the first."""
     seen, twice = set(), set()
     names = [p.name for p in fn.params]
-    stack = [fn.body]
-    while stack:
-        s = stack.pop()
-        t = type(s)
-        if t is DeclStmt:
-            names.append(s.name)
-        elif t is CompoundStmt:
-            stack += s.stmts
-        elif t is IfStmt:
-            stack.append(s.then)
-            if s.els is not None:
-                stack.append(s.els)
-        elif t is WhileStmt:
-            stack.append(s.body)
+    names += [s.name for s in nested_stmts(fn.body) if type(s) is DeclStmt]
     for name in names:
         (twice if name in seen else seen).add(name)
     return twice | {g.name for g in ast.globals}

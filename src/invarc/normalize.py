@@ -46,7 +46,7 @@ from .frontend.ast import (
     AssignStmt, Binary, BOOL, Call, CompoundStmt, DeclStmt, Expr,
     ExprStmt, FloatLit, FunctionDef, IfStmt, Index, INT, IntLit, Member,
     Name, NullLit, PointerType, ReturnStmt, StructType, Unary, WhileStmt,
-    VOID,
+    VOID, nested_stmts,
 )
 
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
@@ -243,15 +243,7 @@ class _ReturnCtx:
 
 
 def _may_return(s):
-    if isinstance(s, ReturnStmt):
-        return True
-    if isinstance(s, CompoundStmt):
-        return any(_may_return(x) for x in s.stmts)
-    if isinstance(s, IfStmt):
-        return _may_return(s.then) or (s.els is not None and _may_return(s.els))
-    if isinstance(s, WhileStmt):
-        return _may_return(s.body)
-    return False
+    return any(isinstance(x, ReturnStmt) for x in nested_stmts(s))
 
 
 def _has_nontail_return(body):

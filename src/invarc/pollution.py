@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .diagnostics import ItemNotFound, NotAPointer
-from .frontend.ast import (
-    ArrayType, AssignStmt, Call, CompoundStmt, FuncPtrType, FunctionDef,
-    IfStmt, Index, Member, Name, PointerType, Unary, VarDecl, WhileStmt,
-    same_type,
-)
-from .frontend.classify import walk_exprs
+from .frontend.ast import ArrayType, FuncPtrType, PointerType, same_type
 from . import normalize as N
 
 
@@ -273,57 +268,6 @@ def _tagged_statements(prog):
     return out
 
 
-def written_globals(ast, report, fname):
-    """Globals that the function `fname`, or the functions it calls, may
-    write: assigned by name (whole, or one element or member), or
-    reachable through a pointer they make, by `&` or by using an array
-    as a value.  A call through a function pointer may reach each of its
-    targets on the unit's SubsetReport `report`."""
-    out, seen, todo = set(), set(), [fname]
-
-    def stmts(s):
-        if isinstance(s, CompoundStmt):
-            for x in s.stmts:
-                yield from stmts(x)
-        elif isinstance(s, IfStmt):
-            yield from stmts(s.then)
-            yield from stmts(s.els)
-        elif isinstance(s, WhileStmt):
-            yield from stmts(s.body)
-        elif s is not None:
-            yield s
-
-    def add_root(e):
-        while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
-                or (isinstance(e, Member) and not e.arrow):
-            e = e.arr if isinstance(e, Index) else e.obj
-        if isinstance(e, Name) and isinstance(e.decl, VarDecl):
-            out.add(e.ident)
-
-    def visit(e):
-        if isinstance(e, Unary) and e.op == "&":
-            add_root(e.operand)
-        elif isinstance(e, Name) and isinstance(e.ctype, ArrayType):
-            add_root(e)     # an array used anywhere may decay to a pointer
-        elif isinstance(e, Call):
-            callee = e.callee.decl if isinstance(e.callee, Name) else None
-            if isinstance(callee, FunctionDef):
-                todo.append(callee.name)
-            elif not (isinstance(e.callee, Name) and callee is None):
-                todo.extend(report.fp_targets(ast, e.callee.ctype))
-
-    while todo:
-        fn = ast.function(todo.pop())
-        if fn is None or fn.name in seen:
-            continue
-        seen.add(fn.name)
-        walk_exprs(fn.body, visit)
-        for s in stmts(fn.body):
-            if isinstance(s, AssignStmt):
-                add_root(s.target)
-    return out
-
-
 def initial_labels(prog, item, _analysis=None, _tagged=None):
     """Vertices labeled directly by the unmodelable item `item`."""
     analysis = _analysis or _BaseAnalysis(prog)
@@ -340,7 +284,7 @@ def initial_labels(prog, item, _analysis=None, _tagged=None):
             if s.lhs:
                 seeds.add(s.lhs)
             seeds |= _pointer_arg_bases(s, analysis)
-            seeds |= written_globals(prog.ast, prog.report, s.func)
+            seeds |= prog.report.written_globals(prog.ast, s.func)
     return seeds
 
 

@@ -7,8 +7,10 @@ it prints one line: the program's label, the sha256 of
 `SolverScript.render()` with the queries the CLI emits, the sha256 of
 the verdict list of `detect_invariants(ab, enc, lambda: None)` (no
 solver: in-process refutation only), and the sha256 of the pollution
-outputs: the report's `polluted` and `removed_stmts` and the dependency
-graph's `dump()`.  Run it before and after a change
+outputs: the report's `polluted` and `removed_stmts`, the dependency
+graph's `dump()`, and each `PollutionResult`'s item kind, span and
+sorted `initial` labels (the union closure can hide a change in one
+item's seeds).  Run it before and after a change
 and compare the two outputs:
 
     PYTHONPATH=src python tests/script_fingerprints.py > before.txt
@@ -30,6 +32,7 @@ sys.path.insert(0, str(HERE))     # before perfbench, for its conftest
 
 from invarc.cli import build_pipeline  # noqa: E402
 from invarc.invariants import detect_invariants  # noqa: E402
+from invarc.pollution import analyze_pollution  # noqa: E402
 
 from conftest import ENTRIES, corpus_entry, corpus_source  # noqa: E402
 from test_smt_digests import digest_programs  # noqa: E402
@@ -57,12 +60,15 @@ def sha(text):
 def fingerprint(source, entry):
     """The sha256 of the rendered script, of the verdict list and of the
     pollution outputs."""
-    *_, graph, ab, enc = build_pipeline(source, entry)
+    _, unit, prog, graph, ab, enc = build_pipeline(source, entry)
     report = detect_invariants(ab, enc, lambda: None)
     verdicts = [(c.variable, c.kind, c.points, c.loop_id, c.verdict)
                 for c in report.candidates]
+    seeds = [(r.item.kind, r.item.span, sorted(r.initial))
+             for r in analyze_pollution(prog, unit)[1]]
     pollution = repr((report.polluted,
-                      [str(s) for s in report.removed_stmts])) + graph.dump()
+                      [str(s) for s in report.removed_stmts], seeds)) \
+        + graph.dump()
     return sha(enc.script.render()), sha(repr(verdicts)), sha(pollution)
 
 
