@@ -46,7 +46,8 @@ class SubsetReport:
     recursive: frozenset = frozenset()
     address_taken: tuple = ()
     calls: dict = field(default_factory=dict)
-    # function -> the globals its own body may write, built on first ask
+    # function -> (globals its own body may write, whether it stores
+    # through a pointer), built on first ask
     _writes: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -72,15 +73,24 @@ class SubsetReport:
         """Globals that the function `fname`, or a function it may call,
         may write: assigned by name (whole, or one element or member), or
         reachable through a pointer they make, by `&` or by using an
-        array as a value.  A body is walked the first time it is asked
-        about."""
-        out = set()
+        array as a value."""
+        return set().union(*(w for w, _ in self._summaries(ast, fname)))
+
+    def stores_through_pointer(self, ast, fname):
+        """Whether `fname`, or a function it may call, assigns a target
+        not rooted at a named variable (`*p`, `p[i]`, `p->m`)."""
+        return any(p for _, p in self._summaries(ast, fname))
+
+    def _summaries(self, ast, fname):
+        """The `_own_writes` of `fname` and of every function it may
+        call, each body walked the first time it is asked about."""
         if fname not in self.calls:
-            return out      # a library function
+            return []       # a library function
+        out = []
         for f in _reachable(self.calls, (fname,)):
             if f not in self._writes:
                 self._writes[f] = _own_writes(ast.function(f))
-            out |= self._writes[f]
+            out.append(self._writes[f])
         return out
 
 
@@ -98,15 +108,19 @@ def _reachable(graph, roots):
 
 def _own_writes(fn):
     """The globals the body of `fn` may write by name or through a
-    pointer it makes (see `SubsetReport.written_globals`)."""
+    pointer it makes (see `SubsetReport.written_globals`), and whether
+    it stores through a pointer."""
     out = set()
 
     def add_root(e):
+        """Add the global that `e` is rooted at; return whether `e` is
+        rooted at a named variable."""
         while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
                 or (isinstance(e, Member) and not e.arrow):
             e = e.arr if isinstance(e, Index) else e.obj
         if isinstance(e, Name) and isinstance(e.decl, VarDecl):
             out.add(e.ident)
+        return isinstance(e, Name)
 
     def visit(e):
         if isinstance(e, Unary) and e.op == "&":
@@ -115,10 +129,11 @@ def _own_writes(fn):
             add_root(e)     # an array used anywhere may decay to a pointer
 
     walk_exprs(fn.body, visit)
+    through_pointer = False
     for s in nested_stmts(fn.body):
-        if isinstance(s, AssignStmt):
-            add_root(s.target)
-    return out
+        if isinstance(s, AssignStmt) and not add_root(s.target):
+            through_pointer = True
+    return out, through_pointer
 
 
 def walk_exprs(node, visit):

@@ -210,6 +210,16 @@ class _BaseAnalysis:
         return out
 
 
+    def pointees(self):
+        """Every variable a pointer may point to: the address-taken ones
+        and every base of a resolved points-to set."""
+        out = set(self.address_taken)
+        for p in self.pts.values():
+            if p is not TOP:
+                out |= p
+        return out
+
+
 def resolve_base_variables(p, prog, _analysis=None):
     """Set of variables the pointer `p` may point into."""
     a = _analysis or _BaseAnalysis(prog)
@@ -285,6 +295,8 @@ def initial_labels(prog, item, _analysis=None, _tagged=None):
                 seeds.add(s.lhs)
             seeds |= _pointer_arg_bases(s, analysis)
             seeds |= prog.report.written_globals(prog.ast, s.func)
+            if prog.report.stores_through_pointer(prog.ast, s.func):
+                seeds |= analysis.pointees()
     return seeds
 
 

@@ -9,6 +9,7 @@ set statement by statement, one closure per item and the abstraction's
 walk over the whole program.
 """
 
+import random
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from invarc.cli import main
 from invarc.diagnostics import ItemNotFound
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
+from invarc.invariants import detect_invariants
 from invarc.normalize import program_text, to_simple_assignments
 from invarc.pipeline import build_pipeline
 from invarc.pollution import (
@@ -334,3 +336,155 @@ def test_item_free_unit_dumps_the_whole_graph(capsys, tmp_path):
                  "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out[:len(dump)] == dump and out[len(dump)] == "{"
+
+
+# --- what a non-inlined call writes -----------------------------------------
+
+def reference_written_globals(ast, report, fname):
+    """`SubsetReport.written_globals` as `pollution.written_globals` had
+    it before the call graph was kept on the report: the callees are
+    found again by walking each body from `fname`."""
+    from invarc.frontend.ast import (
+        ArrayType, AssignStmt, Call, CompoundStmt, FunctionDef, IfStmt,
+        Index, Member, Name, Unary, VarDecl, WhileStmt,
+    )
+    from invarc.frontend.classify import walk_exprs
+
+    out, seen, todo = set(), set(), [fname]
+
+    def stmts(s):
+        if isinstance(s, CompoundStmt):
+            for x in s.stmts:
+                yield from stmts(x)
+        elif isinstance(s, IfStmt):
+            yield from stmts(s.then)
+            yield from stmts(s.els)
+        elif isinstance(s, WhileStmt):
+            yield from stmts(s.body)
+        elif s is not None:
+            yield s
+
+    def add_root(e):
+        while (isinstance(e, Index) and isinstance(e.arr.ctype, ArrayType)) \
+                or (isinstance(e, Member) and not e.arrow):
+            e = e.arr if isinstance(e, Index) else e.obj
+        if isinstance(e, Name) and isinstance(e.decl, VarDecl):
+            out.add(e.ident)
+
+    def visit(e):
+        if isinstance(e, Unary) and e.op == "&":
+            add_root(e.operand)
+        elif isinstance(e, Name) and isinstance(e.ctype, ArrayType):
+            add_root(e)
+        elif isinstance(e, Call):
+            callee = e.callee.decl if isinstance(e.callee, Name) else None
+            if isinstance(callee, FunctionDef):
+                todo.append(callee.name)
+            elif not (isinstance(e.callee, Name) and callee is None):
+                todo.extend(report.fp_targets(ast, e.callee.ctype))
+
+    while todo:
+        fn = ast.function(todo.pop())
+        if fn is None or fn.name in seen:
+            continue
+        seen.add(fn.name)
+        walk_exprs(fn.body, visit)
+        for s in stmts(fn.body):
+            if isinstance(s, AssignStmt):
+                add_root(s.target)
+    return out
+
+
+def test_written_globals_match_the_reference():
+    """The summary follows `SubsetReport.calls`; the reference finds the
+    callees again.  Both give the same globals for every function."""
+    writers = 0
+    for label, src, entry in differential_programs():
+        ast = parse_translation_unit(src)
+        report = classify_constructs(ast)
+        for fn in ast.functions:
+            got = report.written_globals(ast, fn.name)
+            assert got == reference_written_globals(ast, report, fn.name), \
+                (label, fn.name)
+            writers += bool(got)
+        assert report.written_globals(ast, "no_such_function") == set()
+    assert writers >= 50
+
+
+GLOBAL_POINTER_STORE = """int g; int *gp;
+void r(int n) { if (n > 0) { *gp = 1; r(n - 1); } }
+int f(int n) { gp = &g; r(1); return 0; }
+"""
+POINTEE_STORE = """int g;
+void r(int **pp, int n) { if (n > 0) { **pp = 1; r(pp, n - 1); } }
+int f(int n) { int *q = &g; r(&q, 1); return 0; }
+"""
+
+
+@pytest.mark.parametrize("src", [GLOBAL_POINTER_STORE, POINTEE_STORE],
+                         ids=["global-pointer", "pointee-of-argument"])
+def test_a_recursive_store_through_a_pointer_pollutes_its_targets(src):
+    """The recursive callee writes `g` through a pointer it was not
+    passed, so `g` must not be proved invariant: no query is emitted
+    for it, so only pollution keeps the verdict sound."""
+    _, report, prog, _, ab, enc = build_pipeline(src, "f")
+    assert report.stores_through_pointer(prog.ast, "r")
+    assert "g" in ab.havocked
+    result = detect_invariants(ab, enc, lambda: None)
+    assert "g" in result.polluted
+    assert all(c.verdict != "invariant" for c in result.candidates
+               if c.variable == "g")
+
+
+def pointer_store_program(seed):
+    """A unit whose entry `f(a, b)` calls a recursive helper that writes
+    one of three globals through a pointer it was not passed: through
+    the global pointer `gp`, through `**pp`, or in a non-recursive
+    function it calls.  The helper is sometimes reached through a
+    function pointer.  Not a digest generator: used only here."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    target = f"g{rng.randrange(3)}"
+    head = "int g0; int g1; int g2; int *gp;\n"
+    if rng.random() < 0.5:
+        store = f"*gp = *gp + {k};"
+        if rng.random() < 0.5:
+            head += f"void put(int v) {{ gp[0] = v + {k}; }}\n"
+            store = "put(*gp);"
+        helper = (f"void r(int n) {{ if (n > 0) {{ {store} r(n - 1); }} }}\n")
+        setup, call, sig = f"gp = &{target};", "r(a);", "void (*h)(int)"
+        arg = "a"
+    else:
+        helper = (f"void r(int **pp, int n) {{ if (n > 0) {{ **pp = **pp + {k};"
+                  f" r(pp, n - 1); }} }}\n")
+        setup, sig = f"int *q = &{target};", "void (*h)(int **, int)"
+        arg = "&q, a"
+    call = f"r({arg});"
+    if rng.random() < 0.3:
+        call = f"{sig} = &r; h({arg});"
+    other = f"g{rng.randrange(3)}"
+    body = (f"{setup} {other} = {other} + b - b; {call} "
+            f"if (b > 0) {{ g{rng.randrange(3)} = b; }} return a;")
+    return head + helper + f"int f(int a, int b) {{ {body} }}\n"
+
+
+def test_no_execution_breaks_an_invariant_of_a_pointer_store_program():
+    """No reported invariant is broken by a run of the source program,
+    on any input in [-1, 2] x [-1, 1].  No solver is needed: the
+    unsound verdict this guards against comes without a query."""
+    from invarc.invariants import execute
+
+    stored = 0
+    for seed in range(40):
+        src = pointer_store_program(seed)
+        ast, _, _, _, ab, enc = build_pipeline(src, "f")
+        report = detect_invariants(ab, enc, lambda: None)
+        claimed = [c for c in report.candidates if c.verdict == "invariant"]
+        for a in range(-1, 3):
+            for b in range(-1, 2):
+                run = execute(ast, "f", (a, b), enc.loop_spans(), 10_000)
+                assert run is not None, (seed, a, b)
+                for c in claimed:
+                    assert run.holds(c) is not False, (src, c.variable, a, b)
+        stored += bool({"g0", "g1", "g2"} & set(report.polluted))
+    assert stored == 40
