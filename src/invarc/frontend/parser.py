@@ -6,7 +6,8 @@ operator levels (Pratt, "Top down operator precedence", POPL 1973).
 Grammar highlights:
   * ``for`` is desugared to ``while`` here, so the AST never contains it.
   * ``x++``, ``x--`` and compound assignments are sugar for plain
-    assignment statements.
+    assignment statements; their target may not hold a call, which the
+    sugar would run twice.
   * Assignment is a statement, not an expression.
   * Function-pointer declarators are limited to ``RET (*name)(T1, ...)``.
   * Statements, expressions and unary operators nest at most
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..diagnostics import ParseFailure
+from ..diagnostics import ParseFailure, RejectedConstruct
 from .ast import (
     Ast, AssignStmt, ArrayType, Binary, Call, CompoundStmt, DeclStmt,
-    DOUBLE, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, INT,
+    DOUBLE, Expr, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, INT,
     IntLit, LONG, Member, Name, NullLit, Param, PointerType, PRECEDENCE,
     ReturnStmt, StructDef, StructType, Unary, VarDecl, VOID, WhileStmt,
     Index,
@@ -374,12 +375,14 @@ class Parser:
             value = self.parse_expr()
             self._check_lvalue(target)
             if t.text != "=":
+                _check_read_back(target, t)
                 value = Binary(op=t.text[0], lhs=target, rhs=value, span=t.span)
             return AssignStmt(target=target, value=value, span=start.span)
         return ExprStmt(expr=target, span=start.span)
 
     def _incdec(self, target, tok):
         self._check_lvalue(target)
+        _check_read_back(target, tok)
         op = "+" if tok.text == "++" else "-"
         one = IntLit(value=1, span=tok.span)
         return AssignStmt(target=target,
@@ -472,6 +475,19 @@ class Parser:
         raise ParseFailure(
             f"unexpected {t.text!r}" if t.kind != "eof" else "unexpected end of input",
             t.span, expected=("expression",))
+
+
+def _check_read_back(target, tok):
+    """Reject `op=`, `++` or `--` (`tok`) on a target that holds a call:
+    the statement is sugar for `target = target op v`, which would run
+    the call twice where C runs it once."""
+    def holds_call(e):
+        return isinstance(e, Call) or any(
+            isinstance(v, Expr) and holds_call(v) for v in vars(e).values())
+
+    if holds_call(target):
+        raise RejectedConstruct(f"{tok.text} on a target that holds a call",
+                                tok.span)
 
 
 def _int_value(tok):

@@ -122,6 +122,22 @@ def test_unsupported_numeric_literal_exit_code(capsys, tmp_path):
                   f"literal '0x10'\n"
 
 
+@pytest.mark.parametrize("stmt", ["a[inc()] += x;", "a[inc()]++;",
+                                  "--a[inc()];"])
+def test_read_back_of_a_call_holding_target_exit_code(capsys, tmp_path, stmt):
+    bad = tmp_path / "twice.c"
+    bad.write_text("int g; int a[4];\n"
+                   "int inc() { g = g + 1; return 0; }\n"
+                   f"int f(int x) {{ g = g - 2; {stmt} return 0; }}\n")
+    code, out, err = run(capsys, str(bad), "--entry", "f", "--solver",
+                         "none")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(rf"{re.escape(str(bad))}:3:\d+: error: unsupported "
+                        r"construct: (\+=|\+\+|--) on a target that holds "
+                        r"a call\n", err)
+
+
 def test_deep_nesting_exit_code(capsys, tmp_path):
     deep = tmp_path / "deep.c"
     deep.write_text("int f(int a) { return " + "(" * 89 + "a" + ")" * 89

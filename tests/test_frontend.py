@@ -372,3 +372,24 @@ def test_unsupported_numeric_literal_is_named_whole(lit):
     assert e.value.message == f"unsupported construct: numeric literal " \
                               f"{lit!r}"
     assert e.value.span == Span(1, 27, 1, 27 + len(lit))
+
+
+READ_BACK = ("int g; int a[4];\n"
+             "int inc() {{ g = g + 1; return 0; }}\n"
+             "int f(int x) {{ g = g - 2; {stmt} return g; }}\n")
+
+
+@pytest.mark.parametrize("stmt,op", [("a[inc()] += x;", "+="),
+                                     ("a[inc()]++;", "++"),
+                                     ("--a[inc()];", "--")])
+def test_read_back_of_a_target_that_holds_a_call_is_rejected(stmt, op):
+    # `t op= v` is parsed as `t = t op v`, which would run `inc` twice
+    with pytest.raises(RejectedConstruct) as e:
+        parse_translation_unit(READ_BACK.format(stmt=stmt))
+    assert e.value.message == \
+        f"unsupported construct: {op} on a target that holds a call"
+
+
+def test_plain_assignment_to_a_target_that_holds_a_call_runs_it_once():
+    ast = parse_translation_unit(READ_BACK.format(stmt="a[inc()] = x;"))
+    assert run_source(ast, "f", [5]).ret == -1
