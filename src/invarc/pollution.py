@@ -7,7 +7,11 @@ variables the written pointer may target, resolved by a flow-insensitive
 address-taken analysis.  The set of variables polluted by an unmodelable
 item is the reachability closure of the item's initial labels.  A call
 that inlining did not eliminate labels its result, the bases of its
-pointer arguments and every global its callee may write.
+pointer arguments and every global its callee, or a function it may
+call, may write (`SubsetReport.written_globals`); when one of them
+stores through a pointer, it labels every variable a pointer may point
+to as well.  This module reads only the normalized program and its
+SubsetReport, not the AST.
 
 The graph and the address-taken analysis are built on first use, so a
 unit without unmodelable items pays for neither unless the graph is
