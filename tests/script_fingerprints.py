@@ -5,6 +5,9 @@ For each of the 9 corpus programs, the 100 `DIGEST_GENERATORS` programs
 and the 600 programs of `perfbench` seeds 1 and 41 (100 per workload),
 it prints one line: the program's label, the sha256 of
 `SolverScript.render()` with the queries the CLI emits, the sha256 of
+the parsed unit as `ast_text` prints it and of the normalized program as
+`program_text` prints it (the slicer drops most of what the normalizer
+inlines, so the script alone cannot show a change there), the sha256 of
 the verdict list of `detect_invariants(ab, enc, lambda: None)` (no
 solver: in-process refutation only), and the sha256 of the pollution
 outputs: the report's `polluted` and `removed_stmts`, the dependency
@@ -31,7 +34,9 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 sys.path.insert(0, str(HERE))     # before perfbench, for its conftest
 
 from invarc.cli import build_pipeline  # noqa: E402
+from invarc.frontend.ast import ast_text  # noqa: E402
 from invarc.invariants import detect_invariants  # noqa: E402
+from invarc.normalize import program_text  # noqa: E402
 from invarc.pollution import analyze_pollution  # noqa: E402
 
 from conftest import ENTRIES, corpus_entry, corpus_source  # noqa: E402
@@ -58,9 +63,10 @@ def sha(text):
 
 
 def fingerprint(source, entry):
-    """The sha256 of the rendered script, of the verdict list and of the
-    pollution outputs."""
-    _, unit, prog, graph, ab, enc = build_pipeline(source, entry)
+    """The sha256 of the rendered script, of the printed unit and
+    normalized program, of the verdict list and of the pollution
+    outputs."""
+    ast, unit, prog, graph, ab, enc = build_pipeline(source, entry)
     report = detect_invariants(ab, enc, lambda: None)
     verdicts = [(c.variable, c.kind, c.points, c.loop_id, c.verdict)
                 for c in report.candidates]
@@ -69,7 +75,8 @@ def fingerprint(source, entry):
     pollution = repr((report.polluted,
                       [str(s) for s in report.removed_stmts], seeds)) \
         + graph.dump()
-    return sha(enc.script.render()), sha(repr(verdicts)), sha(pollution)
+    return (sha(enc.script.render()), sha(ast_text(ast)),
+            sha(program_text(prog)), sha(repr(verdicts)), sha(pollution))
 
 
 def main():
