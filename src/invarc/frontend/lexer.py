@@ -49,21 +49,22 @@ PUNCT = [
 ]
 
 
-# One alternative per token class, tried in this order at each position.
+# One alternative per token class, tried in this order after the blanks
+# and the line comment that precede it, which the match consumes; `end`
+# matches blanks or a comment that run to the end of the input.
 # Punctuators keep PUNCT's order, so a longer one wins over its prefix.
 # `\w` is exactly `str.isalnum()` or `_`; a word whose first character is
 # not a letter or `_` (a numeric character such as `½`) is rejected below,
 # and so is a number that runs on into a word (`0x10`, `10L`, `1.5e3`).
-_MASTER = re.compile("|".join([
+_MASTER = re.compile(r"[ \t\r]*(?://[^\n]*)?(?:" + "|".join([
     r"(?P<nl>\n)",
-    r"(?P<ws>[ \t\r]+)",
-    r"(?P<line>//[^\n]*)",
     r"(?P<block>/\*.*?\*/)",
     r"(?P<open>/\*)",
     r"(?P<word>[^\W\d]\w*)",
     r"(?P<num>\d+(?P<frac>\.\d+)?(?P<suffix>\w+)?)",
     "(?P<punct>" + "|".join(re.escape(p) for p in PUNCT) + ")",
-]), re.DOTALL)
+    r"(?P<end>\Z)",
+]) + ")", re.DOTALL)
 
 
 class Token:
@@ -80,7 +81,9 @@ class Token:
 
     @property
     def span(self):
-        return Span(self.line, self.col, self.line, self.col + len(self.text))
+        # all four fields given, so `Span.__new__` has nothing to add
+        return tuple.__new__(Span, (self.line, self.col, self.line,
+                                    self.col + len(self.text)))
 
 
 def lex(source):
@@ -91,47 +94,62 @@ def lex(source):
     match = _MASTER.match
     while i < n:
         m = match(source, i)
-        group = m.lastgroup if m else None
-        if group == "word" and not (source[i].isalpha() or source[i] == "_"):
-            group = None
+        if m is None:
+            _reject(source, i, line, line_start)
+        group, end = m.lastgroup, m.end()
         if group == "word":
-            text = m.group()
+            text = m["word"]
+            start = end - len(text)
+            if not (source[start].isalpha() or source[start] == "_"):
+                _reject(source, start, line, line_start)
             tok = Token("kw" if text in KEYWORDS else "ident", text, line,
-                        i - line_start + 1)
+                        start - line_start + 1)
             if text in REJECTED_KEYWORDS:
                 raise RejectedConstruct(REJECTED_KEYWORDS[text], tok.span)
             append(tok)
         elif group == "punct":
-            tok = Token("punct", m.group(), line, i - line_start + 1)
-            if tok.text == "...":
+            text = m["punct"]
+            tok = Token("punct", text, line, end - len(text) - line_start + 1)
+            if text == "...":
                 raise RejectedConstruct("varargs", tok.span)
             append(tok)
         elif group == "num":
-            tok = Token("float" if m.group("frac") else "int", m.group(),
-                        line, i - line_start + 1)
-            if m.group("suffix"):   # hexadecimal, an exponent or a suffix
-                raise RejectedConstruct(f"numeric literal {tok.text!r}",
-                                        tok.span)
+            text = m["num"]
+            tok = Token("float" if m["frac"] else "int", text, line,
+                        end - len(text) - line_start + 1)
+            if m["suffix"]:     # hexadecimal, an exponent or a suffix
+                raise RejectedConstruct(f"numeric literal {text!r}", tok.span)
             append(tok)
         elif group == "nl":
-            line, line_start = line + 1, i + 1
+            line, line_start = line + 1, end
         elif group == "block":
-            breaks = m.group().count("\n")
+            breaks = m["block"].count("\n")
             if breaks:
                 line += breaks
-                line_start = source.rindex("\n", i, m.end()) + 1
-        elif group == "line" and m.end() == n:
-            break       # the end of input stays where the comment began
-        elif group not in ("ws", "line"):
-            col = i - line_start + 1
-            sp, c = Span(line, col, line, col + 1), source[i]
-            if group == "open":
-                raise ParseFailure("unterminated comment", sp)
-            if c == "#":
-                raise RejectedConstruct("preprocessor residue", sp)
-            if c in "\"'":
-                raise RejectedConstruct("string/char literal", sp)
-            raise ParseFailure(f"unexpected character {c!r}", sp)
-        i = m.end()
+                line_start = source.rindex("\n", i, end) + 1
+        elif group == "end":
+            # the end of input stays where a trailing line comment began
+            comment = source.find("//", i)
+            i = comment if comment >= 0 else n
+            break
+        else:       # "open": a comment with no end
+            _reject(source, i, line, line_start)
+        i = end
     tokens.append(Token("eof", "", line, i - line_start + 1))
     return tokens
+
+
+def _reject(source, i, line, line_start):
+    """Raise the error for the character at `i`, or after the blanks that
+    start there."""
+    while source[i] in " \t\r":
+        i += 1
+    col = i - line_start + 1
+    sp, c = Span(line, col, line, col + 1), source[i]
+    if source.startswith("/*", i):
+        raise ParseFailure("unterminated comment", sp)
+    if c == "#":
+        raise RejectedConstruct("preprocessor residue", sp)
+    if c in "\"'":
+        raise RejectedConstruct("string/char literal", sp)
+    raise ParseFailure(f"unexpected character {c!r}", sp)

@@ -85,7 +85,26 @@ def test_lexer_positions():
         ("punct", ".", Span(2, 16, 2, 17)), ("ident", "x", Span(2, 17, 2, 18)),
         # a line comment leaves the column where it began
         ("eof", "", Span(2, 19))]
+    # blanks and line comments before a token, or before the end
+    for text, tokens in (
+            ("a\r\n  b\r\n", [("a", Span(1, 1, 1, 2)), ("b", Span(2, 3, 2, 4)),
+                              ("", Span(3, 1))]),
+            ("x // c\n  y", [("x", Span(1, 1, 1, 2)), ("y", Span(2, 3, 2, 4)),
+                             ("", Span(2, 4))]),
+            ("// only", [("", Span(1, 1))]),
+            ("// only\n", [("", Span(2, 1))]),
+            ("a \t ", [("a", Span(1, 1, 1, 2)), ("", Span(1, 5))]),
+            ("a  // c", [("a", Span(1, 1, 1, 2)), ("", Span(1, 4))]),
+            ("a /* c */b", [("a", Span(1, 1, 1, 2)),
+                            ("b", Span(1, 10, 1, 11)), ("", Span(1, 11))]),
+            ("/* c\n */b", [("b", Span(2, 4, 2, 5)), ("", Span(2, 5))]),
+            ("\r\n\t/**/x\t// z\r\n", [("x", Span(2, 6, 2, 7)),
+                                        ("", Span(3, 1))])):
+        assert [(t.text, t.span) for t in lex(text)] == tokens, text
     for text, span in (("a /* b", Span(1, 3, 1, 4)),
+                       ("a  /* x", Span(1, 4, 1, 5)),
+                       ("a\n \t@", Span(2, 3, 2, 4)),
+                       (' \t"s"', Span(1, 3, 1, 4)),
                        ("\n  # x", Span(2, 3, 2, 4)),
                        ("x = \u00b2;", Span(1, 5, 1, 6)),
                        ("x = \u00bd;", Span(1, 5, 1, 6))):
