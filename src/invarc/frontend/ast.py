@@ -120,12 +120,19 @@ def same_type(a, b):
 
 # ---------------------------------------------------------------------------
 # Expressions
+#
+# Every node class names, in `children`, the fields that hold its
+# sub-expressions and sub-statements, in field order; each such field
+# holds a node, a list of nodes, or None.  A subclass inherits its
+# parent's.  The walkers read this declaration through `child_fields`
+# instead of inspecting every field of every node.
 
 
 @dataclass
 class Expr:
     span: Span = field(default=None, repr=False, compare=False)
     ctype: CType = field(default=None, repr=False, compare=False)
+    children = ()
 
 
 @dataclass
@@ -155,6 +162,7 @@ class Name(Expr):
 class Unary(Expr):
     op: str = ""  # -  !  &  *
     operand: Expr = None
+    children = ("operand",)
 
 
 @dataclass
@@ -162,6 +170,7 @@ class Binary(Expr):
     op: str = ""  # + - * / % < <= > >= == != && ||
     lhs: Expr = None
     rhs: Expr = None
+    children = ("lhs", "rhs")
 
 
 @dataclass
@@ -169,18 +178,21 @@ class Member(Expr):
     obj: Expr = None
     name: str = ""
     arrow: bool = False
+    children = ("obj",)
 
 
 @dataclass
 class Index(Expr):
     arr: Expr = None
     index: Expr = None
+    children = ("arr", "index")
 
 
 @dataclass
 class Call(Expr):
     callee: Expr = None
     args: list = field(default_factory=list)
+    children = ("callee", "args")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +202,7 @@ class Call(Expr):
 @dataclass
 class Stmt:
     span: Span = field(default=None, repr=False, compare=False)
+    children = ()
 
 
 @dataclass
@@ -198,17 +211,20 @@ class DeclStmt(Stmt):
     ctype: CType = None
     init: Expr = None            # scalar initializer
     init_list: list = None       # array initializer {a, b, ...}
+    children = ("init", "init_list")
 
 
 @dataclass
 class AssignStmt(Stmt):
     target: Expr = None  # Name, Member, Index, or Unary('*', p)
     value: Expr = None
+    children = ("target", "value")
 
 
 @dataclass
 class CompoundStmt(Stmt):
     stmts: list = field(default_factory=list)
+    children = ("stmts",)
 
 
 @dataclass
@@ -216,22 +232,35 @@ class IfStmt(Stmt):
     cond: Expr = None
     then: Stmt = None
     els: Stmt = None
+    children = ("cond", "then", "els")
 
 
 @dataclass
 class WhileStmt(Stmt):
     cond: Expr = None
     body: Stmt = None
+    children = ("cond", "body")
 
 
 @dataclass
 class ReturnStmt(Stmt):
     value: Expr = None
+    children = ("value",)
 
 
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr = None
+    children = ("expr",)
+
+
+def child_fields(node):
+    """The `children` of `node`'s class; raises TypeError for a value
+    that is not an AST node."""
+    try:
+        return type(node).children
+    except AttributeError:
+        raise TypeError(f"not an AST node: {type(node).__name__}") from None
 
 
 def nested_stmts(s):
@@ -269,6 +298,7 @@ class VarDecl:
     init: Expr = None
     init_list: list = None
     span: Span = field(default=None, repr=False, compare=False)
+    children = ("init", "init_list")
 
 
 @dataclass

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import (
-    ArrayType, AssignStmt, Call, DeclStmt, FuncPtrType, FunctionDef, Index,
-    Member, Name, StructType, Unary, VarDecl, nested_stmts, same_type,
+    ArrayType, AssignStmt, Call, Expr, FuncPtrType, FunctionDef, Index,
+    Member, Name, StructType, Unary, VarDecl, child_fields, nested_stmts,
+    same_type,
 )
 
 @dataclass(frozen=True)
@@ -137,37 +138,21 @@ def _own_writes(fn):
 
 
 def walk_exprs(node, visit):
-    """Call visit on every expression node under a statement, pre-order."""
-    from .ast import Expr, Stmt
-
-    def expr(e):
-        if e is None:
-            return
-        visit(e)
-        for v in vars(e).values():
-            if isinstance(v, Expr):
-                expr(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, Expr):
-                        expr(x)
-
-    def stmt(s):
-        if s is None:
-            return
-        for v in vars(s).values():
-            if isinstance(v, Expr):
-                expr(v)
-            elif isinstance(v, Stmt):
-                stmt(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, Stmt):
-                        stmt(x)
-                    elif isinstance(x, Expr):
-                        expr(x)
-
-    stmt(node)
+    """Call visit on every expression node under a statement or a
+    global's declaration, pre-order; raises TypeError at a value that is
+    not an AST node."""
+    todo = [node]
+    pop, push = todo.pop, todo.append
+    while todo:
+        n = pop()
+        if isinstance(n, Expr):
+            visit(n)
+        for f in reversed(child_fields(n)):
+            v = getattr(n, f)
+            if type(v) is list:
+                todo += reversed(v)
+            elif v is not None:
+                push(v)
 
 
 def has_nested_members(ast, struct_type):
@@ -224,8 +209,7 @@ def classify_constructs(ast):
         walk_exprs(fn.body, visit)
     caller = None
     for g in ast.globals:
-        if g.init is not None:
-            walk_exprs(DeclStmt(name=g.name, ctype=g.ctype, init=g.init), visit)
+        walk_exprs(g, visit)
     report = SubsetReport(address_taken=tuple(taken), calls=graph)
     targets = []        # (span, possible targets) of each pointer call
     for span, fn, sig in indirect:

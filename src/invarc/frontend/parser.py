@@ -25,10 +25,10 @@ from fractions import Fraction
 from ..diagnostics import ParseFailure, RejectedConstruct
 from .ast import (
     Ast, AssignStmt, ArrayType, Binary, Call, CompoundStmt, DeclStmt,
-    DOUBLE, Expr, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, INT,
+    DOUBLE, ExprStmt, FloatLit, FuncPtrType, FunctionDef, IfStmt, INT,
     IntLit, LONG, Member, Name, NullLit, Param, PointerType, PRECEDENCE,
     ReturnStmt, StructDef, StructType, Unary, VarDecl, VOID, WhileStmt,
-    Index,
+    Index, child_fields,
 )
 from .lexer import lex
 
@@ -483,7 +483,7 @@ def _check_read_back(target, tok):
     the call twice where C runs it once."""
     def holds_call(e):
         return isinstance(e, Call) or any(
-            isinstance(v, Expr) and holds_call(v) for v in vars(e).values())
+            holds_call(getattr(e, f)) for f in child_fields(e))
 
     if holds_call(target):
         raise RejectedConstruct(f"{tok.text} on a target that holds a call",

@@ -43,10 +43,10 @@ from .diagnostics import (
     InlineDepthExceeded, NormalizeError, Span, UnsupportedExpression,
 )
 from .frontend.ast import (
-    AssignStmt, Binary, BOOL, Call, CompoundStmt, DeclStmt, Expr,
+    AssignStmt, Binary, BOOL, Call, CompoundStmt, DeclStmt,
     ExprStmt, FloatLit, FunctionDef, IfStmt, Index, INT, IntLit, Member,
     Name, NullLit, PointerType, ReturnStmt, StructType, Unary, WhileStmt,
-    VOID, nested_stmts,
+    VOID, child_fields, nested_stmts,
 )
 
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
@@ -234,6 +234,7 @@ class _UCallStmt:
     args: list        # Expr args, already hoisted to simple names
     span: Span = None
     item_span: Span = None
+    children = ("args",)
 
 
 class _ReturnCtx:
@@ -452,24 +453,20 @@ class Inliner:
             return None
         if isinstance(e, Call):
             return self.hoist_call(e, rename, depth, pre, drop_value)
-        changed = {}
         if isinstance(e, Name):
             ident = rename.get(e.ident, e.ident)
-            if ident != e.ident:
-                changed["ident"] = ident
+            if ident == e.ident:
+                return e
+            changed = {"ident": ident}
         else:
-            for attr, v in vars(e).items():
-                if isinstance(v, Expr):
-                    new = self._rewrite(v, rename, depth, pre)
-                    if new is not v:
-                        changed[attr] = new
-                elif isinstance(v, list):
-                    new = [self._rewrite(x, rename, depth, pre)
-                           if isinstance(x, Expr) else x for x in v]
-                    if any(a is not b for a, b in zip(new, v)):
-                        changed[attr] = new
-        if not changed:
-            return e
+            changed = {}
+            for attr in child_fields(e):
+                v = getattr(e, attr)
+                new = self._rewrite(v, rename, depth, pre)
+                if new is not v:
+                    changed[attr] = new
+            if not changed:
+                return e
         # a shallow copy, as copy.copy makes it, without its dispatch
         new = object.__new__(type(e))
         new.__dict__.update(e.__dict__)

@@ -293,6 +293,22 @@ def test_classify_nested_member_address():
     assert "address-of-member" in kinds
 
 
+def test_classify_walks_a_global_initializer_list():
+    """`&s.a` in a global's `{...}` is flagged as it is in a local's, and
+    the normalizer tags the address it takes as the item."""
+    from invarc.normalize import program_text, to_simple_assignments
+    struct = "struct S { int a; int b; }; struct S s;\n"
+    init = "int *ps[2] = {&s.a, &s.b};"
+    for src in (f"{struct}{init}\nint f(int x) {{ return x; }}",
+                f"{struct}int f(int x) {{ {init} return x; }}"):
+        ast = parse_translation_unit(src)
+        report = classify_constructs(ast)
+        assert [it.kind for it in report.unmodelable_items] == \
+            ["address-of-member"] * 2, src
+        text = program_text(to_simple_assignments(ast, report, "f"))
+        assert text.count("# item") == 2, text
+
+
 def test_classify_scalar_program_clean():
     src = "int f(int a) { int b = a + 1; return b; }"
     report = classify_constructs(parse_translation_unit(src))
