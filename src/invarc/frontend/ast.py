@@ -256,11 +256,12 @@ class ExprStmt(Stmt):
 
 def child_fields(node):
     """The `children` of `node`'s class; raises TypeError for a value
-    that is not an AST node."""
+    whose class declares none."""
     try:
         return type(node).children
     except AttributeError:
-        raise TypeError(f"not an AST node: {type(node).__name__}") from None
+        raise TypeError(
+            f"{type(node).__name__} declares no children") from None
 
 
 def nested_stmts(s):

@@ -139,8 +139,8 @@ def _own_writes(fn):
 
 def walk_exprs(node, visit):
     """Call visit on every expression node under a statement or a
-    global's declaration, pre-order; raises TypeError at a value that is
-    not an AST node."""
+    global's declaration, pre-order; raises TypeError at a value whose
+    class declares no `children`."""
     todo = [node]
     pop, push = todo.pop, todo.append
     while todo:

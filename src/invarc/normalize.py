@@ -460,7 +460,7 @@ class Inliner:
             changed = {"ident": ident}
         else:
             changed = {}
-            for attr in child_fields(e):
+            for attr in child_fields(e):    # no list: calls went above
                 v = getattr(e, attr)
                 new = self._rewrite(v, rename, depth, pre)
                 if new is not v:

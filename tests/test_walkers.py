@@ -6,7 +6,8 @@ Each typed walker must visit, or rebuild, exactly what its reference
 does on the corpus, the digest programs, the first 10 seed-1 programs of
 each benchmark workload, and the output of `inline_functions` (which
 holds the normalizer's own `_InlinedWhile` and `_UCallStmt` nodes), and
-must raise at a value that is not a node instead of skipping it."""
+must raise at a value whose class declares no children instead of
+skipping it."""
 
 import dataclasses
 import typing
@@ -128,16 +129,16 @@ def test_rewrite_matches_the_reference(monkeypatch):
         assert program_text(prog) == text, label
 
 
-def test_walkers_raise_at_a_value_that_is_not_a_node():
+def test_walkers_raise_at_a_value_that_declares_no_children():
     stray = Token("ident", "x", 1, 1)
-    with pytest.raises(TypeError, match="not an AST node: Token"):
+    with pytest.raises(TypeError, match="Token declares no children"):
         walk_exprs(A.CompoundStmt(stmts=[A.ExprStmt(expr=stray)]),
                    lambda e: None)
     ast = parse_translation_unit("int f(int a) { return a; }")
     inl = Inliner(ast, classify_constructs(ast))
-    with pytest.raises(TypeError, match="not an AST node: Token"):
+    with pytest.raises(TypeError, match="Token declares no children"):
         inl._rewrite(A.Unary(op="-", operand=stray), {}, 0, [])
-    with pytest.raises(TypeError, match="not an AST node: Token"):
+    with pytest.raises(TypeError, match="Token declares no children"):
         _check_read_back(A.Index(arr=A.Name(ident="a"), index=stray), stray)
 
 
