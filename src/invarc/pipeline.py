@@ -17,6 +17,8 @@ def _pick_entry(ast, entry):
         if ast.function(entry) is None:
             raise FrontendTypeError(f"no function named {entry!r}")
         return entry
+    if not ast.functions:
+        raise FrontendTypeError("the input defines no function")
     if len(ast.functions) == 1:
         return ast.functions[0].name
     names = [f.name for f in ast.functions]

@@ -266,6 +266,15 @@ def test_rejected_construct_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", ["", "// no code\n", "int g;\n"])
+def test_a_unit_without_a_function_exit_code(capsys, tmp_path, source):
+    bad = tmp_path / "none.c"
+    bad.write_text(source)
+    code, out, err = run(capsys, str(bad), "--solver", "none")
+    assert (code, out) == (2, "")
+    assert err == f"{bad}: error: the input defines no function\n"
+
+
 def test_unknown_entry(capsys):
     code, _, err = run(capsys, str(CORPUS / "foo.c"), "--entry", "nosuch")
     assert code == 2 and "error" in err
