@@ -15,7 +15,8 @@ but never unsounds a verdict.
 Terms are immutable `Term(op, args, sort)` trees: a symbol or literal
 is a leaf with no arguments, and every builder below returns a tree of
 the SMT-LIB sort it has.  Two terms are equal when their trees are.
-Text exists only in `SolverScript.render`.
+Queries are terms too.  Text is written only by `SolverScript.render`,
+and read only by `parse_term`.
 
 Calls arrive inlined by the normalizer.  A call through a function
 pointer is an `if` chain whose conditions compare the pointer with
@@ -72,6 +73,7 @@ address only dropped statements take.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Mapping
 from itertools import islice
@@ -106,6 +108,31 @@ class Term(NamedTuple):
         if self.args:
             return f"({self.op} {' '.join([a.text for a in self.args])})"
         return self.op
+
+
+_TOKEN = re.compile(r'\s+|;[^\n]*|(\(|\)|"[^"]*"|[^\s()";]+)')
+
+
+def parse_term(text):
+    """The one term that the SMT-LIB text `text` holds, with no sorts;
+    raises EncodeError on any other text."""
+    stack = [[]]
+    for m in _TOKEN.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            continue
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            done = stack.pop() if len(stack) > 1 else []
+            if len(done) < 2 or done[0].args:
+                raise EncodeError(f"not one SMT-LIB term: {text}")
+            stack[-1].append(Term(done[0].op, tuple(done[1:]), None))
+        else:
+            stack[-1].append(Term(tok, (), None))
+    if len(stack) != 1 or len(stack[0]) != 1:
+        raise EncodeError(f"not one SMT-LIB term: {text}")
+    return stack[0][0]
 
 
 def leaves(t, out=None):
@@ -290,10 +317,10 @@ class SolverScript:
 
     `main` holds terms in order: a leaf declares its symbol, and any
     other term is the assertion that defines one symbol (`define`).
-    Struct datatypes, base-address constants and the queries' assertion
-    text sit beside it.  `render`, the only place that writes text,
+    Struct datatypes, base-address constants and the queries' asserted
+    terms sit beside it.  `render`, the only place that writes text,
     sends only the cone of influence of the queries: a symbol is live
-    when a query's text reads it, or a kept definition does, and a
+    when a query reads it, or a kept definition does, and a
     declaration or a definition is kept only when its symbol is live,
     found in one backward pass over `main`.  The preamble, datatypes and
     base addresses with their `distinct` assertions are kept whole.
@@ -310,7 +337,7 @@ class SolverScript:
     datatypes: list = field(default_factory=list)  # Datatype per struct
     bases: dict = field(default_factory=dict)      # const name -> group
     main: list = field(default_factory=list)
-    queries: list = field(default_factory=list)    # (name, assertion text)
+    queries: list = field(default_factory=list)    # (name, asserted term)
     _declared: set = field(default_factory=set)
     _query_names: set = field(default_factory=set)
     _defined: set = field(default_factory=set)
@@ -339,11 +366,15 @@ class SolverScript:
             self.bases[name] = group
         return Term(name, (), "Int")
 
-    def add_query(self, name, assert_text):
+    def add_query(self, name, query):
+        """Add the query `name`, which asserts the Bool term `query`, or
+        the one term that the text `query` holds (`parse_term`)."""
         if name in self._query_names:
             raise EncodeError(f"duplicate query name {name}")
+        if isinstance(query, str):
+            query = parse_term(query)
         self._query_names.add(name)
-        self.queries.append((name, assert_text))
+        self.queries.append((name, query))
 
     def base_terms(self):
         """The base-address constants, each group with its `distinct`
@@ -365,8 +396,8 @@ class SolverScript:
     def cone(self):
         """The terms of `main` that the queries can reach, in order."""
         live = set()
-        for _, text in self.queries:
-            live.update(text.replace("(", " ").replace(")", " ").split())
+        for _, q in self.queries:
+            live.update(leaves(q))
         kept = []
         for t in reversed(self.main):
             if not t.args:
@@ -388,8 +419,8 @@ class SolverScript:
         for t in self.base_terms() + self.cone():
             out.append(f"(assert {t.text})" if t.args
                        else f"(declare-const {t.op} {t.sort})")
-        for name, text in self.queries:
-            out += ["(push 1)", f'(echo "QUERY:{name}")', f"(assert {text})",
+        for name, q in self.queries:
+            out += ["(push 1)", f'(echo "QUERY:{name}")', f"(assert {q.text})",
                     "(check-sat)", "(pop 1)"]
         return "\n".join(out) + "\n"
 
@@ -402,7 +433,6 @@ class LoopRecord:
     loop_id: int
     span: object
     modified: set
-    guard: Term
     pre: dict
     head: dict
     bend: dict
@@ -985,7 +1015,7 @@ class Encoder:
         # writes outside `modified` are dropped: the exit keeps the head
         self._merge(guard, sorted(modified), body, {})
         self.loops.append(LoopRecord(
-            loop_id=s.loop_id, span=s.span, modified=modified, guard=guard,
+            loop_id=s.loop_id, span=s.span, modified=modified,
             pre=pre, head=head, bend=bend, exit=self._snapshot(names)))
 
 

@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass, field
 
 from .diagnostics import StepBudgetExceeded, UnknownSymbol
-from .encoder import MEM
+from .encoder import MEM, binary
 from .frontend.ast import IntType, LongType
 
 REPORT_VERSION = 1
@@ -66,7 +66,7 @@ class Candidate:
     variable: str
     kind: str                  # key of POINT_NAMES
     loop_id: int = None
-    pairs: list = field(default_factory=list)   # (sym_a, sym_b) to prove
+    pairs: list = field(default_factory=list)   # (leaf, leaf) to prove equal
     query_names: list = field(default_factory=list)
     verdict: str = None        # 'invariant' | 'unknown' (filled later)
     time_ms: float = 0.0
@@ -113,13 +113,12 @@ def build_candidates(ab, enc):
                 and name in enc.exit_env:
             cands.append(Candidate(
                 variable=name, kind="entry-exit",
-                pairs=[(enc.entry_env[name].text, enc.exit_env[name].text)]))
+                pairs=[(enc.entry_env[name], enc.exit_env[name])]))
     for lr in enc.loops:
         for name, _ in cvars:
             if name not in lr.pre:
                 continue
-            pre, head = lr.pre[name].text, lr.head[name].text
-            bend = lr.bend[name].text
+            pre, head, bend = lr.pre[name], lr.head[name], lr.bend[name]
             if head != pre:
                 # modified in the loop: (pre, head) is sat, see above
                 loop = Candidate(variable=name, kind="loop",
@@ -228,10 +227,10 @@ def emit_query(cand, script, name):
         if a == b:
             continue
         for sym in (a, b):
-            if "@" in sym and sym not in declared:
-                raise UnknownSymbol(f"symbol {sym} not declared in script")
+            if sym.op not in declared:
+                raise UnknownSymbol(f"symbol {sym.op} not declared in script")
         qname = f"{name}.{i}"
-        script.add_query(qname, f"(not (= {a} {b}))")
+        script.add_query(qname, binary("!=", a, b))
         names.append(qname)
     cand.query_names = names
     return names
@@ -330,7 +329,7 @@ def detect_invariants(ab, enc, solver, program_name="program"):
         if c.verdict is not None:
             continue
         raw = [verdicts.get(q, "error") for q in c.query_names]
-        c.verdict = combine_verdicts(raw) if raw else "invariant"
+        c.verdict = combine_verdicts(raw)
         c.time_ms = elapsed if c.query_names else 0.0
     polluted = sorted(v for v in ab.havocked
                       if not v.startswith("$") and v != MEM)

@@ -3,9 +3,8 @@
 `refute_queries(script)` evaluates the encoder's `SolverScript` itself,
 not text: exactly the terms `render()` emits (the base addresses with
 their `distinct` assertions, and the cone of `main`) and each query's
-assertion.  It returns the queries it shows to be satisfiable, without
-a solver, each with its model.  `_parse` reads the queries' text into
-terms; it reads nothing else.
+asserted term.  It returns the queries it shows to be satisfiable,
+without a solver, each with its model.
 
 Each assertion of `main` defines one constant from constants declared
 before it (see `SolverScript.define`); the `distinct` assertions are
@@ -31,18 +30,16 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .encoder import DATATYPES, FUNCTIONS, PARAMS, Term, definition, \
-    leaves
+from .encoder import DATATYPES, FUNCTIONS, PARAMS, definition, leaves, \
+    parse_term
 
 TRIALS = 128
 PATIENCE = 64            # trials in a row that refute nothing: stop
 SEED = 0
 _SMALL = (-2, -1, 0, 1, 2, 3)
-_TOKEN = re.compile(r'\s+|;[^\n]*|(\(|\)|"[^"]*"|[^\s()";]+)')
 
 
 class _Stuck(Exception):
@@ -52,33 +49,10 @@ class _Stuck(Exception):
 _STUCK = object()        # the value of a constant that could not be computed
 
 
-def _parse(text):
-    """SMT-LIB text to the terms it holds, with no sorts."""
-    stack = [[]]
-    for m in _TOKEN.finditer(text):
-        tok = m.group(1)
-        if tok is None:
-            continue
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if len(stack) == 1:
-                raise _Stuck("unbalanced ')'")
-            done = stack.pop()
-            if not done or done[0].args:
-                raise _Stuck("application without an operator")
-            stack[-1].append(Term(done[0].op, tuple(done[1:]), None))
-        else:
-            stack[-1].append(Term(tok, (), None))
-    if len(stack) != 1:
-        raise _Stuck("unbalanced '('")
-    return stack[0]
-
-
 @lru_cache(maxsize=256)
 def _array_sorts(sort):
     """(key sort, value sort) of an array sort, or None for another."""
-    t, = _parse(sort)
+    t = parse_term(sort)
     return (t.args[0].text, t.args[1].text) if t.op == "Array" else None
 
 
@@ -134,14 +108,9 @@ class _Script:
                 sym, guard, value = definition(t)
                 self.defs[sym.op] = (guard, value)
                 self.deps[sym.op] = self.refs(t) - {sym.op}
-        self.queries = []        # (name, assertion, constants read)
-        for name, text in script.queries:
-            try:
-                q, = _parse(text)
-            except (_Stuck, ValueError):
-                continue         # left undecided
-            self.queries.append((name, q, self.refs(q)))
-            terms.append(q)
+        self.queries = [(name, q, self.refs(q))  # + the constants q reads
+                        for name, q in script.queries]
+        terms += [q for _, q in script.queries]
         self.checked_refs = set().union(*map(self.refs, self.checked))
         self.literals = {int(leaf) for t in terms for leaf in leaves(t)
                          if leaf.isdigit()}

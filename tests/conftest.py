@@ -68,7 +68,7 @@ def with_queries(source, entry, result_query=False):
     for i, c in enumerate(enumerate_candidates(ab, enc)):
         emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
     if result_query:
-        enc.script.add_query("result", nonzero(enc.exit_env["$result"]).text)
+        enc.script.add_query("result", nonzero(enc.exit_env["$result"]))
     return enc.script
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline, check_oracle
 from invarc.diagnostics import EncodeError, UnknownSymbol
-from invarc.encoder import MEM, SolverScript, definition, encode_program, \
-    leaves
+from invarc.encoder import MEM, SolverScript, Term, definition, \
+    encode_program, leaves
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import (
@@ -58,10 +58,9 @@ def test_enumeration_excludes_temps_and_havocked():
 
 
 def test_identical_symbols_short_circuit():
-    c = Candidate(variable="v", kind="entry-exit",
-                  pairs=[("v@1", "v@1")])
     s = SolverScript()
-    s.declare("v@1", "Int")
+    v = s.declare("v@1", "Int")
+    c = Candidate(variable="v", kind="entry-exit", pairs=[(v, v)])
     assert emit_query(c, s, "q0$v$entry-exit") == []
     assert s.queries == []
 
@@ -74,10 +73,9 @@ def test_duplicate_query_name_rejected():
 
 
 def test_unknown_symbol_rejected():
-    c = Candidate(variable="v", kind="entry-exit",
-                  pairs=[("v@1", "v@2")])
     s = SolverScript()
-    s.declare("v@1", "Int")
+    c = Candidate(variable="v", kind="entry-exit",
+                  pairs=[(s.declare("v@1", "Int"), Term("v@2", (), "Int"))])
     with pytest.raises(UnknownSymbol):
         emit_query(c, s, "q0$v$entry-exit")
 

@@ -2,12 +2,16 @@
 a differential check of its models against the reference interpreter."""
 
 import itertools
+from dataclasses import replace
+
+import pytest
 
 from invarc.cli import build_pipeline
-from invarc.encoder import SolverScript
+from invarc.diagnostics import EncodeError
+from invarc.encoder import SolverScript, parse_term
 from invarc.interp import InterpError, run_source
 from invarc.invariants import emit_query, enumerate_candidates
-from invarc.refute import _parse, refute_queries
+from invarc.refute import refute_queries
 
 from genprog import mutating_c
 
@@ -18,7 +22,7 @@ def script(decls, background, *queries):
     s = SolverScript()
     syms = {name: s.declare(name, sort) for name, sort in decls}
     for text in background:
-        (eq,) = _parse(text)
+        eq = parse_term(text)
         s.define(syms[eq.args[0].op], eq.args[1])
     for i, q in enumerate(queries):
         s.add_query(f"q{i}", q)
@@ -75,11 +79,40 @@ def test_records_and_functions():
 
 
 def test_unsupported_input_decides_nothing():
-    # an undeclared function, and texts that are not one term
-    assert refuted([], [], "(= (f 1) 1)", "(= 1 1) (= 2 2)", "(= 1") == set()
+    # an undeclared function
+    assert refuted([], [], "(= (f 1) 1)") == set()
     # true => (true => false) is false; ill-sorted terms are not evaluated.
     assert refuted([("x", "Int")], [], "(=> true true false)", "(not 1 2)",
                    "(< (select x 1) 3)") == set()
+
+
+@pytest.mark.parametrize("text", ["(= 1", "(= 1 1) (= 2 2)", "", "()",
+                                  "(= 1))", "((f) 1)"])
+def test_text_that_is_not_one_term_is_no_query(text):
+    s = SolverScript()
+    with pytest.raises(EncodeError):
+        s.add_query("q", text)
+    assert s.queries == []
+
+
+def test_text_and_term_queries_render_and_refute_alike():
+    """Each query of the CLI, added again as its own text, renders the
+    same bytes and is refuted with the same model."""
+    refuted_any = kept_any = False
+    for seed in range(5):
+        *_, ab, enc = build_pipeline(mutating_c(seed), "gen")
+        for i, c in enumerate(enumerate_candidates(ab, enc)):
+            emit_query(c, enc.script, f"q{i}")
+        terms = enc.script
+        texts = replace(terms, queries=[], _query_names=set())
+        for name, q in terms.queries:
+            texts.add_query(name, q.text)
+        assert texts.render() == terms.render()
+        models = refute_queries(terms)
+        assert refute_queries(texts) == models
+        refuted_any |= bool(models)
+        kept_any |= len(models) < len(terms.queries)
+    assert refuted_any and kept_any
 
 
 def test_refutations_reproduce_in_the_interpreter():

@@ -69,7 +69,7 @@ def script_without(src, entry, settled, result_query):
         if i not in settled:
             emit_query(c, enc.script, f"q{i}${c.variable}${c.kind}")
     if result_query:
-        enc.script.add_query("result", nonzero(enc.exit_env["$result"]).text)
+        enc.script.add_query("result", nonzero(enc.exit_env["$result"]))
     return enc.script.render()
 
 

@@ -1,21 +1,21 @@
 """Sort and scope check of the encoder's scripts, without a solver.
 
-Every term of `main`, and every query assertion as `refute._parse` reads
-it, is checked against the signatures of the SMT-LIB 2.6 theories the
-encoder uses (Ints, Reals, ArraysEx, datatypes): arithmetic and
-comparisons take arguments of one sort, Int or Real, which cvc5 demands
-and z3 does not; `ite` a Bool condition and two arms of one sort; `=`
-and `distinct` arguments of one sort; `select` and `store` keys of the
-array's key sort (Addr for memory); `mk-addr` Int fields; `to_real` an
-Int.  Each term's own sort must be the one its signature gives, and
-every symbol must be declared before the entry that reads it; a
-definition may read only symbols declared before the one it defines."""
+Every term of `main`, and every query's asserted term, is checked
+against the signatures of the SMT-LIB 2.6 theories the encoder uses
+(Ints, Reals, ArraysEx, datatypes): arithmetic and comparisons take
+arguments of one sort, Int or Real, which cvc5 demands and z3 does not;
+`ite` a Bool condition and two arms of one sort; `=` and `distinct`
+arguments of one sort; `select` and `store` keys of the array's key
+sort (Addr for memory); `mk-addr` Int fields; `to_real` an Int.  Each
+term's own sort, a query's and its leaves' included, must be the one
+its signature or its symbol's declaration gives, and every symbol must
+be declared before the entry that reads it; a definition may read only
+symbols declared before the one it defines."""
 
 import pytest
 
 from invarc.encoder import DATATYPES, FUNCTIONS, PARAMS, SolverScript, \
-    definition, leaves
-from invarc.refute import _parse
+    Term, definition, leaves, parse_term
 
 from conftest import CORPUS, corpus_entry, corpus_source, with_queries
 from test_smt_digests import digest_programs
@@ -31,7 +31,7 @@ class IllSorted(Exception):
 
 
 def array_sorts(sort):
-    t, = _parse(sort)
+    t = parse_term(sort)
     if t.op != "Array" or len(t.args) != 2:
         raise IllSorted(f"{sort} is not an array sort")
     return t.args[0].text, t.args[1].text
@@ -137,9 +137,8 @@ def check(script):
                         problems.append(f"{sym.op} defined from {leaf}")
         except IllSorted as e:
             problems.append(str(e))
-    for name, text in script.queries:
+    for name, q in script.queries:
         try:
-            q, = _parse(text)
             if c.sort(q) != "Bool":
                 problems.append(f"query {name} is not Bool")
         except IllSorted as e:
@@ -196,6 +195,15 @@ def test_the_checker_finds_mixed_sorts():
     for bad in ["(+ 1 1.0)", "(ite 1 2 3)", "(= 1 (mk-addr 0 0))",
                 "(select 1 2)", "(mk-addr 0 0.0)", "(to_real 1.0)", "(f 1)",
                 "(< x 1)"]:
-        t, = _parse(bad)
         with pytest.raises(IllSorted):
-            c.sort(t)
+            c.sort(parse_term(bad))
+
+
+def test_the_checker_reads_the_sorts_a_query_claims():
+    s = SolverScript()
+    x = s.declare("x@0", "Int")
+    real_x = Term("x@0", (), "Real")
+    s.add_query("leaf", Term("=", (real_x, real_x), "Bool"))
+    s.add_query("sort", Term("=", (x, x), "Int"))
+    assert check(s) == ["query leaf: x@0 claims Real, is Int",
+                        "query sort: (= x@0 x@0) claims Int, is Bool"]

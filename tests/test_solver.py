@@ -2,6 +2,7 @@
 
 import shutil
 import stat
+import sys
 
 import pytest
 
@@ -10,6 +11,11 @@ from invarc.encoder import SolverScript
 from invarc.solver import (
     ENV_VAR, SolverConfig, discover_solver, parse_output, run_solver,
 )
+
+from conftest import ROOT, make_executable
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from checks import probe_solver  # noqa: E402
 
 NODE = shutil.which("node")
 
@@ -116,6 +122,18 @@ def test_keep_artifacts(tmp_path):
     run_solver(script_with(("q", "(not (= x x))")), cfg)
     kept = list((tmp_path / "work").glob("*.smt2"))
     assert kept and "QUERY:q" in kept[0].read_text()
+
+
+def test_the_benchmark_probe_asserts_its_text_as_written(tmp_path):
+    """The benchmark's solver probe adds its query as SMT-LIB text; the
+    script it sends asserts exactly that text."""
+    ok = make_executable(tmp_path / "ok",
+                         '#!/bin/sh\necho "QUERY:probe"\necho unsat\n')
+    cfg = SolverConfig(executable=str(ok), workdir=str(tmp_path / "work"))
+    assert probe_solver(tmp_path, cfg) is cfg
+    sent = (tmp_path / "work" / "script.smt2").read_text().splitlines()
+    assert sent[-5:] == ["(push 1)", '(echo "QUERY:probe")',
+                         "(assert (not (= 1 1)))", "(check-sat)", "(pop 1)"]
 
 
 def make_package(directory, index_js=""):
