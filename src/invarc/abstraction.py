@@ -10,14 +10,13 @@ nondeterministic booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._records import field, record
 from .diagnostics import InconsistentInput
 from . import normalize as N
 from .pollution import build_dependency_graph, _store_bases
 
 
-@dataclass
+@record
 class AbstractProgram:
     program: N.NormalizedProgram
     havocked: set = field(default_factory=set)

@@ -74,13 +74,12 @@ address only dropped statements take.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
-from itertools import islice
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
 
+from ._records import field, record, replace
 from .diagnostics import EncodeError, UnsupportedOperator, UnsupportedType
 from .frontend.ast import (
     ArrayType, DoubleType, PointerType, StructType, VOID,
@@ -96,12 +95,10 @@ MEM = "%mem"   # pseudo-variable for the threaded memory record
 _ABSENT = object()   # journaled value of a variable with no symbol
 
 
-class Term(NamedTuple):
+class Term(namedtuple("Term", ("op", "args", "sort"))):
     """An SMT-LIB term: `op` applied to `args`, of sort `sort`.  A symbol
     or a literal is a leaf, with `args == ()` and its text as `op`."""
-    op: str
-    args: tuple
-    sort: str
+    __slots__ = ()
 
     @property
     def text(self):
@@ -110,7 +107,8 @@ class Term(NamedTuple):
         return self.op
 
 
-_TOKEN = re.compile(r'\s+|;[^\n]*|(\(|\)|"[^"]*"|[^\s()";]+)')
+_TOKEN = re.compile(
+    r'\s+|;[^\n]*|(\(|\)|"[^"]*"|\|[^|]*\||[^\s()";|]+)|(.)', re.S)
 
 
 def parse_term(text):
@@ -118,7 +116,9 @@ def parse_term(text):
     raises EncodeError on any other text."""
     stack = [[]]
     for m in _TOKEN.finditer(text):
-        tok = m.group(1)
+        tok, stray = m.groups()
+        if stray is not None:   # an unclosed string or quoted symbol
+            raise EncodeError(f"not one SMT-LIB term: {text}")
         if tok is None:
             continue
         if tok == "(":
@@ -149,11 +149,9 @@ def leaves(t, out=None):
     return out
 
 
-class Datatype(NamedTuple):
+class Datatype(namedtuple("Datatype", ("name", "ctor", "fields"))):
     """A record sort: one constructor with (selector, sort) fields."""
-    name: str
-    ctor: str
-    fields: tuple
+    __slots__ = ()
 
     @property
     def text(self):
@@ -311,7 +309,7 @@ def definition(t):
     return eq.args[0], guard, eq.args[1]
 
 
-@dataclass
+@record
 class SolverScript:
     """An SMT-LIB 2 script of terms, with named query blocks.
 
@@ -425,7 +423,7 @@ class SolverScript:
         return "\n".join(out) + "\n"
 
 
-@dataclass
+@record
 class LoopRecord:
     """The symbols of one loop at its four points.  Each of `pre`,
     `head`, `bend` (body end) and `exit` maps the non-temporary variables,
@@ -468,7 +466,7 @@ class _EnvAt(Mapping):
         return len(self._env())
 
 
-@dataclass
+@record
 class Encoding:
     script: SolverScript
     entry_env: dict                 # var -> symbol Term at entry

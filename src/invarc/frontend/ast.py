@@ -8,9 +8,9 @@ parse time), and neither do any rejected constructs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .._records import field, record
 from ..diagnostics import Span
 
 
@@ -28,38 +28,38 @@ class CType:
         return isinstance(self, (IntType, LongType, BoolType))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntType(CType):
     def __str__(self):
         return "int"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LongType(CType):
     def __str__(self):
         return "long"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DoubleType(CType):
     def __str__(self):
         return "double"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolType(CType):
     # internal only: comparison/logical results before use as int
     def __str__(self):
         return "int"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VoidType(CType):
     def __str__(self):
         return "void"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructType(CType):
     name: str
 
@@ -67,7 +67,7 @@ class StructType(CType):
         return f"struct {self.name}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrayType(CType):
     elem: CType
     length: int
@@ -76,7 +76,7 @@ class ArrayType(CType):
         return f"{self.elem}[{self.length}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointerType(CType):
     target: CType
 
@@ -84,7 +84,7 @@ class PointerType(CType):
         return f"{self.target}*"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuncPtrType(CType):
     params: tuple
     ret: CType
@@ -128,44 +128,44 @@ def same_type(a, b):
 # instead of inspecting every field of every node.
 
 
-@dataclass
+@record
 class Expr:
     span: Span = field(default=None, repr=False, compare=False)
     ctype: CType = field(default=None, repr=False, compare=False)
     children = ()
 
 
-@dataclass
+@record
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass
+@record
 class FloatLit(Expr):
     value: Fraction = Fraction(0)
     text: str = "0.0"
 
 
-@dataclass
+@record
 class NullLit(Expr):
     pass
 
 
-@dataclass
+@record
 class Name(Expr):
     ident: str = ""
     # filled by typecheck: the VarDecl / Param / FunctionDef this resolves to
     decl: object = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@record
 class Unary(Expr):
     op: str = ""  # -  !  &  *
     operand: Expr = None
     children = ("operand",)
 
 
-@dataclass
+@record
 class Binary(Expr):
     op: str = ""  # + - * / % < <= > >= == != && ||
     lhs: Expr = None
@@ -173,7 +173,7 @@ class Binary(Expr):
     children = ("lhs", "rhs")
 
 
-@dataclass
+@record
 class Member(Expr):
     obj: Expr = None
     name: str = ""
@@ -181,14 +181,14 @@ class Member(Expr):
     children = ("obj",)
 
 
-@dataclass
+@record
 class Index(Expr):
     arr: Expr = None
     index: Expr = None
     children = ("arr", "index")
 
 
-@dataclass
+@record
 class Call(Expr):
     callee: Expr = None
     args: list = field(default_factory=list)
@@ -199,13 +199,13 @@ class Call(Expr):
 # Statements
 
 
-@dataclass
+@record
 class Stmt:
     span: Span = field(default=None, repr=False, compare=False)
     children = ()
 
 
-@dataclass
+@record
 class DeclStmt(Stmt):
     name: str = ""
     ctype: CType = None
@@ -214,20 +214,20 @@ class DeclStmt(Stmt):
     children = ("init", "init_list")
 
 
-@dataclass
+@record
 class AssignStmt(Stmt):
     target: Expr = None  # Name, Member, Index, or Unary('*', p)
     value: Expr = None
     children = ("target", "value")
 
 
-@dataclass
+@record
 class CompoundStmt(Stmt):
     stmts: list = field(default_factory=list)
     children = ("stmts",)
 
 
-@dataclass
+@record
 class IfStmt(Stmt):
     cond: Expr = None
     then: Stmt = None
@@ -235,20 +235,20 @@ class IfStmt(Stmt):
     children = ("cond", "then", "els")
 
 
-@dataclass
+@record
 class WhileStmt(Stmt):
     cond: Expr = None
     body: Stmt = None
     children = ("cond", "body")
 
 
-@dataclass
+@record
 class ReturnStmt(Stmt):
     value: Expr = None
     children = ("value",)
 
 
-@dataclass
+@record
 class ExprStmt(Stmt):
     expr: Expr = None
     children = ("expr",)
@@ -285,14 +285,14 @@ def nested_stmts(s):
 # Top level
 
 
-@dataclass
+@record
 class Param:
     name: str
     ctype: CType
     span: Span = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@record
 class VarDecl:
     name: str
     ctype: CType
@@ -302,7 +302,7 @@ class VarDecl:
     children = ("init", "init_list")
 
 
-@dataclass
+@record
 class StructDef:
     name: str
     members: list  # list of (name, CType)
@@ -321,7 +321,7 @@ class StructDef:
         return None
 
 
-@dataclass
+@record
 class FunctionDef:
     name: str
     ret: CType
@@ -330,7 +330,7 @@ class FunctionDef:
     span: Span = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@record
 class Ast:
     struct_defs: list = field(default_factory=list)
     globals: list = field(default_factory=list)

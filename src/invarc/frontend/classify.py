@@ -18,22 +18,21 @@ one polluted set per item and unions them.  Flagged kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._records import field, record
 from .ast import (
     ArrayType, AssignStmt, Call, Expr, FuncPtrType, FunctionDef, Index,
     Member, Name, StructType, Unary, VarDecl, child_fields, nested_stmts,
     same_type,
 )
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubsetItem:
     kind: str
     span: object
     reason: str = ""
 
 
-@dataclass
+@record
 class SubsetReport:
     """The flagged constructs of a unit, and the unit facts the later
     stages read instead of walking the unit again: the functions on a

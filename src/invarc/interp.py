@@ -15,9 +15,9 @@ arithmetic and aliasing behave like C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._records import field, record
 from .diagnostics import StepBudgetExceeded
 from .frontend.ast import (
     ArrayType, AssignStmt, Binary, Call, CompoundStmt, DeclStmt,
@@ -45,7 +45,7 @@ class Cell:
         self.value = value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PtrVal:
     cells: tuple  # target cell block (length 1 for scalars)
     idx: int
@@ -56,7 +56,7 @@ class PtrVal:
         return self.cells[self.idx]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuncAddr:
     name: str
 
@@ -308,7 +308,7 @@ class _ExprMixin:
 # Source-level interpreter
 
 
-@dataclass
+@record
 class RunResult:
     ret: object
     finals: dict                  # scalar variable -> value (entry scope)

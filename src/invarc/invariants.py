@@ -44,10 +44,9 @@ rule, `Execution.holds`, on every input vector of a domain.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
 
+from ._records import field, record
 from .diagnostics import StepBudgetExceeded, UnknownSymbol
 from .encoder import MEM, binary
 from .frontend.ast import IntType, LongType
@@ -61,7 +60,7 @@ POINT_NAMES = {
 }
 
 
-@dataclass
+@record
 class Candidate:
     variable: str
     kind: str                  # key of POINT_NAMES
@@ -247,7 +246,7 @@ def combine_verdicts(raw_list):
     return "unknown"
 
 
-@dataclass
+@record
 class InvariantReport:
     program: str
     candidates: list
@@ -258,6 +257,7 @@ class InvariantReport:
     undecided: list = field(default_factory=list)   # queries left unanswered
 
     def to_json(self):
+        import json     # imported on first use, as most reports are text
         return json.dumps({
             "version": REPORT_VERSION,
             "program": self.program,

@@ -37,8 +37,8 @@ conservative.
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass, field, replace
 
+from ._records import field, record, replace
 from .diagnostics import (
     InlineDepthExceeded, NormalizeError, Span, UnsupportedExpression,
 )
@@ -59,7 +59,7 @@ MAX_INLINE_DEPTH = 32   # nested calls inlined into one another
 # Atoms and simple statements
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarRef:
     name: str
 
@@ -67,7 +67,7 @@ class VarRef:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lit:
     value: object  # int or Fraction; None for the null pointer
     kind: str      # 'int', 'real', 'null'
@@ -82,7 +82,7 @@ def atom_vars(a):
     return [a.name] if isinstance(a, VarRef) else []
 
 
-@dataclass
+@record
 class NAssign:
     lhs: str
     op: str            # 'copy', unary/binary op name, or an address op
@@ -95,7 +95,7 @@ class NAssign:
     base_hint: tuple = None   # ('var', name) | ('ptr', name) for addr ops
 
 
-@dataclass
+@record
 class NStore:
     ptr: object        # atom (VarRef)
     value: object      # atom
@@ -103,14 +103,14 @@ class NStore:
     uid: int = 0
 
 
-@dataclass
+@record
 class NHavoc:
     var: str
     span: Span = None
     uid: int = 0
 
 
-@dataclass
+@record
 class NUnmodelableCall:
     lhs: str           # '' when the callee result is unused
     func: str
@@ -120,13 +120,13 @@ class NUnmodelableCall:
     item: object = None
 
 
-@dataclass
+@record
 class NNop:
     span: Span = None
     uid: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NCond:
     """A branch or loop condition: `op`, one of COMPARISONS, of two
     atoms, or `nonzero`, the truth of one atom."""
@@ -146,7 +146,7 @@ def cond_vars(c):
     return [v for a in c.args for v in atom_vars(a)]
 
 
-@dataclass
+@record
 class NIf:
     cond: object       # NCond, or NondetCond after abstraction
     then: list = field(default_factory=list)
@@ -155,7 +155,7 @@ class NIf:
     uid: int = 0
 
 
-@dataclass
+@record
 class NWhile:
     """A loop.  Its body ends at `bend_at`, by default after its last
     statement: the statements after it re-evaluate the calls hoisted out
@@ -172,13 +172,13 @@ class NWhile:
             self.bend_at = len(self.body)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NondetCond:
     """Placeholder for a branch condition replaced by an unknown boolean."""
     origin_span: Span = None
 
 
-@dataclass
+@record
 class NDecl:
     name: str
     ctype: object
@@ -186,7 +186,7 @@ class NDecl:
     span: Span = None
 
 
-@dataclass
+@record
 class NormalizedProgram:
     entry: str
     decls: dict          # name -> NDecl, insertion-ordered
@@ -217,14 +217,14 @@ def walk_stmts(stmts):
 # Inlining (AST level)
 
 
-@dataclass
+@record
 class _InlinedWhile(WhileStmt):
     """AST-level loop after inlining: the last `recheck` statements of its
     body re-evaluate the calls hoisted out of its condition."""
     recheck: int = 0
 
 
-@dataclass
+@record
 class _UCallStmt:
     """AST-level marker: call we refuse to inline (recursive or library,
     tagged with the item at `item_span`, or the untagged last arm of a

@@ -20,9 +20,9 @@ asked for (`--dump graph`, `DependencyGraph.edges`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._records import field, record
 from .diagnostics import ItemNotFound, NotAPointer
 from .frontend.ast import ArrayType, FuncPtrType, PointerType, same_type
 from . import normalize as N
@@ -316,7 +316,7 @@ def propagate(g, seeds):
     return seen
 
 
-@dataclass
+@record
 class PollutionResult:
     """One item's initial labels and, computed on first read, their
     closure `polluted` in `graph`."""

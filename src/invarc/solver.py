@@ -12,13 +12,10 @@ files and starts no process.
 from __future__ import annotations
 
 import os
-import shlex
 import shutil
-import subprocess
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._records import record
 from .diagnostics import ProtocolError, SolverNotFound
 
 ENV_VAR = "INVARC_SOLVER"
@@ -27,7 +24,7 @@ _NODE_PACKAGE = "z3-solver"
 _NPM_GLOBAL = Path("/usr/lib/node_modules")
 
 
-@dataclass
+@record
 class SolverConfig:
     executable: str
     args: tuple = ()
@@ -53,6 +50,7 @@ def _solver_command():
     """The command line of the first solver found, in discovery order."""
     override = os.environ.get(ENV_VAR)
     if override:
+        import shlex
         try:
             parts = shlex.split(override)
         except ValueError as e:     # an unclosed quote or a trailing `\`
@@ -143,6 +141,8 @@ def parse_output(text, query_names):
 
 def run_solver(script, cfg):
     """Run every named query of `script`; returns {name: verdict}."""
+    import subprocess   # imported on first use: most runs start no solver
+    import tempfile
     names = [q[0] for q in script.queries]
     if not names:
         return {}

@@ -411,6 +411,34 @@ def test_import_loads_no_cli():
     assert done.stdout.strip() == "[]", done.stderr
 
 
+COLD_START = """\
+import sys
+import invarc
+print(sorted(m for m in {unused!r} if m in sys.modules))
+from invarc.cli import main
+code = main(["--solver", "none", {source!r}])
+print(code, sorted(m for m in ("subprocess", "tempfile") if m in sys.modules))
+"""
+
+
+def test_cold_start_loads_no_module_a_run_does_not_use():
+    """Importing invarc loads neither `dataclasses` nor the modules only
+    a solver run or a JSON report uses, and a run without a solver
+    loads no process machinery.  `-S` keeps the modules that the
+    host's site packages import out of the check."""
+    script = COLD_START.format(
+        unused=("dataclasses", "inspect", "typing", "subprocess", "tempfile",
+                "shlex", "json"),
+        source=str(CORPUS / "sum.c"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]", done.stderr
+    assert lines[-1] == "0 []", done.stderr
+
+
 # --- calls that inlining cannot eliminate, and calls through pointers ------
 
 REC = """int g;

@@ -11,11 +11,11 @@ record a deliberate change, run
 `PYTHONPATH=src python tests/test_frontend_digests.py` from the
 repository root and commit the new file with the change."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
+from invarc._records import fields
 from invarc.diagnostics import InvarcError, Span
 from invarc.frontend.ast import CType
 from invarc.frontend.lexer import REJECTED_KEYWORDS, lex
@@ -113,11 +113,12 @@ def dump(node):
         return _span(node)
     if isinstance(node, (CType, Fraction)):
         return repr(node)
-    if dataclasses.is_dataclass(node):
-        return {"": type(node).__name__,
-                **{f.name: dump(getattr(node, f.name))
-                   for f in dataclasses.fields(node)}}
-    return node
+    try:
+        record_fields = fields(node)
+    except TypeError:       # a plain value
+        return node
+    return {"": type(node).__name__,
+            **{f.name: dump(getattr(node, f.name)) for f in record_fields}}
 
 
 def _sha(value):

@@ -2,10 +2,10 @@
 a differential check of its models against the reference interpreter."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 
+from invarc._records import replace
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
 from invarc.encoder import SolverScript, parse_term
@@ -87,12 +87,18 @@ def test_unsupported_input_decides_nothing():
 
 
 @pytest.mark.parametrize("text", ["(= 1", "(= 1 1) (= 2 2)", "", "()",
-                                  "(= 1))", "((f) 1)"])
+                                  "(= 1))", "((f) 1)", '(= 1 1) "',
+                                  "(= x |a b)"])
 def test_text_that_is_not_one_term_is_no_query(text):
     s = SolverScript()
     with pytest.raises(EncodeError):
         s.add_query("q", text)
     assert s.queries == []
+
+
+def test_a_quoted_symbol_is_one_leaf():
+    t = parse_term("(= x |a b|)")
+    assert [a.op for a in t.args] == ["x", "|a b|"]
 
 
 def test_text_and_term_queries_render_and_refute_alike():

@@ -9,11 +9,11 @@ holds the normalizer's own `_InlinedWhile` and `_UCallStmt` nodes), and
 must raise at a value whose class declares no children instead of
 skipping it."""
 
-import dataclasses
 import typing
 
 import pytest
 
+from invarc._records import fields
 from invarc.frontend import parse_translation_unit
 from invarc.frontend import ast as A
 from invarc.frontend.classify import classify_constructs, walk_exprs
@@ -163,7 +163,7 @@ def test_children_are_the_fields_that_hold_nodes():
     for cls in classes:
         hints = typing.get_type_hints(cls)
         holding = tuple(
-            f.name for f in dataclasses.fields(cls)
+            f.name for f in fields(cls)
             if hints[f.name] is list or (isinstance(hints[f.name], type)
                                          and issubclass(hints[f.name],
                                                         (A.Expr, A.Stmt))))
