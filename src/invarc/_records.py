@@ -10,7 +10,7 @@ mutable one is unhashable.  A method that the class body defines itself
 is kept.  `field`, `fields` and `replace` work as their namesakes in
 `dataclasses` do, except that `replace` refuses an `init=False` field
 with TypeError; like there, such a field of the new record gets its
-default again.
+default again, or stays unset without one.
 """
 
 from operator import attrgetter
@@ -99,9 +99,11 @@ def _init(cls, flds, frozen):
             value = n if f.init else f"_d_{n}"
             if f.init:
                 params.append(f"{n}=_d_{n}")
-        else:
+        elif f.init:
             params.append(n)
             value = n
+        else:               # no value: `__init__` leaves the field unset
+            continue
         body.append(f"_set(self, {n!r}, {value})" if frozen
                     else f"self.{n} = {value}")
     if hasattr(cls, "__post_init__"):

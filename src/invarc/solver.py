@@ -141,7 +141,9 @@ def parse_output(text, query_names):
 
 def run_solver(script, cfg):
     """Run every named query of `script`; returns {name: verdict}."""
-    import subprocess   # imported on first use: most runs start no solver
+    # imported here: a run that starts no solver (`--solver none`, no
+    # query, or no solver found) does not load them
+    import subprocess
     import tempfile
     names = [q[0] for q in script.queries]
     if not names:

@@ -403,40 +403,32 @@ def test_run_as_a_module(module):
 
 
 def test_import_loads_no_cli():
+    """Importing invarc loads neither the CLI nor `dataclasses`, nor the
+    modules that only a solver run or a JSON report uses.  `-S` keeps
+    the modules that the host's site packages import out of the
+    check."""
+    unused = ("argparse", "invarc.cli", "invarc.interp", "dataclasses",
+              "inspect", "typing", "subprocess", "tempfile", "shlex", "json")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, invarc; print(sorted(m for m in"
-         " ('argparse', 'invarc.cli', 'invarc.interp') if m in sys.modules))"],
+        [sys.executable, "-S", "-c", "import sys, invarc; print(sorted(m for"
+         f" m in {unused!r} if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "[]", done.stderr
 
 
-COLD_START = """\
-import sys
-import invarc
-print(sorted(m for m in {unused!r} if m in sys.modules))
-from invarc.cli import main
-code = main(["--solver", "none", {source!r}])
-print(code, sorted(m for m in ("subprocess", "tempfile") if m in sys.modules))
-"""
-
-
-def test_cold_start_loads_no_module_a_run_does_not_use():
-    """Importing invarc loads neither `dataclasses` nor the modules only
-    a solver run or a JSON report uses, and a run without a solver
-    loads no process machinery.  `-S` keeps the modules that the
-    host's site packages import out of the check."""
-    script = COLD_START.format(
-        unused=("dataclasses", "inspect", "typing", "subprocess", "tempfile",
-                "shlex", "json"),
-        source=str(CORPUS / "sum.c"))
+def test_a_run_without_a_solver_loads_no_process_machinery():
+    script = (
+        "import sys\n"
+        "from invarc.cli import main\n"
+        f"code = main(['--solver', 'none', {str(CORPUS / 'sum.c')!r}])\n"
+        "print(code, sorted(m for m in ('subprocess', 'tempfile')"
+        " if m in sys.modules))\n")
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=120)
-    lines = done.stdout.splitlines()
-    assert lines[0] == "[]", done.stderr
-    assert lines[-1] == "0 []", done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
 
 
 # --- calls that inlining cannot eliminate, and calls through pointers ------

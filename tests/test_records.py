@@ -5,7 +5,7 @@ the dataclass `repr` format that the frontend digests hash."""
 
 import pytest
 
-from invarc._records import fields, replace
+from invarc._records import field, fields, record, replace
 from invarc.diagnostics import Span
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.ast import (
@@ -92,3 +92,18 @@ def test_fields_in_declaration_order_base_first():
         ["span", "ctype", "ident", "decl"]
     with pytest.raises(TypeError):
         fields(3)
+
+
+def test_an_init_false_field_without_default_is_not_a_parameter():
+    @record
+    class Memo:
+        key: int
+        cache: dict = field(init=False, repr=False)
+
+    m = Memo(1)
+    assert not hasattr(m, "cache") and repr(m).endswith(".Memo(key=1)")
+    with pytest.raises(TypeError):
+        Memo(1, {})
+    m.cache = {1: 2}
+    assert replace(m, key=2).key == 2
+    assert not hasattr(replace(m), "cache")
