@@ -12,10 +12,7 @@ __version__ = "0.1.0"
 from .frontend import parse_translation_unit
 from .frontend.classify import classify_constructs
 from .normalize import to_simple_assignments
-from .pollution import (
-    build_dependency_graph, initial_labels, propagate,
-    resolve_base_variables,
-)
+from .pollution import build_dependency_graph, initial_labels, propagate
 from .abstraction import abstract_program
 from .encoder import encode_program
 from .invariants import detect_invariants, interpret_result
@@ -31,7 +28,6 @@ __all__ = [
     "build_dependency_graph",
     "initial_labels",
     "propagate",
-    "resolve_base_variables",
     "abstract_program",
     "encode_program",
     "detect_invariants",

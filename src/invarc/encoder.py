@@ -15,8 +15,10 @@ but never unsounds a verdict.
 Terms are immutable `Term(op, args, sort)` trees: a symbol or literal
 is a leaf with no arguments, and every builder below returns a tree of
 the SMT-LIB sort it has.  Two terms are equal when their trees are.
-Queries are terms too.  Text is written only by `SolverScript.render`,
-and read only by `parse_term`.
+Queries are terms too, and so are sorts, with no sort of their own:
+`Int` is a leaf and `(Array Int Int)` applies `Array` to two sorts, as
+in SMT-LIB.  Text is written only by `SolverScript.render`, by
+`Datatype.text` and in error messages, and read only by `parse_term`.
 
 Calls arrive inlined by the normalizer.  A call through a function
 pointer is an `if` chain whose conditions compare the pointer with
@@ -150,38 +152,51 @@ def leaves(t, out=None):
 
 
 class Datatype(namedtuple("Datatype", ("name", "ctor", "fields"))):
-    """A record sort: one constructor with (selector, sort) fields."""
+    """A record sort `name`: one constructor with (selector, sort)
+    fields."""
     __slots__ = ()
 
     @property
     def text(self):
-        fields = " ".join(f"({sel} {sort})" for sel, sort in self.fields)
-        return f"(declare-datatype {self.name} (({self.ctor} {fields})))"
+        fields = " ".join(f"({sel} {sort.text})" for sel, sort in self.fields)
+        return f"(declare-datatype {self.name.text} (({self.ctor} {fields})))"
 
 
-ZERO = Term("0", (), "Int")
-ONE = Term("1", (), "Int")
+INT = Term("Int", (), None)
+REAL = Term("Real", (), None)
+BOOL = Term("Bool", (), None)
+ADDR = Term("Addr", (), None)
+MEM_SORT = Term("Mem", (), None)
+
+
+def array_sort(key, value):
+    return Term("Array", (key, value), None)
+
+
+ZERO = Term("0", (), INT)
+ONE = Term("1", (), INT)
 
 
 def lit_int(n):
-    t = Term(str(abs(n)), (), "Int")
-    return t if n >= 0 else Term("-", (t,), "Int")
+    t = Term(str(abs(n)), (), INT)
+    return t if n >= 0 else Term("-", (t,), INT)
 
 
 def lit_real(x):
     f = Fraction(x)
-    t = Term(f"{abs(f.numerator)}.0", (), "Real")
+    t = Term(f"{abs(f.numerator)}.0", (), REAL)
     if f.denominator != 1:
-        t = Term("/", (t, Term(f"{f.denominator}.0", (), "Real")), "Real")
-    return t if f >= 0 else Term("-", (t,), "Real")
+        t = Term("/", (t, Term(f"{f.denominator}.0", (), REAL)), REAL)
+    return t if f >= 0 else Term("-", (t,), REAL)
 
 
-NULL_ADDR = Term("mk-addr", (ZERO, ZERO), "Addr")
-_MEM_FIELD = {"Int": "mem-int", "Real": "mem-real", "Addr": "mem-ptr"}
+NULL_ADDR = Term("mk-addr", (ZERO, ZERO), ADDR)
+_MEM_FIELD = {INT: "mem-int", REAL: "mem-real", ADDR: "mem-ptr"}
+_MEM_ARRAY = {sort: array_sort(ADDR, sort) for sort in _MEM_FIELD}
 DATATYPES = (
-    Datatype("Addr", "mk-addr", (("addr-base", "Int"), ("addr-off", "Int"))),
-    Datatype("Mem", "mk-mem", tuple((fld, f"(Array Addr {sort})")
-                                    for sort, fld in _MEM_FIELD.items())),
+    Datatype(ADDR, "mk-addr", (("addr-base", INT), ("addr-off", INT))),
+    Datatype(MEM_SORT, "mk-mem", tuple((fld, _MEM_ARRAY[sort])
+                                       for sort, fld in _MEM_FIELD.items())),
 )
 
 
@@ -190,14 +205,14 @@ def ite(cond, a, b):
 
 
 def as_real(t):
-    if t.sort == "Int":
-        return Term("to_real", (t,), "Real")
+    if t.sort == INT:
+        return Term("to_real", (t,), REAL)
     return t
 
 
 def join_arith(a, b):
-    if a.sort == "Real" or b.sort == "Real":
-        return as_real(a), as_real(b), "Real"
+    if a.sort == REAL or b.sort == REAL:
+        return as_real(a), as_real(b), REAL
     return a, b, a.sort
 
 
@@ -208,22 +223,22 @@ def binary(op, a, b):
     if op in ("+", "-", "*"):
         return Term(op, (a, b), sort)
     if op in ("==", "!="):
-        eq = Term("=", (a, b), "Bool")
-        return eq if op == "==" else Term("not", (eq,), "Bool")
-    return Term(op, (a, b), "Bool")
+        eq = Term("=", (a, b), BOOL)
+        return eq if op == "==" else Term("not", (eq,), BOOL)
+    return Term(op, (a, b), BOOL)
 
 
 def _cdiv_cmod(a, b):
     """C's truncating division and remainder of `a` by `b`."""
-    q = Term("div", (Term("abs", (a,), "Int"), Term("abs", (b,), "Int")),
-             "Int")
+    q = Term("div", (Term("abs", (a,), INT), Term("abs", (b,), INT)),
+             INT)
     cdiv = ite(binary(">=", binary("*", a, b), ZERO), q,
-               Term("-", (q,), "Int"))
+               Term("-", (q,), INT))
     return {"cdiv": cdiv,
-            "cmod": binary("-", a, binary("*", b, Term("cdiv", (a, b), "Int")))}
+            "cmod": binary("-", a, binary("*", b, Term("cdiv", (a, b), INT)))}
 
 
-PARAMS = (Term("a", (), "Int"), Term("b", (), "Int"))
+PARAMS = (Term("a", (), INT), Term("b", (), INT))
 FUNCTIONS = _cdiv_cmod(*PARAMS)   # name -> body over PARAMS
 
 
@@ -232,36 +247,36 @@ def coerce(t, sort):
     be."""
     if t.sort == sort:
         return t
-    if sort == "Real" and t.sort == "Int":
+    if sort == REAL and t.sort == INT:
         return as_real(t)
     return None
 
 
-_ZERO = {"Int": ZERO, "Real": Term("0.0", (), "Real"), "Addr": NULL_ADDR}
+_ZERO = {INT: ZERO, REAL: Term("0.0", (), REAL), ADDR: NULL_ADDR}
 
 
 def zero(sort):
     """The zero value of a scalar sort: 0, 0.0 or the null address."""
     if sort not in _ZERO:
-        raise _Unencodable(f"no zero of sort {sort}")
+        raise _Unencodable(f"no zero of sort {sort.text}")
     return _ZERO[sort]
 
 
 def nonzero(t):
     """The Bool term that `t` is not zero, C's truth of a scalar."""
-    return Term("distinct", (t, zero(t.sort)), "Bool")
+    return Term("distinct", (t, zero(t.sort)), BOOL)
 
 
 def offset_addr(p, off, op="+"):
     """The address `p` moved by `off` cells, forward (`+`) or back
     (`-`)."""
     return Term("mk-addr", (
-        Term("addr-base", (p,), "Int"),
-        Term(op, (Term("addr-off", (p,), "Int"), off), "Int")), "Addr")
+        Term("addr-base", (p,), INT),
+        Term(op, (Term("addr-off", (p,), INT), off), INT)), ADDR)
 
 
 def _mem_array(m, sort):
-    return Term(_MEM_FIELD[sort], (m,), f"(Array Addr {sort})")
+    return Term(_MEM_FIELD[sort], (m,), _MEM_ARRAY[sort])
 
 
 def mem_with(m, addr, val):
@@ -272,7 +287,7 @@ def mem_with(m, addr, val):
     arrays = {sort: _mem_array(m, sort) for sort in _MEM_FIELD}
     a = arrays[val.sort]
     arrays[val.sort] = Term("store", (a, addr, val), a.sort)
-    return Term("mk-mem", tuple(arrays.values()), "Mem")
+    return Term("mk-mem", tuple(arrays.values()), MEM_SORT)
 
 
 def merge(cond, names, env, end1, end2):
@@ -355,14 +370,14 @@ class SolverScript:
         if sym.op in self._defined:
             raise EncodeError(f"symbol {sym.op} defined twice")
         self._defined.add(sym.op)
-        t = Term("=", (sym, value), "Bool")
+        t = Term("=", (sym, value), BOOL)
         self.main.append(t if guard is None
-                         else Term("=>", (guard, t), "Bool"))
+                         else Term("=>", (guard, t), BOOL))
 
     def add_base(self, name, group):
         if name not in self.bases:
             self.bases[name] = group
-        return Term(name, (), "Int")
+        return Term(name, (), INT)
 
     def add_query(self, name, query):
         """Add the query `name`, which asserts the Bool term `query`, or
@@ -381,14 +396,14 @@ class SolverScript:
         groups = {}
         for name in sorted(self.bases):
             groups.setdefault(self.bases[name], []).append(
-                Term(name, (), "Int"))
+                Term(name, (), INT))
         for g in sorted(groups):
             consts = groups[g]
             out += consts
             if g == "base":
                 consts = [ZERO] + consts
             if len(consts) > 1:
-                out.append(Term("distinct", tuple(consts), "Bool"))
+                out.append(Term("distinct", tuple(consts), BOOL))
         return out
 
     def cone(self):
@@ -410,13 +425,13 @@ class SolverScript:
     def render(self):
         out = ["(set-logic ALL)"]
         out += [d.text for d in DATATYPES]
-        params = " ".join(f"({p.op} {p.sort})" for p in PARAMS)
-        out += [f"(define-fun {name} ({params}) {body.sort} {body.text})"
+        params = " ".join(f"({p.op} {p.sort.text})" for p in PARAMS)
+        out += [f"(define-fun {name} ({params}) {body.sort.text} {body.text})"
                 for name, body in FUNCTIONS.items()]
         out += [d.text for d in self.datatypes]
         for t in self.base_terms() + self.cone():
             out.append(f"(assert {t.text})" if t.args
-                       else f"(declare-const {t.op} {t.sort})")
+                       else f"(declare-const {t.op} {t.sort.text})")
         for name, q in self.queries:
             out += ["(push 1)", f'(echo "QUERY:{name}")', f"(assert {q.text})",
                     "(check-sat)", "(pop 1)"]
@@ -473,7 +488,6 @@ class Encoding:
     exit_env: dict
     loops: list                     # LoopRecord, in encounter order
     points: list                    # (uid, span, env after it) per stmt
-    sorts: dict                     # var -> sort (encodable vars only)
     work: int = 0                   # env entries copied + names merged
 
     def loop_spans(self):
@@ -486,25 +500,25 @@ class Encoding:
 
 
 def struct_sort(name):
-    return f"T${name}"
+    return Term(f"T${name}", (), None)
 
 
 def sort_of(ctype, structs):
     """Solver sort of a C type; `structs` maps struct names to their
     definitions.  Integers, booleans and function pointers are Int."""
     if isinstance(ctype, DoubleType):
-        return "Real"
+        return REAL
     if isinstance(ctype, PointerType):
-        return "Addr"
+        return ADDR
     if isinstance(ctype, StructType):
         if ctype.name not in structs:
             raise UnsupportedType(f"unknown struct {ctype.name}")
         return struct_sort(ctype.name)
     if isinstance(ctype, ArrayType):
-        return f"(Array Int {sort_of(ctype.elem, structs)})"
+        return array_sort(INT, sort_of(ctype.elem, structs))
     if ctype == VOID:
         raise UnsupportedType("void has no solver sort")
-    return "Int"
+    return INT
 
 
 class MemoryLayout:
@@ -522,7 +536,7 @@ class MemoryLayout:
         self.at_vars = self._address_taken(prog)
         self.at_scalars = sorted(
             v for v in self.at_vars if v in self.decls
-            and self.sort(self.decls[v].ctype) in ("Int", "Real"))
+            and self.sort(self.decls[v].ctype) in (INT, REAL))
 
     def sort(self, ctype):
         """The solver sort of `ctype`, or None where it has none."""
@@ -635,7 +649,6 @@ class Encoder:
         # what a loop record keeps besides the modified names
         self.recorded = [MEM] + [n for n, d in prog.decls.items()
                                  if d.kind != "temp"]
-        self.sorts = {}
         encode_types(self.ast.struct_defs if self.ast else [], self.script)
 
     # -- environment --------------------------------------------------------
@@ -701,7 +714,7 @@ class Encoder:
     def cell(self, var, off=ZERO):
         """The address of the cell at offset `off` of the memory-resident
         variable `var`."""
-        return Term("mk-addr", (self.base_const(var), off), "Addr")
+        return Term("mk-addr", (self.base_const(var), off), ADDR)
 
     def fn_addr_const(self, fname):
         return self.script.add_base(f"addr${fname}", "fnaddr")
@@ -714,7 +727,7 @@ class Encoder:
         self._reread_at_scalars()
 
     def havoc_mem(self):
-        self.unconstrained(MEM, "Mem")
+        self.unconstrained(MEM, MEM_SORT)
         self._reread_at_scalars()
 
     def mem_select(self, addr_term, sort):
@@ -734,14 +747,14 @@ class Encoder:
         """After assigning an address-taken scalar, write its cell."""
         if var not in self.at_vars:
             return
-        if self.env[var].sort not in ("Int", "Real"):
+        if self.env[var].sort not in (INT, REAL):
             return
         self.bind(MEM, mem_with(self.mem(), self.cell(var), self.env[var]))
 
     # -- program ------------------------------------------------------------
 
     def encode_program(self):
-        self.unconstrained(MEM, "Mem")
+        self.unconstrained(MEM, MEM_SORT)
         declared = self.declared
         for name, decl in self.prog.decls.items():
             if declared is not None and name not in declared:
@@ -749,8 +762,7 @@ class Encoder:
             sort = self.layout.sort(decl.ctype)
             if sort is None:
                 continue
-            self.sorts[name] = sort
-            if name in self.at_vars and sort not in ("Int", "Real"):
+            if name in self.at_vars and sort not in (INT, REAL):
                 continue  # memory-resident aggregate: no direct symbol
             self.unconstrained(name, sort)
         # link address-taken scalars to their initial cells
@@ -761,7 +773,7 @@ class Encoder:
         self.encode_stmts(self.prog.body)
         return Encoding(script=self.script, entry_env=entry_env,
                         exit_env=self._snapshot(self.env), loops=self.loops,
-                        points=self.points, sorts=self.sorts, work=self.work)
+                        points=self.points, work=self.work)
 
     def encode_stmts(self, stmts):
         for s in stmts:
@@ -814,7 +826,7 @@ class Encoder:
         if isinstance(a, N.Lit):
             if a.kind == "null":
                 return NULL_ADDR
-            if a.kind == "real" or want == "Real":
+            if a.kind == "real" or want == REAL:
                 return lit_real(a.value)
             return lit_int(a.value)
         if a.name not in self.env:
@@ -833,7 +845,7 @@ class Encoder:
             return Term("-", (t,), t.sort)
         if op == "not":
             t = self.atom_term(s.args[0])
-            return ite(Term("=", (t, zero(t.sort)), "Bool"), ONE, ZERO)
+            return ite(Term("=", (t, zero(t.sort)), BOOL), ONE, ZERO)
         if op in N.BINARY_OPS:
             return self.binop_term(s, op)
         if op == "funcaddr":
@@ -847,7 +859,7 @@ class Encoder:
             if op == "index":
                 return Term("select", (rec, self.atom_term(s.args[1])),
                             self.layout.sort(ctype.elem))
-            return Term(f"{rec.sort}${s.fld}", (rec,), self.layout.sort(
+            return Term(f"{rec.sort.op}${s.fld}", (rec,), self.layout.sort(
                 self.structs[ctype.name].member_type(s.fld)))
         if op in ("deref", "index", "member"):
             addr, sort = self.address(s)
@@ -857,28 +869,28 @@ class Encoder:
     def binop_term(self, s, op):
         a = self.atom_term(s.args[0])
         b = self.atom_term(s.args[1])
-        if op in ("+", "-") and "Addr" in (a.sort, b.sort):
-            p, i = (a, b) if a.sort == "Addr" else (b, a)
-            if i.sort != "Int":
+        if op in ("+", "-") and ADDR in (a.sort, b.sort):
+            p, i = (a, b) if a.sort == ADDR else (b, a)
+            if i.sort != INT:
                 raise _Unencodable("pointer arithmetic with non-integer")
             return offset_addr(p, i, op)
         if op in ("+", "-", "*"):
             return binary(op, a, b)
         if op == "/":
             a, b, sort = join_arith(a, b)
-            fn = "cdiv" if sort == "Int" else "/"
+            fn = "cdiv" if sort == INT else "/"
             return self.guarded_div(s, Term(fn, (a, b), sort), b)
         if op == "%":
-            if a.sort != "Int" or b.sort != "Int":
+            if a.sort != INT or b.sort != INT:
                 raise _Unencodable("modulo on non-integers")
-            return self.guarded_div(s, Term("cmod", (a, b), "Int"), b)
+            return self.guarded_div(s, Term("cmod", (a, b), INT), b)
         if op in ("<", "<=", ">", ">=", "=="):
             return ite(binary(op, a, b), ONE, ZERO)
         if op == "!=":
             return ite(binary("==", a, b), ZERO, ONE)
         if op in ("&&", "||"):
             fn = "and" if op == "&&" else "or"
-            return ite(Term(fn, (nonzero(a), nonzero(b)), "Bool"), ONE, ZERO)
+            return ite(Term(fn, (nonzero(a), nonzero(b)), BOOL), ONE, ZERO)
         raise UnsupportedOperator(op)
 
     def guarded_div(self, s, value, divisor):
@@ -930,7 +942,7 @@ class Encoder:
     def _pointer(self, a):
         """The value of the atom `a`, an address."""
         p = self.atom_term(a)
-        if p.sort != "Addr":
+        if p.sort != ADDR:
             raise _Unencodable("access through a non-address")
         return p
 
@@ -946,7 +958,7 @@ class Encoder:
         target = self.layout.register_target(s)
         if target is None:    # a store through an address term
             p = self.atom_term(s.ptr)
-            if p.sort != "Addr":
+            if p.sort != ADDR:
                 raise _Unencodable("store through non-address")
             self.mem_store(p, self.atom_term(s.value))
             return
@@ -975,7 +987,7 @@ class Encoder:
     def encode_branch(self, s):
         cond = self.cond_term(s.cond)
         if cond is None:
-            cond = self.fresh("guard", "Bool")
+            cond = self.fresh("guard", BOOL)
         then, els = self._arm(s.then), self._arm(s.els)
         # only a name an arm wrote can differ; one absent before is dropped.
         # Merge in env order, as the names were first bound.
@@ -1000,7 +1012,7 @@ class Encoder:
         names = [v for v in self.recorded if v in env]
         names += sorted(modified.difference(names))
         pre = self._snapshot(names)
-        guard = self.fresh("guard", "Bool")
+        guard = self.fresh("guard", BOOL)
         for v in sorted(modified):
             self.unconstrained(v, pre[v].sort)
         head = self._snapshot(names)
@@ -1034,7 +1046,7 @@ def encode_types(struct_defs, script):
                 emit(by_name[base.name])
         sort = struct_sort(sd.name)
         script.datatypes.append(Datatype(sort, f"mk${sd.name}", tuple(
-            (f"{sort}${m}", sort_of(t, by_name)) for m, t in sd.members)))
+            (f"{sort.op}${m}", sort_of(t, by_name)) for m, t in sd.members)))
 
     for sd in struct_defs:
         emit(sd)

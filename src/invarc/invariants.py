@@ -48,7 +48,7 @@ import random
 
 from ._records import field, record
 from .diagnostics import StepBudgetExceeded, UnknownSymbol
-from .encoder import MEM, binary
+from .encoder import INT, MEM, REAL, binary
 from .frontend.ast import IntType, LongType
 
 REPORT_VERSION = 1
@@ -81,7 +81,8 @@ def _candidate_vars(prog, enc, havocked):
     for name, decl in prog.decls.items():
         if name in havocked or decl.kind == "temp":
             continue
-        if enc.sorts.get(name) in ("Int", "Real"):
+        sym = enc.entry_env.get(name)
+        if sym is not None and sym.sort in (INT, REAL):
             out.append((name, decl))
     return out
 

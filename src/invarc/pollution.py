@@ -24,7 +24,8 @@ from functools import cached_property
 
 from ._records import field, record
 from .diagnostics import ItemNotFound, NotAPointer
-from .frontend.ast import ArrayType, FuncPtrType, PointerType, same_type
+from .frontend.ast import ArrayType, FuncPtrType, PointerType, \
+    StructType, same_type
 from . import normalize as N
 
 
@@ -209,10 +210,9 @@ class _BaseAnalysis:
             elif same_type(vt, want) or \
                     (isinstance(vt, ArrayType) and same_type(vt.elem, want)):
                 out.add(v)
-            elif vt.__class__.__name__ == "StructType":
+            elif isinstance(vt, StructType):
                 out.add(v)  # member of v may have the pointee type
         return out
-
 
     def pointees(self):
         """Every variable a pointer may point to: the address-taken ones
@@ -222,12 +222,6 @@ class _BaseAnalysis:
             if p is not TOP:
                 out |= p
         return out
-
-
-def resolve_base_variables(p, prog, _analysis=None):
-    """Set of variables the pointer `p` may point into."""
-    a = _analysis or _BaseAnalysis(prog)
-    return a.bases(p)
 
 
 def _stmt_edges(s, analysis):

@@ -31,10 +31,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 
-from .encoder import DATATYPES, FUNCTIONS, PARAMS, definition, leaves, \
-    parse_term
+from .encoder import BOOL, DATATYPES, FUNCTIONS, INT, PARAMS, REAL, \
+    definition, leaves
 
 TRIALS = 128
 PATIENCE = 64            # trials in a row that refute nothing: stop
@@ -47,13 +46,6 @@ class _Stuck(Exception):
 
 
 _STUCK = object()        # the value of a constant that could not be computed
-
-
-@lru_cache(maxsize=256)
-def _array_sorts(sort):
-    """(key sort, value sort) of an array sort, or None for another."""
-    t = parse_term(sort)
-    return (t.args[0].text, t.args[1].text) if t.op == "Array" else None
 
 
 class _Array:
@@ -211,22 +203,21 @@ class _Model:
         return {k: v for k, v in self.values.items() if v is not _STUCK}
 
     def draw(self, sort):
-        if sort == "Int":
+        if sort == INT:
             return self._int()
-        if sort == "Real":
+        if sort == REAL:
             return Fraction(self._int(), self.rng.choice((1, 2)))
-        if sort == "Bool":
+        if sort == BOOL:
             return self.rng.random() < 0.5
         if sort in self.s.records:
             d = self.s.records[sort]
             return (d.ctor, *(self.draw(f) for _, f in d.fields))
-        array = _array_sorts(sort)
-        if array and self._infinite(array[0]):
-            return _Array(self.draw(array[1]))
-        raise _Stuck(f"sort {sort}")
+        if sort.op == "Array" and self._infinite(sort.args[0]):
+            return _Array(self.draw(sort.args[1]))
+        raise _Stuck(f"sort {sort.text}")
 
     def _infinite(self, sort):
-        if sort in ("Int", "Real"):
+        if sort in (INT, REAL):
             return True
         d = self.s.records.get(sort)
         return d is not None and any(self._infinite(f) for _, f in d.fields)

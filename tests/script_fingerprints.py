@@ -13,7 +13,9 @@ solver: in-process refutation only), and the sha256 of the pollution
 outputs: the report's `polluted` and `removed_stmts`, the dependency
 graph's `dump()`, and each `PollutionResult`'s item kind, span and
 sorted `initial` labels (the union closure can hide a change in one
-item's seeds).  Run it before and after a change
+item's seeds), and the sha256 of the models `refute_queries` finds,
+each array written as its default and its sorted cells.  Run it before
+and after a change
 and compare the two outputs:
 
     PYTHONPATH=src python tests/script_fingerprints.py > before.txt
@@ -38,6 +40,7 @@ from invarc.frontend.ast import ast_text  # noqa: E402
 from invarc.invariants import detect_invariants  # noqa: E402
 from invarc.normalize import program_text  # noqa: E402
 from invarc.pollution import analyze_pollution  # noqa: E402
+from invarc.refute import _Array, refute_queries  # noqa: E402
 
 from conftest import ENTRIES, corpus_entry, corpus_source  # noqa: E402
 from test_smt_digests import digest_programs  # noqa: E402
@@ -62,10 +65,21 @@ def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def canonical(value):
+    """`value` of a model, with each array as its default and its cells
+    in key order, so that equal values print alike."""
+    if isinstance(value, _Array):
+        return ("array", canonical(value.default),
+                sorted((k, canonical(v)) for k, v in value.cells.items()))
+    if isinstance(value, tuple):
+        return tuple(canonical(v) for v in value)
+    return value
+
+
 def fingerprint(source, entry):
     """The sha256 of the rendered script, of the printed unit and
-    normalized program, of the verdict list and of the pollution
-    outputs."""
+    normalized program, of the verdict list, of the pollution outputs
+    and of the refutation models."""
     ast, unit, prog, graph, ab, enc = build_pipeline(source, entry)
     report = detect_invariants(ab, enc, lambda: None)
     verdicts = [(c.variable, c.kind, c.points, c.loop_id, c.verdict)
@@ -75,8 +89,11 @@ def fingerprint(source, entry):
     pollution = repr((report.polluted,
                       [str(s) for s in report.removed_stmts], seeds)) \
         + graph.dump()
+    models = sorted((name, sorted((c, canonical(v)) for c, v in m.items()))
+                    for name, m in refute_queries(enc.script).items())
     return (sha(enc.script.render()), sha(ast_text(ast)),
-            sha(program_text(prog)), sha(repr(verdicts)), sha(pollution))
+            sha(program_text(prog)), sha(repr(verdicts)), sha(pollution),
+            sha(repr(models)))
 
 
 def main():

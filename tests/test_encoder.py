@@ -12,7 +12,8 @@ import pytest
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
-from invarc.encoder import MEM, SolverScript, definition, lit_int
+from invarc.encoder import BOOL, INT, MEM, SolverScript, definition, \
+    lit_int
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.normalize import to_simple_assignments
@@ -112,7 +113,7 @@ def test_a_condition_reads_defined_symbols(cond):
     encoded, not replaced by a fresh guard: each symbol it reads has a
     definition.  A quotient is bound only where its divisor is not 0."""
     term, defs = branch_condition(cond)
-    assert term.sort == "Bool" and term.args
+    assert term.sort == BOOL and term.args
     symbols = [x for x in term.args if "@" in x.op]
     assert symbols and all(x.op in defs for x in symbols)
     if "/" in cond:
@@ -238,7 +239,7 @@ def unsliced(script):
 def command(t):
     """The line `render` writes for a term of `main`."""
     return f"(assert {t.text})" if t.args \
-        else f"(declare-const {t.op} {t.sort})"
+        else f"(declare-const {t.op} {t.sort.text})"
 
 
 def owner(t):
@@ -285,7 +286,7 @@ def test_slicing_refutes_the_same_queries():
 
 def test_a_second_definition_is_an_encode_error():
     script = SolverScript()
-    x = script.declare("x@1", "Int")
+    x = script.declare("x@1", INT)
     script.define(x, lit_int(0))
     with pytest.raises(EncodeError, match="x@1 defined twice"):
         script.define(x, lit_int(1))

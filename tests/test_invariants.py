@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline, check_oracle
 from invarc.diagnostics import EncodeError, UnknownSymbol
-from invarc.encoder import MEM, SolverScript, Term, definition, \
+from invarc.encoder import INT, MEM, SolverScript, Term, definition, \
     encode_program, leaves
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
@@ -59,7 +59,7 @@ def test_enumeration_excludes_temps_and_havocked():
 
 def test_identical_symbols_short_circuit():
     s = SolverScript()
-    v = s.declare("v@1", "Int")
+    v = s.declare("v@1", INT)
     c = Candidate(variable="v", kind="entry-exit", pairs=[(v, v)])
     assert emit_query(c, s, "q0$v$entry-exit") == []
     assert s.queries == []
@@ -75,7 +75,7 @@ def test_duplicate_query_name_rejected():
 def test_unknown_symbol_rejected():
     s = SolverScript()
     c = Candidate(variable="v", kind="entry-exit",
-                  pairs=[(s.declare("v@1", "Int"), Term("v@2", (), "Int"))])
+                  pairs=[(s.declare("v@1", INT), Term("v@2", (), INT))])
     with pytest.raises(UnknownSymbol):
         emit_query(c, s, "q0$v$entry-exit")
 

@@ -8,7 +8,8 @@ import pytest
 from invarc._records import replace
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
-from invarc.encoder import SolverScript, parse_term
+from invarc.encoder import ADDR, BOOL, INT, REAL, Datatype, SolverScript, \
+    array_sort, parse_term, struct_sort
 from invarc.interp import InterpError, run_source
 from invarc.invariants import emit_query, enumerate_candidates
 from invarc.refute import refute_queries
@@ -16,10 +17,11 @@ from invarc.refute import refute_queries
 from genprog import mutating_c
 
 
-def script(decls, background, *queries):
-    """A script declaring `decls`, defining each constant `x` of a
-    background `(= x t)` as `t`, with queries `q0`, `q1`, ..."""
-    s = SolverScript()
+def script(decls, background, *queries, datatypes=()):
+    """A script with the record sorts `datatypes`, declaring `decls`,
+    defining each constant `x` of a background `(= x t)` as `t`, with
+    queries `q0`, `q1`, ..."""
+    s = SolverScript(datatypes=list(datatypes))
     syms = {name: s.declare(name, sort) for name, sort in decls}
     for text in background:
         eq = parse_term(text)
@@ -29,9 +31,9 @@ def script(decls, background, *queries):
     return s
 
 
-def refuted(decls, background, *queries):
-    return {int(name[1:]) for name in
-            refute_queries(script(decls, background, *queries))}
+def refuted(decls, background, *queries, datatypes=()):
+    return {int(name[1:]) for name in refute_queries(
+        script(decls, background, *queries, datatypes=datatypes))}
 
 
 def lit(n):
@@ -39,7 +41,7 @@ def lit(n):
 
 
 def test_unsatisfiable_queries_are_never_refuted():
-    x = [("x", "Int")]
+    x = [("x", INT)]
     assert refuted(x, [], "(not (= x x))", "(and (> x 0) (< x 0))",
                    "(> x 2)") == {2}
     assert refuted(x, ["(= x 1)"], "(= x 2)", "(= x 1)") == {1}
@@ -56,12 +58,12 @@ def test_div_follows_smtlib():
 
 
 def test_division_by_zero_is_left_to_the_solver():
-    xy = [("x", "Int"), ("y", "Int")]
+    xy = [("x", INT), ("y", INT)]
     assert refuted(xy, ["(= y (div x 0))"], "(= y y)") == set()
 
 
 def test_arrays_are_extensional():
-    m = [("m", "(Array Int Int)")]
+    m = [("m", array_sort(INT, INT))]
     assert refuted(m, [], "(not (= (select (store m 1 5) 1) 5))",
                    "(not (= (store m 1 (select m 1)) m))",
                    "(not (= (store m 1 5) m))") == {2}
@@ -69,7 +71,7 @@ def test_arrays_are_extensional():
 
 def test_records_and_functions():
     nxt = "(mk-addr (addr-base p) (+ (addr-off p) 1))"
-    assert refuted([("p", "Addr")], [],
+    assert refuted([("p", ADDR)], [],
                    f"(not (= (addr-base {nxt}) (addr-base p)))",
                    f"(= (addr-off {nxt}) (addr-off p))",
                    f"(not (= {nxt} p))",
@@ -78,11 +80,29 @@ def test_records_and_functions():
                    ) == {2, 4}
 
 
+def test_arrays_of_records_and_of_reals_are_drawn():
+    """An array of a struct record, one keyed by such a record and one of
+    Real values are drawn.  An array keyed by Bool is not: two arrays
+    with different defaults might agree at both keys."""
+    p = struct_sort("P")
+    point = Datatype(p, "mk$P", (("T$P$x", INT), ("T$P$y", REAL)))
+    decls = [("a", array_sort(INT, p)), ("k", array_sort(p, INT)),
+             ("r", array_sort(INT, REAL)), ("b", array_sort(BOOL, INT))]
+    assert refuted(decls, [],
+                   "(= (T$P$y (select (store a 0 (mk$P 1 2.5)) 0)) 2.5)",
+                   "(not (= (store a 1 (select a 1)) a))",
+                   "(> (T$P$x (select a 3)) 0)",
+                   "(= (select (store k (mk$P 0 0.5) 7) (mk$P 0 0.5)) 7)",
+                   "(< (select r 0) (+ (select r 1) 0.5))",
+                   "(= (select b true) (select b true))",
+                   datatypes=[point]) == {0, 2, 3, 4}
+
+
 def test_unsupported_input_decides_nothing():
     # an undeclared function
     assert refuted([], [], "(= (f 1) 1)") == set()
     # true => (true => false) is false; ill-sorted terms are not evaluated.
-    assert refuted([("x", "Int")], [], "(=> true true false)", "(not 1 2)",
+    assert refuted([("x", INT)], [], "(=> true true false)", "(not 1 2)",
                    "(< (select x 1) 3)") == set()
 
 

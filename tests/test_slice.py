@@ -15,8 +15,8 @@ import pytest
 
 from invarc import normalize as N
 from invarc.cli import build_pipeline, main
-from invarc.encoder import MEM, ZERO, Encoder, MemoryLayout, Term, _Slice, \
-    definition, leaves
+from invarc.encoder import ADDR, INT, MEM, ZERO, Encoder, MemoryLayout, \
+    Term, _Slice, definition, leaves
 from invarc.invariants import detect_invariants
 
 from conftest import ENTRIES, ROOT, corpus_entry, corpus_source, \
@@ -144,13 +144,17 @@ def test_a_store_through_an_address_taken_pointer_goes_where_it_points(ptr):
     its own, so the address is unconstrained.  (An `--oracle` run passes
     NULL for `p` and traps, so the check is on the encoding.)"""
     src = STORES_THROUGH_ADDRESS_TAKEN_POINTERS[ptr]
-    *_, enc = build_pipeline(src, "f")
+    *_, ab, enc = build_pipeline(src, "f")
     n = enc.entry_env["n"]
     values = dict(definition(t)[::2] for t in enc.script.main if t.args)
     addresses = [values.get(t.args[1], t.args[1])
                  for d in enc.script.main for t in subterms(d)
                  if t.op == "store" and t.args[2] == n]
-    own_cell = Term("mk-addr", (Term(f"base${ptr}", (), "Int"), ZERO), "Addr")
+    own_cell = Term("mk-addr", (Term(f"base${ptr}", (), INT), ZERO), ADDR)
+    # the encoder's own term for it: the whole program's encoding keeps
+    # the dead `pp = &ptr`, whose value is that cell
+    assert own_cell in [t for d in reference_encoding(ab).script.main
+                        for t in subterms(d)]
     assert addresses
     assert own_cell not in addresses
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from invarc.diagnostics import ProtocolError, SolverNotFound
-from invarc.encoder import SolverScript
+from invarc.encoder import INT, SolverScript
 from invarc.solver import (
     ENV_VAR, SolverConfig, discover_solver, parse_output, run_solver,
 )
@@ -37,7 +37,7 @@ exports.init = async () => ({
 
 def script_with(*queries):
     s = SolverScript()
-    s.declare("x", "Int")
+    s.declare("x", INT)
     for name, text in queries:
         s.add_query(name, text)
     return s
