@@ -10,7 +10,7 @@ nondeterministic booleans.
 
 from __future__ import annotations
 
-from ._records import field, record
+from ._records import field, record, replace
 from .diagnostics import InconsistentInput
 from . import normalize as N
 from .pollution import build_dependency_graph, _store_bases
@@ -37,9 +37,9 @@ class _Abstractor:
         self.removed = []
         self.nondet = []
 
-    def havoc(self, var, span, uid):
+    def havoc(self, var, span):
         self.havocked.add(var)
-        return N.NHavoc(var=var, span=span, uid=uid)
+        return N.NHavoc(var=var, span=span)
 
     def bases_polluted(self, s):
         """Whether every base the store `s` may write is polluted."""
@@ -60,7 +60,7 @@ class _Abstractor:
         p = self.polluted
         if isinstance(s, N.NAssign):
             if s.lhs in p:
-                return self.havoc(s.lhs, s.span, s.uid)
+                return self.havoc(s.lhs, s.span)
             return s
         if isinstance(s, N.NStore):
             if _atom_polluted(s.ptr, p) or _atom_polluted(s.value, p) \
@@ -75,27 +75,25 @@ class _Abstractor:
             if s.item is None:
                 return s    # the encoder leaves its result and memory free
             if s.lhs:
-                return self.havoc(s.lhs, s.span, s.uid)
-            return N.NNop(span=s.span, uid=s.uid)
+                return self.havoc(s.lhs, s.span)
+            return N.NNop(span=s.span)
         if isinstance(s, N.NNop):
             return s
         if isinstance(s, N.NIf):
-            cond = self.cond(s.cond, s.span)
-            return N.NIf(cond=cond, then=self.body(s.then),
-                         els=self.body(s.els), span=s.span, uid=s.uid)
+            return replace(s, cond=self.cond(s.cond, s.span),
+                           then=self.body(s.then), els=self.body(s.els))
         if isinstance(s, N.NWhile):
             cond = self.cond(s.cond, s.span)
             body = self.body(s.body[:s.bend_at])
             bend_at = len(body)
             body += self.body(s.body[s.bend_at:])
-            return N.NWhile(cond=cond, body=body, span=s.span, uid=s.uid,
-                            loop_id=s.loop_id, bend_at=bend_at)
+            return replace(s, cond=cond, body=body, bend_at=bend_at)
         return s
 
     def cond(self, c, span):
         if any(v in self.polluted for v in N.cond_vars(c)):
             self.nondet.append(span)
-            return N.NondetCond(origin_span=span)
+            return N.NondetCond()
         return c
 
 
@@ -112,11 +110,7 @@ def abstract_program(prog, polluted, graph=None):
         raise InconsistentInput(
             "polluted set is not closed under graph reachability")
     ab = _Abstractor(prog, set(polluted), graph.analysis)
-    new_body = ab.body(prog.body)
-    new_prog = N.NormalizedProgram(
-        entry=prog.entry, decls=prog.decls, body=new_body,
-        ret_var=prog.ret_var, designators=prog.designators, ast=prog.ast,
-        report=prog.report)
+    new_prog = replace(prog, body=ab.body(prog.body))
     ab.havocked |= set(polluted)
     return AbstractProgram(program=new_prog, havocked=ab.havocked,
                            removed_stmts=ab.removed,

@@ -25,13 +25,12 @@ pointer is an `if` chain whose conditions compare the pointer with
 function addresses, distinct constants; its last arm, an unmodelable
 call with no item, leaves the result and memory unconstrained.
 
-Every write to the variable environment is journaled.  An `if` arm or a
-loop body undoes its own writes when it ends, so the merge that follows
-visits only the names the arms wrote, and no stage copies the whole
-environment: a loop record holds the non-temporary variables, memory
-and the modified names, and the environment after each statement is a
-view rebuilt from the write log when it is read.  The encoder's work is
-linear in the number of writes; `Encoding.work` counts it.
+An `if` arm or a loop body journals the term each name had before its
+first write there, and undoes its own writes when it ends, so the merge
+that follows visits only the names the arms wrote, and no stage copies
+the whole environment: a loop record holds the non-temporary variables,
+memory and the modified names.  The encoder's work is linear in the
+number of writes; `Encoding.work` counts it.
 
 Each assertion the encoder writes defines one fresh symbol from symbols
 declared before it: `(= s t)`, or `(=> g (= s t))` for a division that
@@ -77,9 +76,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from collections.abc import Mapping
 from fractions import Fraction
-from itertools import islice
 
 from ._records import field, record, replace
 from .diagnostics import EncodeError, UnsupportedOperator, UnsupportedType
@@ -452,42 +449,13 @@ class LoopRecord:
     exit: dict
 
 
-class _EnvAt(Mapping):
-    """The encoder's environment after its first `n` writes: a read-only
-    mapping, rebuilt from the write log on each access."""
-
-    __slots__ = ("_log", "_n")
-
-    def __init__(self, log, n):
-        self._log = log
-        self._n = n
-
-    def _env(self):
-        env = {}
-        for var, term in islice(self._log, self._n):
-            if term is _ABSENT:
-                del env[var]
-            else:
-                env[var] = term
-        return env
-
-    def __getitem__(self, var):
-        return self._env()[var]
-
-    def __iter__(self):
-        return iter(self._env())
-
-    def __len__(self):
-        return len(self._env())
-
-
 @record
 class Encoding:
     script: SolverScript
     entry_env: dict                 # var -> symbol Term at entry
     exit_env: dict
     loops: list                     # LoopRecord, in encounter order
-    points: list                    # (uid, span, env after it) per stmt
+    points: list                    # each statement encoded, in order
     work: int = 0                   # env entries copied + names merged
 
     def loop_spans(self):
@@ -637,9 +605,8 @@ class Encoder:
         self.script = SolverScript()
         self.counter = 0
         self.env = {}
-        self.log = []       # (var, term or _ABSENT) per env write, in order
         self.scopes = []    # per open arm: var -> term before its first write
-        self.rank = {}      # var -> when it entered env: env's key order
+        self.rank = {}      # var -> counter when it entered env: key order
         self.work = 0
         self.loops = []
         self.points = []
@@ -654,14 +621,15 @@ class Encoder:
     # -- environment --------------------------------------------------------
 
     def _set(self, var, term):
-        """Bind `var` to `term`: the one write to the environment."""
+        """Bind `var` to `term`: the one write to the environment.  Every
+        caller declares `term` by `fresh` first, so `counter` has grown
+        since the last write and orders the names as they were bound."""
         env = self.env
         if self.scopes:
             self.scopes[-1].setdefault(var, env.get(var, _ABSENT))
         if var not in env:
-            self.rank[var] = len(self.log)
+            self.rank[var] = self.counter
         env[var] = term
-        self.log.append((var, term))
 
     def _arm(self, stmts):
         """Encode `stmts` as an arm: see `_end_arm`."""
@@ -673,7 +641,6 @@ class Encoder:
         """Undo the writes of the arm opened last; returns each name it
         wrote, mapped to its term at its end."""
         before = self.scopes.pop()
-        self.log.extend(before.items())
         self.work += len(before)
         return _undo(self.env, before)
 
@@ -778,7 +745,7 @@ class Encoder:
     def encode_stmts(self, stmts):
         for s in stmts:
             self.encode_stmt(s)
-            self.points.append((s.uid, s.span, _EnvAt(self.log, len(self.log))))
+            self.points.append(s)
 
     def encode_stmt(self, s):
         if isinstance(s, N.NAssign):

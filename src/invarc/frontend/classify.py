@@ -29,7 +29,6 @@ from .ast import (
 class SubsetItem:
     kind: str
     span: object
-    reason: str = ""
 
 
 @record
@@ -176,14 +175,11 @@ def classify_constructs(ast):
         if isinstance(e, Unary) and e.op == "&":
             inner = e.operand
             if isinstance(inner, (Member, Index)):
-                items.append(SubsetItem(
-                    "address-of-member", e.span,
-                    "address of a member/element cannot be assigned its own base"))
+                items.append(SubsetItem("address-of-member", e.span))
             elif isinstance(inner, Name) and isinstance(inner.ctype, StructType) \
                     and has_nested_members(ast, inner.ctype):
                 items.append(SubsetItem(
-                    "address-of-aggregate-with-nested-members", e.span,
-                    "flat base+offset layout covers scalar members only"))
+                    "address-of-aggregate-with-nested-members", e.span))
         elif isinstance(e, Name) and isinstance(e.decl, FunctionDef):
             # in `&f` or as a value; the walk is pre-order, so the callee
             # of a direct call is already known here
@@ -197,8 +193,7 @@ def classify_constructs(ast):
                 if caller is not None:
                     graph[caller].add(decl.name)
             elif isinstance(e.callee, Name) and decl is None:
-                items.append(SubsetItem("library-call", e.span,
-                                        "no definition in this translation unit"))
+                items.append(SubsetItem("library-call", e.span))
             else:
                 indirect.append((e.span, caller, e.callee.ctype))
 
@@ -217,20 +212,12 @@ def classify_constructs(ast):
         if fn is not None:
             graph[fn].update(names)
     recursive = frozenset(f for f in graph if f in _reachable(graph, graph[f]))
-    items.extend(SubsetItem("recursive-call", span,
-                            "inlining cannot eliminate a recursive call")
+    items.extend(SubsetItem("recursive-call", span)
                  for span, name in direct if name in recursive)
-    items.extend(SubsetItem("recursive-call", span,
-                            "the pointer may reach a recursive function")
+    items.extend(SubsetItem("recursive-call", span)
                  for span, names in targets if recursive.intersection(names))
 
-    seen = set()
-    unique = []
-    for it in sorted(items, key=lambda i: (i.span, i.kind)):
-        key = (it.kind, it.span)
-        if key not in seen:
-            seen.add(key)
-            unique.append(it)
-    report.unmodelable_items = unique
+    report.unmodelable_items = sorted(set(items),
+                                      key=lambda i: (i.span, i.kind))
     report.recursive = recursive
     return report

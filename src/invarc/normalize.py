@@ -90,7 +90,6 @@ class NAssign:
     fld: str = None    # member name for member / *member_addr ops
     func: str = None   # for 'funcaddr'
     span: Span = None
-    uid: int = 0
     item: object = None       # SubsetItem when this stmt realizes one
     base_hint: tuple = None   # ('var', name) | ('ptr', name) for addr ops
 
@@ -100,14 +99,12 @@ class NStore:
     ptr: object        # atom (VarRef)
     value: object      # atom
     span: Span = None
-    uid: int = 0
 
 
 @record
 class NHavoc:
     var: str
     span: Span = None
-    uid: int = 0
 
 
 @record
@@ -116,14 +113,12 @@ class NUnmodelableCall:
     func: str
     args: list
     span: Span = None
-    uid: int = 0
     item: object = None
 
 
 @record
 class NNop:
     span: Span = None
-    uid: int = 0
 
 
 @record(frozen=True)
@@ -152,7 +147,6 @@ class NIf:
     then: list = field(default_factory=list)
     els: list = field(default_factory=list)
     span: Span = None
-    uid: int = 0
 
 
 @record
@@ -163,7 +157,6 @@ class NWhile:
     cond: object
     body: list = field(default_factory=list)
     span: Span = None
-    uid: int = 0
     loop_id: int = 0
     bend_at: int = None
 
@@ -175,7 +168,6 @@ class NWhile:
 @record(frozen=True)
 class NondetCond:
     """Placeholder for a branch condition replaced by an unknown boolean."""
-    origin_span: Span = None
 
 
 @record
@@ -183,7 +175,6 @@ class NDecl:
     name: str
     ctype: object
     kind: str          # 'param', 'global', 'local', 'temp'
-    span: Span = None
 
 
 @record
@@ -277,16 +268,16 @@ class Inliner:
         self.counter = 0
         self.decls = {}      # name -> NDecl
 
-    def fresh(self, base, ctype, span, kind="temp"):
+    def fresh(self, base, ctype, kind="temp"):
         self.counter += 1
         name = f"${base}{self.counter}"
-        self.decls[name] = NDecl(name, ctype, kind, span)
+        self.decls[name] = NDecl(name, ctype, kind)
         return name
 
     def declare(self, name, ctype, kind, span):
         if name in self.decls:
             raise NormalizeError(f"duplicate declaration of {name!r}", span)
-        self.decls[name] = NDecl(name, ctype, kind, span)
+        self.decls[name] = NDecl(name, ctype, kind)
 
     def run(self, entry_name):
         fn = self.ast.function(entry_name)
@@ -297,7 +288,7 @@ class Inliner:
         rename = {}
         for p in fn.params:
             if p.name in self.decls:
-                new = self.fresh(p.name + "_", p.ctype, p.span, kind="param")
+                new = self.fresh(p.name + "_", p.ctype, kind="param")
                 rename[p.name] = new
             else:
                 self.declare(p.name, p.ctype, "param", p.span)
@@ -319,7 +310,7 @@ class Inliner:
         ret_var = None
         if fn.ret != VOID:
             ret_var = "$result"
-            self.decls[ret_var] = NDecl(ret_var, fn.ret, "temp", fn.span)
+            self.decls[ret_var] = NDecl(ret_var, fn.ret, "temp")
         body.extend(self.function_body(fn, rename, 0, ret_var))
         return body, ret_var
 
@@ -334,7 +325,7 @@ class Inliner:
         """
         ctx = _ReturnCtx(ret_var, None)
         if _has_nontail_return(fn.body):
-            ctx.done_flag = self.fresh("done", INT, fn.span)
+            ctx.done_flag = self.fresh("done", INT)
         out = []
         if ctx.done_flag is not None:
             out.append(AssignStmt(target=_name(ctx.done_flag, INT),
@@ -429,7 +420,7 @@ class Inliner:
             self.declare(s.name, s.ctype, "local", s.span)
             rename[s.name] = s.name
             return s.name
-        new = self.fresh(s.name + "_", s.ctype, s.span)
+        new = self.fresh(s.name + "_", s.ctype)
         rename[s.name] = new
         return new
 
@@ -493,7 +484,7 @@ class Inliner:
             if isinstance(a, (Name, IntLit, FloatLit, NullLit)):
                 atoms.append(a)
                 continue
-            t = self.fresh("arg", a.ctype, span)
+            t = self.fresh("arg", a.ctype)
             pre.append(AssignStmt(target=_name(t, a.ctype), value=a, span=span))
             atoms.append(_name(t, a.ctype))
         return atoms
@@ -503,7 +494,7 @@ class Inliner:
         lhs = ""
         ret_t = e.ctype if e.ctype is not None else INT
         if not drop_value and ret_t != VOID:
-            lhs = self.fresh("call", ret_t, e.span)
+            lhs = self.fresh("call", ret_t)
         pre.append(_UCallStmt(lhs=lhs, func=fname, args=atoms, span=e.span,
                               item_span=e.span))
         if lhs:
@@ -516,17 +507,17 @@ class Inliner:
         atoms = self._hoist_args(args, pre, e.span)
         sig = fp.ctype
         if not isinstance(fp, Name):
-            t = self.fresh("fp", sig, e.span)
+            t = self.fresh("fp", sig)
             pre.append(AssignStmt(target=_name(t, sig), value=fp, span=e.span))
             fp = _name(t, sig)
         ret_t = sig.ret
         lhs = ""
         if not drop_value and ret_t != VOID:
-            lhs = self.fresh("call", ret_t, e.span)
+            lhs = self.fresh("call", ret_t)
         arms = []
         for fname in self.report.fp_targets(self.ast, sig):
             fdef = self.ast.function(fname)
-            addr = self.fresh("f", sig, e.span)
+            addr = self.fresh("f", sig)
             ref = Unary(op="&", operand=Name(ident=fname, span=e.span,
                                              decl=fdef), span=e.span)
             pre.append(AssignStmt(target=_name(addr, sig), value=ref,
@@ -562,12 +553,12 @@ class Inliner:
                 e.span)
         inner_rename = {}
         for p, a in zip(fdef.params, args):
-            t = self.fresh(f"{fdef.name}_{p.name}", p.ctype, e.span)
+            t = self.fresh(f"{fdef.name}_{p.name}", p.ctype)
             pre.append(AssignStmt(target=_name(t, p.ctype), value=a, span=e.span))
             inner_rename[p.name] = t
         ret_var = None
         if fdef.ret != VOID:
-            ret_var = self.fresh(f"{fdef.name}_ret", fdef.ret, e.span)
+            ret_var = self.fresh(f"{fdef.name}_ret", fdef.ret)
         pre.extend(self.function_body(fdef, inner_rename, depth + 1, ret_var))
         if ret_var is not None and not drop_value:
             return _name(ret_var, fdef.ret)
@@ -605,15 +596,10 @@ class Lowerer:
         self.inl = inliner
         self.report = report
         self.designators = {}
-        self.uid = 0
         self.loop_id = 0
 
-    def next_uid(self):
-        self.uid += 1
-        return self.uid
-
-    def fresh(self, base, ctype, span):
-        return self.inl.fresh(base, ctype, span)
+    def fresh(self, base, ctype):
+        return self.inl.fresh(base, ctype)
 
     def lower_block(self, stmts):
         out = []
@@ -633,8 +619,7 @@ class Lowerer:
             if s.els is not None:
                 els = self.lower_block(s.els.stmts if isinstance(s.els, CompoundStmt)
                                        else [s.els])
-            out.append(NIf(cond=cond, then=then, els=els, span=s.span,
-                           uid=self.next_uid()))
+            out.append(NIf(cond=cond, then=then, els=els, span=s.span))
             return out
         if isinstance(s, WhileStmt):
             self.loop_id += 1
@@ -646,17 +631,16 @@ class Lowerer:
             body += self.lower_block(stmts[cut:])
             out = []
             cond = self.cond(s.cond, out)
-            body += [replace(x, uid=self.next_uid()) for x in out]
-            out.append(NWhile(cond=cond, body=body, span=s.span,
-                              uid=self.next_uid(), loop_id=lid, bend_at=bend_at))
+            body += [replace(x) for x in out]
+            out.append(NWhile(cond=cond, body=body, span=s.span, loop_id=lid,
+                              bend_at=bend_at))
             return out
         if isinstance(s, _UCallStmt):
             out = []
             atoms = [self.atom(a, out) for a in s.args]
             item = self._find_item(s.item_span)
             out.append(NUnmodelableCall(lhs=s.lhs, func=s.func, args=atoms,
-                                        span=s.span, uid=self.next_uid(),
-                                        item=item))
+                                        span=s.span, item=item))
             return out
         raise NormalizeError(f"unexpected statement {type(s).__name__}",
                              getattr(s, "span", None))
@@ -672,7 +656,7 @@ class Lowerer:
         if isinstance(t, Unary) and t.op == "*":
             p = self.atom(t.operand, out)
             v = self.atom(s.value, out)
-            out.append(NStore(ptr=p, value=v, span=s.span, uid=self.next_uid()))
+            out.append(NStore(ptr=p, value=v, span=s.span))
             return out
         if isinstance(t, Index):
             base = self.atom(t.arr, out)
@@ -681,32 +665,29 @@ class Lowerer:
                                             s.span)
             idx = self.atom(t.index, out)
             v = self.atom(s.value, out)
-            pt = self.fresh("p", PointerType(t.ctype), s.span)
-            st = NAssign(lhs=pt, op="elem_addr", args=[base, idx], span=s.span,
-                         uid=self.next_uid())
+            pt = self.fresh("p", PointerType(t.ctype))
+            st = NAssign(lhs=pt, op="elem_addr", args=[base, idx], span=s.span)
             self.designators[pt] = (base.name, idx)
-            out.extend([st, NStore(ptr=VarRef(pt), value=v, span=s.span,
-                                   uid=self.next_uid())])
+            out.extend([st, NStore(ptr=VarRef(pt), value=v, span=s.span)])
             return out
         if isinstance(t, Member):
             v = self.atom(s.value, out)
-            pt = self.fresh("p", PointerType(t.ctype), s.span)
+            pt = self.fresh("p", PointerType(t.ctype))
             if t.arrow:
                 p = self.atom(t.obj, out)
                 if not isinstance(p, VarRef):
                     raise UnsupportedExpression("member store needs a named base",
                                                 s.span)
                 st = NAssign(lhs=pt, op="pmember_addr", args=[p], fld=t.name,
-                             span=s.span, uid=self.next_uid())
+                             span=s.span)
             else:
                 if not isinstance(t.obj, Name):
                     raise UnsupportedExpression(
                         "nested member store is unsupported", s.span)
                 base = VarRef(t.obj.ident)
                 st = NAssign(lhs=pt, op="member_addr", args=[base], fld=t.name,
-                             span=s.span, uid=self.next_uid())
-            out.extend([st, NStore(ptr=VarRef(pt), value=v, span=s.span,
-                                   uid=self.next_uid())])
+                             span=s.span)
+            out.extend([st, NStore(ptr=VarRef(pt), value=v, span=s.span)])
             return out
         raise UnsupportedExpression("unsupported assignment target", s.span)
 
@@ -716,51 +697,49 @@ class Lowerer:
         out.append(stmt)
 
     def top_level(self, lhs, e, out, span):
-        uid = self.next_uid()
         if isinstance(e, Binary):
             if e.op in BINARY_OPS:
                 a = self.atom(e.lhs, out)
                 b = self.atom(e.rhs, out)
-                return NAssign(lhs=lhs, op=e.op, args=[a, b], span=span, uid=uid)
+                return NAssign(lhs=lhs, op=e.op, args=[a, b], span=span)
         if isinstance(e, Unary):
             if e.op == "-":
                 return NAssign(lhs=lhs, op="neg", args=[self.atom(e.operand, out)],
-                               span=span, uid=uid)
+                               span=span)
             if e.op == "!":
                 return NAssign(lhs=lhs, op="not", args=[self.atom(e.operand, out)],
-                               span=span, uid=uid)
+                               span=span)
             if e.op == "*":
                 return NAssign(lhs=lhs, op="deref",
-                               args=[self.atom(e.operand, out)], span=span, uid=uid)
+                               args=[self.atom(e.operand, out)], span=span)
             if e.op == "&":
-                return self.lower_addr(lhs, e, out, span, uid)
+                return self.lower_addr(lhs, e, out, span)
         if isinstance(e, Member):
             if e.arrow:
                 p = self.atom(e.obj, out)
                 t = self.fresh("v", StructType("?") if e.obj.ctype is None
-                               else e.obj.ctype.target, span)
-                out.append(NAssign(lhs=t, op="deref", args=[p], span=span,
-                                   uid=self.next_uid()))
+                               else e.obj.ctype.target)
+                out.append(NAssign(lhs=t, op="deref", args=[p], span=span))
                 return NAssign(lhs=lhs, op="member", args=[VarRef(t)], fld=e.name,
-                               span=span, uid=uid)
+                               span=span)
             v = self.atom(e.obj, out)
             return NAssign(lhs=lhs, op="member", args=[v], fld=e.name,
-                           span=span, uid=uid)
+                           span=span)
         if isinstance(e, Index):
             a = self.atom(e.arr, out)
             i = self.atom(e.index, out)
-            return NAssign(lhs=lhs, op="index", args=[a, i], span=span, uid=uid)
+            return NAssign(lhs=lhs, op="index", args=[a, i], span=span)
         atom = self.atom(e, out)
-        return NAssign(lhs=lhs, op="copy", args=[atom], span=span, uid=uid)
+        return NAssign(lhs=lhs, op="copy", args=[atom], span=span)
 
-    def lower_addr(self, lhs, e, out, span, uid):
+    def lower_addr(self, lhs, e, out, span):
         inner = e.operand
         if isinstance(inner, Name):
             if isinstance(inner.decl, FunctionDef):
                 return NAssign(lhs=lhs, op="funcaddr", args=[],
-                               func=inner.decl.name, span=span, uid=uid)
+                               func=inner.decl.name, span=span)
             return NAssign(lhs=lhs, op="addr", args=[VarRef(inner.ident)],
-                           span=span, uid=uid, item=self._find_item(e.span),
+                           span=span, item=self._find_item(e.span),
                            base_hint=("var", inner.ident))
         if isinstance(inner, (Member, Index)):
             # materialize the member value, then take the temporary's address;
@@ -769,7 +748,7 @@ class Lowerer:
             if not isinstance(val, VarRef):
                 raise UnsupportedExpression("cannot take this address", span)
             hint = self._true_base(inner)
-            return NAssign(lhs=lhs, op="addr", args=[val], span=span, uid=uid,
+            return NAssign(lhs=lhs, op="addr", args=[val], span=span,
                            item=self._find_item(e.span), base_hint=hint)
         raise UnsupportedExpression("cannot take this address", span)
 
@@ -819,12 +798,12 @@ class Lowerer:
             return Lit(-lit.value, lit.kind)
         if isinstance(e, Member) and e.arrow:
             p = self.atom(e.obj, out)
-            pt = self.fresh("p", PointerType(e.ctype), e.span)
+            pt = self.fresh("p", PointerType(e.ctype))
             out.append(NAssign(lhs=pt, op="pmember_addr", args=[p], fld=e.name,
-                               span=e.span, uid=self.next_uid()))
-            t = self.fresh("t", e.ctype, e.span)
+                               span=e.span))
+            t = self.fresh("t", e.ctype)
             out.append(NAssign(lhs=t, op="deref", args=[VarRef(pt)],
-                               span=e.span, uid=self.next_uid()))
+                               span=e.span))
             return VarRef(t)
         return self.atom(e, out)
 
@@ -839,13 +818,12 @@ class Lowerer:
             return Lit(None, "null")
         if isinstance(e, Name):
             if isinstance(e.decl, FunctionDef):
-                t = self.fresh("f", e.ctype, e.span)
+                t = self.fresh("f", e.ctype)
                 out.append(NAssign(lhs=t, op="funcaddr", args=[],
-                                   func=e.decl.name, span=e.span,
-                                   uid=self.next_uid()))
+                                   func=e.decl.name, span=e.span))
                 return VarRef(t)
             return VarRef(e.ident)
-        t = self.fresh("t", e.ctype if e.ctype is not None else INT, e.span)
+        t = self.fresh("t", e.ctype if e.ctype is not None else INT)
         self.lower_into(t, e, out, e.span)
         return VarRef(t)
 

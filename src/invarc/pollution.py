@@ -112,10 +112,9 @@ class _BaseAnalysis:
         for s in self.prog.walk():
             if not isinstance(s, N.NAssign):
                 continue
-            if s.op in N.ADDR_OPS and s.op != "funcaddr":
-                base = self._hint_base(s)
-                if base is not None and not callable(base):
-                    self.address_taken.update(base)
+            hint = self._hint(s)
+            if hint is not None and hint[0] == "var":
+                self.address_taken.add(hint[1])
             # whether `_flow` is None depends on the statement, not on pts
             if self._flow(s) is not None:
                 flows.append(s)
@@ -134,32 +133,24 @@ class _BaseAnalysis:
                     self.pts[s.lhs] = old | new
                     changed = True
 
-    def _hint_base(self, s):
-        """Static contribution of an address op: a set of base names, a
-        thunk over pts for pointer-mediated hints, or None."""
-        if s.op == "addr" or s.op in ("member_addr", "elem_addr",
-                                      "pmember_addr"):
-            hint = s.base_hint
-            if hint is None:
-                # fall back to the operand itself
-                if s.op in ("addr", "member_addr"):
-                    hint = ("var", s.args[0].name)
-                elif s.op == "elem_addr":
-                    a = s.args[0]
-                    if isinstance(a, N.VarRef):
-                        t = self._decl_type(a.name)
-                        hint = ("var" if isinstance(t, ArrayType) else "ptr",
-                                a.name)
-                else:
-                    a = s.args[0]
-                    hint = ("ptr", a.name) if isinstance(a, N.VarRef) else None
-            if hint is None:
-                return None
-            kind, name = hint
-            if kind == "var":
-                return {name}
-            return lambda: self.pts.get(name, set())
-        return None
+    def _hint(self, s):
+        """The base of the address op `s`: `("var", v)` for an address
+        within the variable `v`, `("ptr", p)` for one computed from the
+        pointer `p`, or None.  Without a `base_hint` it is read from the
+        operand itself."""
+        if s.op not in ("addr", "member_addr", "elem_addr", "pmember_addr"):
+            return None
+        if s.base_hint is not None:
+            return s.base_hint
+        a = s.args[0]
+        if s.op in ("addr", "member_addr"):
+            return ("var", a.name)
+        if not isinstance(a, N.VarRef):
+            return None
+        if s.op == "elem_addr" and isinstance(self._decl_type(a.name),
+                                              ArrayType):
+            return ("var", a.name)
+        return ("ptr", a.name)
 
     def _flow(self, s):
         """Points-to contribution of one assignment, or None."""
@@ -168,9 +159,10 @@ class _BaseAnalysis:
             return None
         if s.op == "funcaddr":
             return set()
-        base = self._hint_base(s)
-        if base is not None:
-            return base() if callable(base) else base
+        hint = self._hint(s)
+        if hint is not None:
+            kind, name = hint
+            return {name} if kind == "var" else self.pts.get(name, set())
         if s.op in ("copy", "+", "-"):
             out = set()
             for a in s.args:

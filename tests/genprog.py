@@ -137,35 +137,33 @@ def random_normalized(seed, max_stmts=30):
     ptrs = [f"p{i}" for i in range(n_ptrs)]
     taken = {}          # pointer -> base int var
     body = []
-    uid = 0
     n = rng.randint(5, max_stmts)
     while len(body) < n:
-        uid += 1
         roll = rng.random()
         if ptrs and roll < 0.12:
             p = rng.choice(ptrs)
             base = rng.choice(ints)
             body.append(N.NAssign(lhs=p, op="addr",
                                   args=[N.VarRef(base)],
-                                  base_hint=("var", base), uid=uid))
+                                  base_hint=("var", base)))
             taken[p] = base
         elif taken and roll < 0.22:
             p = rng.choice(sorted(taken))
             val = N.VarRef(rng.choice(ints)) if rng.random() < 0.8 \
                 else N.Lit(rng.randint(-3, 3), "int")
-            body.append(N.NStore(ptr=N.VarRef(p), value=val, uid=uid))
+            body.append(N.NStore(ptr=N.VarRef(p), value=val))
         else:
             lhs = rng.choice(ints)
             if rng.random() < 0.25:
                 a = N.VarRef(rng.choice(ints)) if rng.random() < 0.8 \
                     else N.Lit(rng.randint(-3, 3), "int")
-                body.append(N.NAssign(lhs=lhs, op="copy", args=[a], uid=uid))
+                body.append(N.NAssign(lhs=lhs, op="copy", args=[a]))
             else:
                 op = rng.choice(_BINOPS)
                 a = N.VarRef(rng.choice(ints))
                 b = N.VarRef(rng.choice(ints)) if rng.random() < 0.7 \
                     else N.Lit(rng.randint(-3, 3), "int")
-                body.append(N.NAssign(lhs=lhs, op=op, args=[a, b], uid=uid))
+                body.append(N.NAssign(lhs=lhs, op=op, args=[a, b]))
     return N.NormalizedProgram(entry="gen", decls=decls, body=body)
 
 

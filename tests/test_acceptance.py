@@ -32,7 +32,7 @@ import pytest
 
 from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline, check_oracle
-from invarc.encoder import encode_program
+from invarc.encoder import definition
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.interp import (
@@ -105,9 +105,10 @@ def test_criterion_2_counter_program(report_cache):
 def test_criterion_3_sum_false_negative(pipeline_cache, solver_cfg):
     ast, report, prog, graph, ab, enc = pipeline_cache("sum.c")
 
-    # The straight-line sum (line 4) versus the loop's exit sum.
-    line4 = [env for _, sp, env in enc.points if sp and sp.line == 4]
-    big = line4[-1]["sum"].text
+    # The straight-line sum (line 4), the first definition of `sum`,
+    # versus the loop's exit sum.
+    defined = (definition(t)[0] for t in enc.script.main if t.args)
+    big = next(sym.text for sym in defined if sym.op.startswith("sum@"))
     (lr,) = enc.loops
     loop_sum = lr.exit["sum"].text
     assert big != loop_sum

@@ -28,13 +28,18 @@ from genprog import fp_global_c, loopy_c
 CORPUS_NAMES = sorted(p.name for p in CORPUS.glob("*.c"))
 
 
-def encode(src, entry):
-    """The reference encoding of `src`: every statement and variable."""
+def abstract(src, entry):
+    """The abstracted program of `src`."""
     ast = parse_translation_unit(src)
     report = classify_constructs(ast)
     prog = to_simple_assignments(ast, report, entry)
     _, _, polluted = analyze_pollution(prog, report)
-    return reference_encoding(abstract_program(prog, polluted))
+    return abstract_program(prog, polluted)
+
+
+def encode(src, entry):
+    """The reference encoding of `src`: every statement and variable."""
+    return reference_encoding(abstract(src, entry))
 
 
 def solve(cfg, enc, queries):
@@ -168,25 +173,35 @@ def test_entry_env_covers_scalars():
 
 
 def test_points_track_every_statement():
-    enc = encode("int f(int a) { int x = a + 1; int y = x * 2;"
-                 " return y; }", "f")
-    assert len(enc.points) >= 2
-    for _, span, env in enc.points:
-        assert span is not None and MEM in env
+    ab = abstract("int f(int a) { int x = a + 1; int y = x * 2;\n"
+                  " if (a > 0) { y = 1; } else { x = 2; }\n"
+                  " while (x < y) { x = x + 1; } return y; }", "f")
+    enc = reference_encoding(ab)
+    ids = [id(s) for s in enc.points]
+    assert len(set(ids)) == len(ids) == sum(1 for _ in ab.program.walk())
+    assert set(ids) == {id(s) for s in ab.program.walk()}
+    assert all(s.span is not None for s in enc.points)
 
 
-def test_points_hold_the_env_after_each_statement():
+def test_a_branch_merges_the_symbols_at_the_ends_of_its_arms():
     enc = encode("int f(int a) { int x = a; int y = 0;\n"
                  " if (a > 0) { x = 1; y = 1; } else { x = 2; }\n"
                  " return x + y; }", "f")
-    envs = [env for _, _, env in enc.points]
-    assert len(envs) == 7
-    before, then_end, else_end, merged = envs[1], envs[3], envs[4], envs[5]
-    assert then_end["y"] != before["y"]
-    assert else_end["y"] == before["y"]     # the else arm starts afresh
-    assert merged["y"] not in (before["y"], then_end["y"])
-    assert len({e["x"] for e in (before, then_end, else_end, merged)}) == 4
-    assert dict(envs[-1]) == enc.exit_env
+    defs = {}
+    for t in enc.script.main:
+        if t.args:
+            sym, _, val = definition(t)
+            defs[sym] = val
+    y = defs[enc.exit_env["y"]]
+    assert y.op == "ite" and y.args[0].op == ">"
+    _, y_then, y_else = y.args
+    assert defs[y_then] == lit_int(1)
+    assert defs[y_else] == lit_int(0)   # the else arm starts from `y = 0`
+    x = enc.exit_env["x"]
+    x_before = next(s for s in defs if s.op.startswith("x@"))
+    assert defs[x_before] == enc.entry_env["a"]
+    _, x_then, x_else = defs[x].args
+    assert len({x_before, x_then, x_else, x}) == 4
 
 
 def _perfbench_workloads():

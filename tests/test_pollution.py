@@ -212,9 +212,9 @@ class EagerAnalysis(pollution._BaseAnalysis):
     def _run(self):
         stmts = [s for s in self.prog.walk() if isinstance(s, N.NAssign)]
         for s in stmts:
-            base = self._hint_base(s)
-            if base is not None and not callable(base):
-                self.address_taken |= base
+            hint = self._hint(s)
+            if hint is not None and hint[0] == "var":
+                self.address_taken.add(hint[1])
         changed = True
         while changed:
             changed = False
