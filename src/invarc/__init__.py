@@ -15,7 +15,7 @@ from .normalize import to_simple_assignments
 from .pollution import build_dependency_graph, initial_labels, propagate
 from .abstraction import abstract_program
 from .encoder import encode_program
-from .invariants import detect_invariants, interpret_result
+from .invariants import detect_invariants
 from .solver import SolverConfig, discover_solver, run_solver
 from .pipeline import build_pipeline
 
@@ -31,7 +31,6 @@ __all__ = [
     "abstract_program",
     "encode_program",
     "detect_invariants",
-    "interpret_result",
     "SolverConfig",
     "discover_solver",
     "run_solver",

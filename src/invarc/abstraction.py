@@ -21,7 +21,6 @@ class AbstractProgram:
     program: N.NormalizedProgram
     havocked: set = field(default_factory=set)
     removed_stmts: list = field(default_factory=list)      # spans
-    nondet_conditions: list = field(default_factory=list)  # spans
 
 
 def _atom_polluted(a, polluted):
@@ -35,7 +34,6 @@ class _Abstractor:
         self.analysis = analysis
         self.havocked = set()
         self.removed = []
-        self.nondet = []
 
     def havoc(self, var, span):
         self.havocked.add(var)
@@ -80,19 +78,15 @@ class _Abstractor:
         if isinstance(s, N.NNop):
             return s
         if isinstance(s, N.NIf):
-            return replace(s, cond=self.cond(s.cond, s.span),
+            return replace(s, cond=self.cond(s.cond),
                            then=self.body(s.then), els=self.body(s.els))
         if isinstance(s, N.NWhile):
-            cond = self.cond(s.cond, s.span)
-            body = self.body(s.body[:s.bend_at])
-            bend_at = len(body)
-            body += self.body(s.body[s.bend_at:])
-            return replace(s, cond=cond, body=body, bend_at=bend_at)
+            return replace(s, cond=self.cond(s.cond), body=self.body(s.body),
+                           recheck=self.body(s.recheck))
         return s
 
-    def cond(self, c, span):
+    def cond(self, c):
         if any(v in self.polluted for v in N.cond_vars(c)):
-            self.nondet.append(span)
             return N.NondetCond()
         return c
 
@@ -113,5 +107,4 @@ def abstract_program(prog, polluted, graph=None):
     new_prog = replace(prog, body=ab.body(prog.body))
     ab.havocked |= set(polluted)
     return AbstractProgram(program=new_prog, havocked=ab.havocked,
-                           removed_stmts=ab.removed,
-                           nondet_conditions=ab.nondet)
+                           removed_stmts=ab.removed)

@@ -5,12 +5,12 @@ chain of versioned solver symbols (`v@0`, `v@1`, ...), and memory is a
 record of Addr-indexed arrays (one per scalar sort) threaded through the
 statement sequence the same way.  Branches encode both arms and merge
 with ITE terms; loops are modeled as a single nondeterministically
-guarded iteration from havocked head symbols, with the pre/head/body-end
-/exit symbols recorded so the invariant engine can run its three-point
-check.  Address-taken variables, and arrays used as a value, live in
-the memory arrays at distinct base addresses; whenever no precise
-encoding exists the affected symbol is left unconstrained, which weakens
-but never unsounds a verdict.
+guarded iteration from havocked head symbols, with the symbols at three
+points, pre-loop, loop head and body end, recorded so the invariant
+engine can compare them.  Address-taken variables, and arrays used as a
+value, live in the memory arrays at distinct base addresses; whenever no
+precise encoding exists the affected symbol is left unconstrained, which
+weakens but never unsounds a verdict.
 
 Terms are immutable `Term(op, args, sort)` trees: a symbol or literal
 is a leaf with no arguments, and every builder below returns a tree of
@@ -63,7 +63,7 @@ non-temporary names, the relevant names and the address-taken scalars
 are declared, in declaration order, so no symbol's number exceeds its
 number in the whole program's encoding.  A variable outside the slice
 keeps one symbol from entry on; it is written in no loop, so a loop
-record holds that symbol at all four points, which is all its
+record holds that symbol at all three points, which is all its
 candidates compare.  `exit_env` holds only the names the slice keeps
 exact: reading `$result` or a dropped local raises `KeyError`, never a
 stale symbol.  `Encoder(prog).encode_program()` encodes every statement
@@ -437,16 +437,16 @@ class SolverScript:
 
 @record
 class LoopRecord:
-    """The symbols of one loop at its four points.  Each of `pre`,
-    `head`, `bend` (body end) and `exit` maps the non-temporary variables,
-    MEM and the modified names to their symbols there."""
+    """The symbols of one loop at the three points its candidates
+    compare.  Each of `pre`, `head` and `bend` (body end) maps the
+    non-temporary variables, MEM and the names the loop writes to their
+    symbols there; a name the loop writes has a fresh symbol at `head`,
+    so it is modified exactly when `head[v] != pre[v]`."""
     loop_id: int
     span: object
-    modified: set
     pre: dict
     head: dict
     bend: dict
-    exit: dict
 
 
 @record
@@ -974,7 +974,7 @@ class Encoder:
         return {v for v in out if v in self.env or v == MEM}
 
     def encode_loop(self, s):
-        modified = self.modified_vars(s.body)
+        modified = self.modified_vars(s.body + s.recheck)
         env = self.env
         names = [v for v in self.recorded if v in env]
         names += sorted(modified.difference(names))
@@ -985,15 +985,14 @@ class Encoder:
         head = self._snapshot(names)
         # the body ends before the condition's calls run again
         self.scopes.append({})
-        self.encode_stmts(s.body[:s.bend_at])
+        self.encode_stmts(s.body)
         bend = self._snapshot(head)
-        self.encode_stmts(s.body[s.bend_at:])
+        self.encode_stmts(s.recheck)
         body = self._end_arm()
         # writes outside `modified` are dropped: the exit keeps the head
         self._merge(guard, sorted(modified), body, {})
-        self.loops.append(LoopRecord(
-            loop_id=s.loop_id, span=s.span, modified=modified,
-            pre=pre, head=head, bend=bend, exit=self._snapshot(names)))
+        self.loops.append(LoopRecord(loop_id=s.loop_id, span=s.span,
+                                     pre=pre, head=head, bend=bend))
 
 
 def encode_types(struct_defs, script):
@@ -1056,6 +1055,7 @@ class _Slice:
             if isinstance(s, N.NWhile):
                 self.loops.append(s)
                 self._index(s.body, enclosing, True)
+                self._index(s.recheck, enclosing, True)
                 continue
             for v in self.layout.writes(s):
                 v = canon.get(v, v)
@@ -1129,10 +1129,8 @@ class _Slice:
         out = []
         for s in stmts:
             if isinstance(s, N.NWhile):
-                body = self._rebuild(s.body[:s.bend_at])
-                bend_at = len(body)
-                body += self._rebuild(s.body[s.bend_at:])
-                out.append(replace(s, body=body, bend_at=bend_at))
+                out.append(replace(s, body=self._rebuild(s.body),
+                                   recheck=self._rebuild(s.recheck)))
             elif id(s) in self.kept:
                 if isinstance(s, N.NIf):
                     s = replace(s, then=self._rebuild(s.then),

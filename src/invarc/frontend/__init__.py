@@ -1,6 +1,6 @@
 """C-subset frontend: lexer, parser, typechecker, construct classifier."""
 
-from .ast import Ast, ast_text, strip_for_compare
+from .ast import Ast, ast_text
 from .classify import SubsetItem, SubsetReport, classify_constructs
 from .parser import parse_translation_unit
 
@@ -11,5 +11,4 @@ __all__ = [
     "ast_text",
     "classify_constructs",
     "parse_translation_unit",
-    "strip_for_compare",
 ]

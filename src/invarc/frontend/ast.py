@@ -481,18 +481,3 @@ def ast_text(ast):
         lines.extend(_stmt_lines(fn.body, 0))
     return "\n".join(lines) + "\n"
 
-
-def strip_for_compare(node):
-    """Structural fingerprint of an AST, ignoring spans and type decoration."""
-    if isinstance(node, (list, tuple)):
-        return [strip_for_compare(x) for x in node]
-    if isinstance(node, (Expr, Stmt, Param, VarDecl, StructDef, FunctionDef, Ast)):
-        out = {"__kind__": type(node).__name__}
-        for k, v in vars(node).items():
-            if k in ("span", "ctype", "decl", "_by_name"):
-                continue
-            out[k] = strip_for_compare(v)
-        return out
-    if isinstance(node, CType):
-        return str(node)
-    return node

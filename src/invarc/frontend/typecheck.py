@@ -12,7 +12,7 @@ from ..diagnostics import FrontendTypeError
 from .ast import (
     ArrayType, AssignStmt, Binary, BOOL, BoolType, Call, CompoundStmt,
     DeclStmt, DOUBLE, DoubleType, ExprStmt, FloatLit, FuncPtrType,
-    FunctionDef, IfStmt, Index, INT, IntLit, IntType, LONG, LongType, Member,
+    FunctionDef, IfStmt, Index, INT, IntLit, LONG, LongType, Member,
     Name, NullLit, PointerType, ReturnStmt, StructType, Unary, VOID,
     WhileStmt, same_type,
 )

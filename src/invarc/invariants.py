@@ -236,11 +236,6 @@ def emit_query(cand, script, name):
     return names
 
 
-def interpret_result(verdict):
-    """Map a raw solver verdict to the over-approximating answer."""
-    return "invariant" if verdict == "unsat" else "unknown"
-
-
 def combine_verdicts(raw_list):
     if all(v == "unsat" for v in raw_list):
         return "invariant"

@@ -12,7 +12,7 @@ plus the bookkeeping kinds Havoc, UnmodelableCall and Nop.
 A branch or loop condition is an `NCond`: a comparison of two atoms, or
 the truth (`nonzero`) of one.  Any other operand is computed into a
 temporary by statements before the `if` or the loop, which a loop runs
-again at the end of its body, after `bend_at`; like every assignment,
+again after its body, in `NWhile.recheck`; like every assignment,
 they add dependency edges.  A negated literal stays a literal, and `p->f`
 is read through the member's address (`pmember_addr`, then `deref`).
 Both operands of `&&` and `||` are evaluated, as a call in a condition
@@ -35,8 +35,6 @@ conservative.
 """
 
 from __future__ import annotations
-
-import copy as _copy
 
 from ._records import field, record, replace
 from .diagnostics import (
@@ -151,18 +149,14 @@ class NIf:
 
 @record
 class NWhile:
-    """A loop.  Its body ends at `bend_at`, by default after its last
-    statement: the statements after it re-evaluate the calls hoisted out
-    of the condition and the condition's operands."""
+    """A loop.  Each iteration runs `body`, then `recheck`: the statements
+    that evaluate the calls hoisted out of the condition and the
+    condition's operands again."""
     cond: object
     body: list = field(default_factory=list)
+    recheck: list = field(default_factory=list)
     span: Span = None
     loop_id: int = 0
-    bend_at: int = None
-
-    def __post_init__(self):
-        if self.bend_at is None:
-            self.bend_at = len(self.body)
 
 
 @record(frozen=True)
@@ -202,6 +196,7 @@ def walk_stmts(stmts):
             yield from walk_stmts(s.els)
         elif isinstance(s, NWhile):
             yield from walk_stmts(s.body)
+            yield from walk_stmts(s.recheck)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +205,10 @@ def walk_stmts(stmts):
 
 @record
 class _InlinedWhile(WhileStmt):
-    """AST-level loop after inlining: the last `recheck` statements of its
-    body re-evaluate the calls hoisted out of its condition."""
-    recheck: int = 0
+    """AST-level loop after inlining: `recheck` evaluates the calls
+    hoisted out of its condition again after each run of its body."""
+    recheck: list = field(default_factory=list)
+    children = ("cond", "body", "recheck")
 
 
 @record
@@ -383,7 +379,7 @@ class Inliner:
             pre, cond = self.expr_no_calls(s.cond, rename, depth)
             body = self.stmt(s.body, dict(rename), depth, ctx)
             # condition temporaries are re-evaluated at the loop bottom
-            recheck = [_copy.deepcopy(x) for x in pre]
+            recheck = pre
             if ctx.done_flag is not None and _may_return(s.body):
                 notdone = Binary(op="==", lhs=_name(ctx.done_flag, INT),
                                  rhs=IntLit(value=0, span=s.span), span=s.span)
@@ -391,14 +387,13 @@ class Inliner:
                 cond = Binary(op="&&", lhs=notdone, rhs=cond, span=s.span)
                 cond.ctype = BOOL
                 if recheck:     # after a return the condition is not run
-                    recheck = [IfStmt(cond=_copy.deepcopy(notdone),
+                    recheck = [IfStmt(cond=notdone,
                                       then=CompoundStmt(stmts=recheck,
                                                         span=s.span),
                                       span=s.span)]
             node = _InlinedWhile(cond=cond,
-                                 body=CompoundStmt(stmts=body + recheck,
-                                                   span=s.span),
-                                 span=s.span, recheck=len(recheck))
+                                 body=CompoundStmt(stmts=body, span=s.span),
+                                 recheck=recheck, span=s.span)
             return pre + [node]
         if isinstance(s, ReturnStmt):
             out = []
@@ -624,16 +619,13 @@ class Lowerer:
         if isinstance(s, WhileStmt):
             self.loop_id += 1
             lid = self.loop_id
-            stmts = s.body.stmts
-            cut = len(stmts) - s.recheck
-            body = self.lower_block(stmts[:cut])
-            bend_at = len(body)
-            body += self.lower_block(stmts[cut:])
+            body = self.lower_block(s.body.stmts)
+            recheck = self.lower_block(s.recheck)
             out = []
             cond = self.cond(s.cond, out)
-            body += [replace(x) for x in out]
-            out.append(NWhile(cond=cond, body=body, span=s.span, loop_id=lid,
-                              bend_at=bend_at))
+            recheck += [replace(x) for x in out]
+            out.append(NWhile(cond=cond, body=body, recheck=recheck,
+                              span=s.span, loop_id=lid))
             return out
         if isinstance(s, _UCallStmt):
             out = []
@@ -898,7 +890,8 @@ def program_text(prog_or_body, indent=0):
             lines.append(f"{pad}}}")
         elif isinstance(s, NWhile):
             lines.append(f"{pad}while ({cond_text(s.cond)}) {{   # loop {s.loop_id}")
-            lines.extend(program_text(s.body, indent + 1).splitlines())
+            lines.extend(program_text(s.body + s.recheck,
+                                      indent + 1).splitlines())
             lines.append(f"{pad}}}")
         else:
             lines.append(pad + stmt_text(s))

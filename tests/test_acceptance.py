@@ -23,31 +23,23 @@ Eight criteria, each with explicit tolerances:
     byte-identical.
 """
 
-import itertools
-import json
 import time
 
-import numpy as np
-import pytest
-
-from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline, check_oracle
 from invarc.encoder import definition
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
-from invarc.interp import (
-    InterpError, StepBudgetExceeded, run_normalized, run_source,
-)
+from invarc.interp import run_normalized, run_source
 from invarc.normalize import (
     NAssign, NHavoc, NStore, to_simple_assignments, walk_stmts,
 )
 from invarc.pollution import (
-    analyze_pollution, build_dependency_graph, initial_labels, propagate,
+    analyze_pollution, build_dependency_graph, propagate,
 )
 from invarc.refute import refute_queries
 from invarc.solver import run_solver
 
-from conftest import CORPUS, ENTRIES, GOLDEN, corpus_entry, corpus_source, \
+from conftest import ENTRIES, GOLDEN, corpus_entry, corpus_source, \
     reference_encoding
 from genprog import branchy_c, loopy_c, random_normalized, straightline_c
 from test_pollution import numpy_closure
@@ -106,11 +98,11 @@ def test_criterion_3_sum_false_negative(pipeline_cache, solver_cfg):
     ast, report, prog, graph, ab, enc = pipeline_cache("sum.c")
 
     # The straight-line sum (line 4), the first definition of `sum`,
-    # versus the loop's exit sum.
+    # versus the loop's exit sum, which the function returns.
     defined = (definition(t)[0] for t in enc.script.main if t.args)
     big = next(sym.text for sym in defined if sym.op.startswith("sum@"))
-    (lr,) = enc.loops
-    loop_sum = lr.exit["sum"].text
+    assert len(enc.loops) == 1
+    loop_sum = enc.exit_env["sum"].text
     assert big != loop_sum
     enc.script.add_query("bigsum-vs-loop", f"(not (= {big} {loop_sum}))")
     out = run_solver(enc.script, solver_cfg)

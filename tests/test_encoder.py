@@ -156,14 +156,15 @@ def test_loop_record_shape():
     enc = encode("int f(int n) { int i = 0; while (i < n) { i = i + 1; }"
                  " return i; }", "f")
     (lr,) = enc.loops
-    assert "i" in lr.modified
     assert MEM in lr.pre
-    for envd in (lr.pre, lr.head, lr.bend, lr.exit):
+    for envd in (lr.pre, lr.head, lr.bend):
         assert "i" in envd and "n" in envd
-    # Unmodified variable keeps one symbol across all four points.
-    assert lr.pre["n"].text == lr.exit["n"].text
+    # Unmodified variable keeps one symbol across all three points.
+    assert lr.pre["n"].text == lr.head["n"].text == lr.bend["n"].text
     # A modified variable is havocked at the head: new symbol.
     assert lr.pre["i"].text != lr.head["i"].text
+    # ... and it stays at the exit, where the loop's writes are merged.
+    assert enc.exit_env["i"].text != lr.head["i"].text
 
 
 def test_entry_env_covers_scalars():
@@ -363,12 +364,12 @@ def test_loop_is_overapproximate(solver_cfg):
     negation)."""
     enc = encode("int f() { int i = 0; while (i < 3) { i = i + 1; }"
                  " return i; }", "f")
-    (lr,) = enc.loops
+    exit_i = enc.exit_env["i"].text     # the loop's exit: nothing follows
     out = solve(solver_cfg, enc, [
         # i = 3 at exit is a possible model.
-        ("allows-true", f"(= {lr.exit['i'].text} 3)"),
+        ("allows-true", f"(= {exit_i} 3)"),
         # The encoding cannot prove i <= 3 at exit (head is havocked).
-        ("no-false-bound", f"(not (<= {lr.exit['i'].text} 100))"),
+        ("no-false-bound", f"(not (<= {exit_i} 100))"),
     ])
     assert out["allows-true"] == "sat"
     assert out["no-false-bound"] == "sat"

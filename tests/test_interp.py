@@ -201,6 +201,54 @@ def test_condition_calls_do_not_run_after_an_inlined_return(n):
     assert run_source(ast, "f", [n]).ret == run_normalized(prog, {"n": n}).ret
 
 
+# Loops whose condition holds a call: the calls, inlined, run before the
+# loop and again after each body, in `NWhile.recheck`.
+COND_CALL_LOOPS = {
+    "global-write": COND_CALL,
+    "early-return": RETURN_IN_LOOP,
+    "callee-loop": (
+        "int g; int tri(int k) { int s = 0; int j = 0;\n"
+        "  while (j < k) { s = s + j; j = j + 1; } g = g + s; return s; }\n"
+        "int f(int n) { int i = 0;\n"
+        "  while (tri(i) < n) { i = i + 1; } return i + g; }\n"),
+    "call-and-member": (
+        "struct S { int n; }; int g;\n"
+        "int inc(int d) { g = g + 1; return d + 1; }\n"
+        "int f(int n) { struct S s; struct S *p = &s; int i = 0; s.n = n;\n"
+        "  while (inc(i) < 6 && p->n > i) { i = i + 1; p->n = p->n - 1; }\n"
+        "  return i + g; }\n"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COND_CALL_LOOPS))
+def test_loops_with_a_call_in_their_condition_agree(label):
+    """A call in a loop condition that writes a global, returns early from
+    an inlined loop, runs a loop of its own, or sits beside `p->n` under
+    `&&`: both interpreters return the same value, leave `g` the same, and
+    see the same loop heads and body ends.  A return in the loop records
+    no body end in the source, so its body ends begin the normalized
+    program's."""
+    ast, prog = norm(COND_CALL_LOOPS[label], "f")
+
+    def events(run, phase):
+        return [(span, snap) for span, p, snap in run.loop_events
+                if p == phase]
+    for n in range(-1, 7):
+        want = run_source(ast, "f", [n])
+        got = run_normalized(prog, {"n": n})
+        assert got.ret == want.ret, n
+        assert got.finals["g"] == want.finals["g"], n
+        for phase in ("head", "bend"):
+            seen, met = events(want, phase), events(got, phase)
+            if phase == "head":
+                assert len(met) == len(seen), n
+            else:
+                assert len(met) >= len(seen), n
+            for (s1, v1), (s2, v2) in zip(seen, met):
+                assert s1 == s2 and all(v1[k] == v2[k] for k in v1), \
+                    (n, phase)
+
+
 COMPOUND_CONDITIONS = """struct S { int f; int g; };
 int h(int n, int m) {
   int k = 0;

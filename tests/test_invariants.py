@@ -16,7 +16,7 @@ from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import (
     Candidate, build_candidates, combine_verdicts, detect_invariants,
-    emit_query, enumerate_candidates, interpret_result,
+    emit_query, enumerate_candidates,
 )
 from invarc.normalize import to_simple_assignments
 from invarc.pollution import analyze_pollution
@@ -41,9 +41,9 @@ def verdict_map(report):
 
 
 def test_combine_and_interpret():
-    assert interpret_result("unsat") == "invariant"
+    assert combine_verdicts(["unsat"]) == "invariant"
     for v in ("sat", "unknown", "timeout", "error"):
-        assert interpret_result(v) == "unknown"
+        assert combine_verdicts([v]) == "unknown"
     assert combine_verdicts(["unsat", "unsat"]) == "invariant"
     assert combine_verdicts(["unsat", "sat"]) == "unknown"
 
@@ -154,6 +154,11 @@ def test_empty_candidate_list(no_solver):
 
 # --- loop candidates settled without a query --------------------------------
 
+def modified(lr):
+    """The names a loop record's loop writes: havocked at its head."""
+    return {v for v in lr.pre if lr.head[v] != lr.pre[v]}
+
+
 def loop_programs():
     for name in sorted(ENTRIES):
         yield name, corpus_source(name), corpus_entry(name)
@@ -179,7 +184,7 @@ def test_loop_heads_of_modified_variables_are_undefined():
             assert sym in order, (label, t)
             defs.append((sym, set(leaves(t))))
         for lr in enc.loops:
-            for v in lr.modified:
+            for v in modified(lr):
                 head = lr.head[v].text
                 heads += 1
                 for defined, used in defs:
@@ -199,7 +204,7 @@ def test_settled_loop_candidates_are_refuted_by_their_pre_head_query():
             if c.kind != "loop" or c.pairs:
                 continue
             lr = loops[c.loop_id]
-            assert c.verdict == "unknown" and c.variable in lr.modified
+            assert c.verdict == "unknown" and c.variable in modified(lr)
             name = f"s{len(names)}"
             enc.script.add_query(name, f"(not (= {lr.pre[c.variable].text}"
                                        f" {lr.head[c.variable].text}))")
@@ -319,7 +324,7 @@ def test_a_loop_that_writes_memory_modifies_it(label):
     src, var = LOOPS_WRITING_MEMORY[label]
     *_, ab, enc = build_pipeline(src, "f")
     (lr,) = enc.loops
-    assert MEM in lr.modified
+    assert MEM in modified(lr)
     report = detect_invariants(ab, enc, lambda: None)
     assert not report.undecided
     assert verdict_map(report)[(var, "entry-exit")] == "unknown"

@@ -3,18 +3,19 @@
 import pytest
 
 from invarc.cli import build_pipeline
-from invarc.diagnostics import InlineDepthExceeded, NormalizeError
+from invarc.diagnostics import InlineDepthExceeded
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.ast import Call
 from invarc.frontend.classify import classify_constructs, walk_exprs
 from invarc.interp import default_value, run_normalized, run_source
 from invarc.normalize import (
     ADDR_OPS, BINARY_OPS, COMPARISONS, Lit, NAssign, NCond, NIf, NStore,
-    NWhile, NondetCond, VarRef, inline_functions, program_text,
-    to_simple_assignments, walk_stmts,
+    NWhile, NondetCond, VarRef, cond_text, inline_functions, program_text,
+    stmt_text, to_simple_assignments, walk_stmts,
 )
 
 from conftest import ENTRIES, corpus_entry, corpus_source
+from test_interp import COND_CALL_LOOPS
 from test_smt_digests import digest_programs
 from test_smt_sorts import PROBE
 
@@ -191,10 +192,40 @@ def test_a_loop_condition_is_computed_again_at_the_end_of_its_body():
     assert [(s.op, s.fld) for s in before] == [("pmember_addr", "n"),
                                                ("deref", None)]
     assert loop.cond == NCond("<", (VarRef("i"), VarRef(before[1].lhs)))
-    again = loop.body[loop.bend_at:]
+    again = loop.recheck
     assert [program_text([s]) for s in again] == \
         [program_text([s]) for s in before]
     assert all(a is not b for a, b in zip(again, before))
+
+
+def shape(stmts):
+    """The text of each statement under `stmts`, pre-order, with a loop
+    or an `if` as its condition: loop ids left out."""
+    return [cond_text(s.cond) if isinstance(s, (NIf, NWhile))
+            else stmt_text(s) for s in walk_stmts(stmts)]
+
+
+@pytest.mark.parametrize("label", sorted(COND_CALL_LOOPS))
+def test_a_loop_runs_the_calls_of_its_condition_again(label):
+    """The calls hoisted out of a loop condition, and the statements that
+    compute its operands, come again in the loop's `recheck`: they print
+    as the statements before the loop do, but are distinct objects, as
+    every statement of a normalized program is.  When the body may return,
+    they run only while the `$done` flag is clear."""
+    prog = norm(COND_CALL_LOOPS[label], "f")
+    (loop,) = [s for s in prog.body if isinstance(s, NWhile) and s.recheck]
+    again = loop.recheck
+    if isinstance(again[0], NIf):
+        guard = again[0].cond
+        assert guard.op == "==" and guard.args[0].name.startswith("$done")
+        again = again[0].then + again[1:]
+    at = prog.body.index(loop)
+    before = prog.body[at - len(again):at]
+    assert shape(again) == shape(before)
+    assert any(isinstance(s, NAssign) and s.lhs == "g"
+               for s in walk_stmts(again))
+    ids = [id(s) for s in prog.walk()]
+    assert len(ids) == len(set(ids))
 
 
 def test_a_negated_literal_in_a_condition_stays_a_literal():

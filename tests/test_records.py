@@ -48,10 +48,9 @@ def test_default_factory_gives_each_record_its_own_value():
 
 
 def test_replace_sets_the_other_fields_and_runs_post_init():
-    w = NWhile(None, body=[1, 2])
-    assert w.bend_at == 2
-    assert replace(w, body=[1]).bend_at == 2
-    assert replace(w, body=[1], bend_at=None).bend_at == 1
+    w = NWhile(None, body=[1, 2], recheck=[3])
+    r = replace(w, body=[1])
+    assert (r.body, r.recheck, w.body) == ([1], [3], [1, 2])
     cfg = SolverConfig("z3")
     assert replace(cfg, timeout_ms=5).args == ()
     with pytest.raises(ValueError):
