@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .frontend import parse_translation_unit
 from .frontend.classify import classify_constructs
 from .normalize import to_simple_assignments
-from .pollution import build_dependency_graph, initial_labels, propagate
+from .pollution import DependencyGraph, analyze_pollution, propagate
 from .abstraction import abstract_program
 from .encoder import encode_program
 from .invariants import detect_invariants
@@ -25,8 +25,8 @@ __all__ = [
     "parse_translation_unit",
     "classify_constructs",
     "to_simple_assignments",
-    "build_dependency_graph",
-    "initial_labels",
+    "DependencyGraph",
+    "analyze_pollution",
     "propagate",
     "abstract_program",
     "encode_program",

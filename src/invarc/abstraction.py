@@ -13,7 +13,7 @@ from __future__ import annotations
 from ._records import field, record, replace
 from .diagnostics import InconsistentInput
 from . import normalize as N
-from .pollution import build_dependency_graph, _store_bases
+from .pollution import DependencyGraph, store_bases
 
 
 @record
@@ -43,7 +43,7 @@ class _Abstractor:
         """Whether every base the store `s` may write is polluted."""
         if not self.polluted:
             return False
-        bases = _store_bases(s, self.analysis)
+        bases = store_bases(s, self.analysis)
         return bool(bases) and bases <= self.polluted
 
     def body(self, stmts):
@@ -96,7 +96,7 @@ def abstract_program(prog, polluted, graph=None):
         # no item's call to drop and no name to havoc
         return AbstractProgram(program=prog)
     if graph is None:
-        graph = build_dependency_graph(prog)
+        graph = DependencyGraph(prog)
     # closed under reachability: every polluted name is a vertex whose
     # successors are all polluted
     if not all(v in graph.adj and graph.adj[v] <= polluted

@@ -162,7 +162,6 @@ def make_parser():
                    default=[], metavar="STAGE")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--domain", default="-3..3", metavar="LO..HI")
-    p.add_argument("--keep-artifacts", action="store_true")
     return p
 
 
@@ -196,10 +195,8 @@ def main(argv=None):
             return None
         if args.solver:
             return SolverConfig(executable=args.solver,
-                                timeout_ms=args.timeout_ms,
-                                keep_artifacts=args.keep_artifacts)
-        return discover_solver(timeout_ms=args.timeout_ms,
-                               keep_artifacts=args.keep_artifacts)
+                                timeout_ms=args.timeout_ms)
+        return discover_solver(timeout_ms=args.timeout_ms)
 
     violated = False
     for path in args.inputs:

@@ -94,14 +94,6 @@ class AnalysisError(InvarcError):
     """Errors from pollution / abstraction stages."""
 
 
-class NotAPointer(AnalysisError):
-    pass
-
-
-class ItemNotFound(AnalysisError):
-    pass
-
-
 class InconsistentInput(AnalysisError):
     pass
 

@@ -1,7 +1,8 @@
 """Construct classification: which AST nodes the encoder cannot model.
 
-Each flagged occurrence carries its span; the downstream pipeline computes
-one polluted set per item and unions them.  Flagged kinds:
+Each flagged occurrence carries its span; the pollution analysis labels
+the variables each item reaches directly and closes the union of those
+labels once.  Flagged kinds:
 
   * ``address-of-member``: &x.m, &x->m, &a[i] in the source.  Members live
     inside a host object, so their addresses do not fit the per-variable

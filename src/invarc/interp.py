@@ -262,7 +262,7 @@ class _ExprMixin:
                     raise InterpError("null dereference")
                 obj = p.deref().value
             else:
-                obj = self.eval_obj(e.obj)
+                obj = self.lvalue(e.obj)[0].value
             if not isinstance(obj, dict):
                 raise InterpError("member access on non-struct")
             cell = obj[e.name]
@@ -277,24 +277,6 @@ class _ExprMixin:
                 raise InterpError("index out of bounds")
             return base.cells[j], base.cells, j
         raise InterpError("not an lvalue")
-
-    def eval_obj(self, e):
-        """Evaluate to the underlying struct dict, preserving identity."""
-        if isinstance(e, Name):
-            v = self.lookup(e.ident).value
-            return v
-        if isinstance(e, Member):
-            cell, _, _ = self.lvalue(e)
-            return cell.value
-        if isinstance(e, Unary) and e.op == "*":
-            p = self.eval(e.operand)
-            if p is NULL:
-                raise InterpError("null dereference")
-            return p.deref().value
-        if isinstance(e, Index):
-            cell, _, _ = self.lvalue(e)
-            return cell.value
-        raise InterpError("no object for expression")
 
     def store(self, cell, v, ctype=None):
         if isinstance(ctype, DoubleType) and isinstance(v, int):
@@ -378,12 +360,7 @@ class SourceInterp(_ExprMixin):
         # global initializers
         self.frames.append([{}])
         for g in self.ast.globals:
-            if g.init is not None:
-                self.store(self.globals[g.name], self.eval(g.init), g.ctype)
-            if g.init_list is not None:
-                for i, e in enumerate(g.init_list):
-                    self.store(self.globals[g.name].value[i], self.eval(e),
-                               g.ctype.elem)
+            self.initialize(self.globals[g.name], g)
         self.frames.pop()
         self.frames.append([{p.name: Cell(copy_value(a))
                              for p, a in zip(fn.params, args)}])
@@ -400,6 +377,15 @@ class SourceInterp(_ExprMixin):
         return RunResult(ret=ret, finals=finals, entry_values=entry_values,
                          loop_events=self.loop_events,
                          point_values=self.point_values)
+
+    def initialize(self, cell, decl):
+        """Store the scalar or brace initializer of the declaration `decl`
+        in its variable's `cell`."""
+        if decl.init is not None:
+            self.store(cell, self.eval(decl.init), decl.ctype)
+        if decl.init_list is not None:
+            for i, e in enumerate(decl.init_list):
+                self.store(cell.value[i], self.eval(e), decl.ctype.elem)
 
     def scalar_snapshot(self):
         """The scalars of the entry function's frame and the globals, also
@@ -477,11 +463,7 @@ class SourceInterp(_ExprMixin):
         elif t is DeclStmt:
             cell = Cell(default_value(s.ctype, self.structs))
             self.frames[-1][-1][s.name] = cell
-            if s.init is not None:
-                self.store(cell, self.eval(s.init), s.ctype)
-            if s.init_list is not None:
-                for i, e in enumerate(s.init_list):
-                    self.store(cell.value[i], self.eval(e), s.ctype.elem)
+            self.initialize(cell, s)
         elif t is WhileStmt:
             self.exec_loop(s)
         elif t is ReturnStmt:

@@ -48,7 +48,7 @@ import random
 
 from ._records import field, record
 from .diagnostics import StepBudgetExceeded, UnknownSymbol
-from .encoder import INT, MEM, REAL, binary
+from .encoder import INT, REAL, binary
 from .frontend.ast import IntType, LongType
 
 REPORT_VERSION = 1
@@ -327,8 +327,9 @@ def detect_invariants(ab, enc, solver, program_name="program"):
         raw = [verdicts.get(q, "error") for q in c.query_names]
         c.verdict = combine_verdicts(raw)
         c.time_ms = elapsed if c.query_names else 0.0
+    decls = ab.program.decls
     polluted = sorted(v for v in ab.havocked
-                      if not v.startswith("$") and v != MEM)
+                      if v in decls and decls[v].kind != "temp")
     return InvariantReport(
         program=program_name, candidates=cands, polluted=polluted,
         removed_stmts=[s for s in ab.removed_stmts],

@@ -291,18 +291,7 @@ class Inliner:
         body = []
         # global initializers run before the entry body
         for g in self.ast.globals:
-            if g.init is not None:
-                body.extend(self.stmt(
-                    AssignStmt(target=_name_of(g), value=g.init, span=g.span),
-                    {}, 0, _ReturnCtx(None, None)))
-            if g.init_list is not None:
-                for i, e in enumerate(g.init_list):
-                    tgt = Index(arr=_name_of(g), index=IntLit(value=i, span=g.span),
-                                span=g.span)
-                    tgt.ctype = g.ctype.elem
-                    body.extend(self.stmt(AssignStmt(target=tgt, value=e,
-                                                     span=g.span), {}, 0,
-                                          _ReturnCtx(None, None)))
+            body.extend(self.initialize(_name_of(g), g, {}, 0))
         ret_var = None
         if fn.ret != VOID:
             ret_var = "$result"
@@ -354,17 +343,7 @@ class Inliner:
             return self.block(s, dict(rename), depth, ctx)
         if isinstance(s, DeclStmt):
             new = self.fresh_local(s, rename, depth)
-            out = []
-            if s.init is not None:
-                out.extend(self.assign(_name(new, s.ctype), s.init, rename,
-                                       depth, s.span))
-            if s.init_list is not None:
-                for i, e in enumerate(s.init_list):
-                    tgt = Index(arr=_name(new, s.ctype),
-                                index=IntLit(value=i, span=s.span), span=s.span)
-                    tgt.ctype = s.ctype.elem
-                    out.extend(self.assign(tgt, e, rename, depth, s.span))
-            return out
+            return self.initialize(_name(new, s.ctype), s, rename, depth)
         if isinstance(s, AssignStmt):
             return self.assign(s.target, s.value, rename, depth, s.span)
         if isinstance(s, IfStmt):
@@ -418,6 +397,21 @@ class Inliner:
         new = self.fresh(s.name + "_", s.ctype)
         rename[s.name] = new
         return new
+
+    def initialize(self, target, decl, rename, depth):
+        """The assignments of the scalar or brace initializer of the
+        declaration `decl` to the variable `target` names."""
+        out = []
+        if decl.init is not None:
+            out.extend(self.assign(target, decl.init, rename, depth,
+                                   decl.span))
+        if decl.init_list is not None:
+            for i, e in enumerate(decl.init_list):
+                tgt = Index(arr=target, index=IntLit(value=i, span=decl.span),
+                            span=decl.span)
+                tgt.ctype = decl.ctype.elem
+                out.extend(self.assign(tgt, e, rename, depth, decl.span))
+        return out
 
     def assign(self, target, value, rename, depth, span):
         pre_t, new_target = self.expr_no_calls(target, rename, depth)

@@ -4,8 +4,9 @@ For a normalized program this module builds a directed graph with one
 vertex per variable and an edge (y, x) whenever x may take a value
 derived from y.  Store statements route their edges to the base
 variables the written pointer may target, resolved by a flow-insensitive
-address-taken analysis.  The set of variables polluted by an unmodelable
-item is the reachability closure of the item's initial labels.  A call
+address-taken analysis.  One walk labels, for each unmodelable item, the
+vertices it pollutes directly (`initial_labels`); the polluted set is
+the reachability closure of their union, computed once.  A call
 that inlining did not eliminate labels its result, the bases of its
 pointer arguments and every global its callee, or a function it may
 call, may write (`SubsetReport.written_globals`); when one of them
@@ -22,10 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._records import field, record
-from .diagnostics import ItemNotFound, NotAPointer
-from .frontend.ast import ArrayType, FuncPtrType, PointerType, \
-    StructType, same_type
+from .frontend.ast import ArrayType, PointerType, StructType, same_type
 from . import normalize as N
 
 
@@ -180,12 +178,11 @@ class _BaseAnalysis:
         return None
 
     def bases(self, name):
-        """Base variable set for pointer `name`, with the conservative
-        fallback to all address-taken variables of compatible pointee
-        type when nothing is resolvable."""
+        """Base variable set for `name`, a pointer-, array- or
+        function-pointer-typed variable, with the conservative fallback
+        to all address-taken variables of compatible pointee type when
+        nothing is resolvable."""
         t = self._decl_type(name)
-        if not _is_pointerish(t) and not isinstance(t, FuncPtrType):
-            raise NotAPointer(f"{name} is not pointer-typed")
         if isinstance(t, ArrayType):
             return {name}
         p = self.pts.get(name, set())
@@ -224,7 +221,7 @@ def _stmt_edges(s, analysis):
         return [v for a in s.args for v in N.atom_vars(a)], (s.lhs,)
     if isinstance(s, N.NStore):
         srcs = N.atom_vars(s.value) + N.atom_vars(s.ptr)
-        return srcs, _store_bases(s, analysis) if srcs else ()
+        return srcs, store_bases(s, analysis) if srcs else ()
     if isinstance(s, N.NUnmodelableCall):
         argvars = [v for a in s.args for v in N.atom_vars(a)]
         dsts = _pointer_arg_bases(s, analysis)
@@ -234,13 +231,11 @@ def _stmt_edges(s, analysis):
     return (), ()
 
 
-def _store_bases(s, analysis):
+def store_bases(s, analysis):
+    """The base variables the store `s` may write."""
     out = set()
     for v in N.atom_vars(s.ptr):
-        try:
-            out |= analysis.bases(v)
-        except NotAPointer:
-            pass
+        out |= analysis.bases(v)
     return out
 
 
@@ -254,40 +249,29 @@ def _pointer_arg_bases(s, analysis):
     return out
 
 
-def build_dependency_graph(prog, _analysis=None):
-    return DependencyGraph(prog, _analysis)
-
-
-def _tagged_statements(prog):
-    """The statements tagged with an unmodelable item, by its span."""
-    out = {}
+def initial_labels(prog, analysis):
+    """The vertices each item of `prog.report.unmodelable_items` labels
+    directly, in report order, for the items some statement of `prog` is
+    tagged with (matched by span); an item inlining left out has no
+    entry."""
+    report = prog.report
+    by_span = {}
     for s in prog.walk():
         tag = getattr(s, "item", None)
-        if tag is not None:
-            out.setdefault(tag.span, []).append(s)
-    return out
-
-
-def initial_labels(prog, item, _analysis=None, _tagged=None):
-    """Vertices labeled directly by the unmodelable item `item`."""
-    analysis = _analysis or _BaseAnalysis(prog)
-    tagged = _tagged if _tagged is not None else _tagged_statements(prog)
-    stmts = tagged.get(item.span)
-    if not stmts:
-        raise ItemNotFound(
-            f"item {item.kind} at {item.span} not present in program")
-    seeds = set()
-    for s in stmts:
+        if tag is None:
+            continue
+        seeds = by_span.setdefault(tag.span, set())
         if isinstance(s, N.NAssign):
             seeds.add(s.lhs)
         elif isinstance(s, N.NUnmodelableCall):
             if s.lhs:
                 seeds.add(s.lhs)
             seeds |= _pointer_arg_bases(s, analysis)
-            seeds |= prog.report.written_globals(prog.ast, s.func)
-            if prog.report.stores_through_pointer(prog.ast, s.func):
+            seeds |= report.written_globals(prog.ast, s.func)
+            if report.stores_through_pointer(prog.ast, s.func):
                 seeds |= analysis.pointees()
-    return seeds
+    return {item: by_span[item.span] for item in report.unmodelable_items
+            if item.span in by_span}
 
 
 def propagate(g, seeds):
@@ -302,33 +286,11 @@ def propagate(g, seeds):
     return seen
 
 
-@record
-class PollutionResult:
-    """One item's initial labels and, computed on first read, their
-    closure `polluted` in `graph`."""
-    item: object
-    initial: set
-    graph: DependencyGraph = field(repr=False, compare=False)
-
-    @cached_property
-    def polluted(self):
-        return propagate(self.graph, self.initial)
-
-
 def analyze_pollution(prog, report):
-    """The dependency graph, one PollutionResult per unmodelable item
-    found in `prog`, and the closure of all their initial labels."""
+    """The dependency graph, the initial labels of each unmodelable item
+    found in `prog` (`initial_labels`), and the closure of their union."""
     g = DependencyGraph(prog)
     if not report.unmodelable_items:
-        return g, [], set()
-    tagged = _tagged_statements(prog)
-    results = []
-    seeds = set()
-    for item in report.unmodelable_items:
-        try:
-            initial = initial_labels(prog, item, g.analysis, tagged)
-        except ItemNotFound:
-            continue  # item was in dead/unreached code after inlining
-        results.append(PollutionResult(item=item, initial=initial, graph=g))
-        seeds |= initial
-    return g, results, propagate(g, seeds)
+        return g, {}, set()
+    labels = initial_labels(prog, g.analysis)
+    return g, labels, propagate(g, set().union(*labels.values()))

@@ -30,7 +30,6 @@ class SolverConfig:
     args: tuple = ()
     timeout_ms: int = 10_000
     workdir: str = None
-    keep_artifacts: bool = False
 
     def __post_init__(self):
         if not self.executable:
@@ -39,11 +38,10 @@ class SolverConfig:
             raise ValueError("timeout_ms must be positive")
 
 
-def discover_solver(timeout_ms=10_000, workdir=None, keep_artifacts=False):
+def discover_solver(timeout_ms=10_000, workdir=None):
     executable, *args = _solver_command()
     return SolverConfig(executable=executable, args=tuple(args),
-                        timeout_ms=timeout_ms, workdir=workdir,
-                        keep_artifacts=keep_artifacts)
+                        timeout_ms=timeout_ms, workdir=workdir)
 
 
 def _solver_command():
@@ -169,7 +167,7 @@ def run_solver(script, cfg):
             stdout = stdout.decode("utf-8", "replace")
         stderr, rc = "", -1
     finally:
-        if not cfg.keep_artifacts and cfg.workdir is None:
+        if cfg.workdir is None:
             try:
                 os.unlink(path)
                 os.rmdir(workdir)

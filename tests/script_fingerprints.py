@@ -11,9 +11,9 @@ inlines, so the script alone cannot show a change there), the sha256 of
 the verdict list of `detect_invariants(ab, enc, lambda: None)` (no
 solver: in-process refutation only), and the sha256 of the pollution
 outputs: the report's `polluted` and `removed_stmts`, the dependency
-graph's `dump()`, and each `PollutionResult`'s item kind, span and
-sorted `initial` labels (the union closure can hide a change in one
-item's seeds), and the sha256 of the models `refute_queries` finds,
+graph's `dump()`, and each item's kind, span and sorted initial labels
+as `analyze_pollution` returns them (the union closure can hide a change
+in one item's seeds), and the sha256 of the models `refute_queries` finds,
 each array written as its default and its sorted cells.  Run it before
 and after a change
 and compare the two outputs:
@@ -84,8 +84,8 @@ def fingerprint(source, entry):
     report = detect_invariants(ab, enc, lambda: None)
     verdicts = [(c.variable, c.kind, c.points, c.loop_id, c.verdict)
                 for c in report.candidates]
-    seeds = [(r.item.kind, r.item.span, sorted(r.initial))
-             for r in analyze_pollution(prog, unit)[1]]
+    seeds = [(item.kind, item.span, sorted(labels))
+             for item, labels in analyze_pollution(prog, unit)[1].items()]
     pollution = repr((report.polluted,
                       [str(s) for s in report.removed_stmts], seeds)) \
         + graph.dump()

@@ -10,8 +10,7 @@ from invarc.interp import run_normalized
 from invarc.normalize import (
     NAssign, NHavoc, NStore, NondetCond, to_simple_assignments, walk_stmts,
 )
-from invarc.pollution import analyze_pollution, build_dependency_graph, \
-    propagate
+from invarc.pollution import DependencyGraph, analyze_pollution, propagate
 
 from invarc.pipeline import build_pipeline
 
@@ -96,7 +95,7 @@ def test_conditions_on_polluted_become_nondet():
 
 def test_non_closed_set_rejected():
     prog, polluted = pipeline("sequential_scan.c")
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     # A set that is not closed under propagation must be refused.
     assert propagate(g, {"schema"}) != {"schema"}
     with pytest.raises(InconsistentInput):

@@ -323,10 +323,10 @@ def test_discovered_solver_takes_cli_options(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("INVARC_SOLVER", str(slow))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     code, out, _ = run(capsys, FOO, "--entry", "foo", "--format", "json",
-                       "--timeout-ms", "200", "--keep-artifacts")
+                       "--timeout-ms", "200")
     assert code == 0
     assert json.loads(out)["solver_time_ms"] < 2000
-    assert list(tmp_path.glob("invarc-*/script.smt2"))
+    assert not list(tmp_path.glob("invarc-*"))
 
 
 def test_no_query_needs_no_solver(capsys, node_only):

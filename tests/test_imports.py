@@ -1,9 +1,12 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and no module of
+the package imports another's private name.
 
-The check reads each module under `src/` and `tests/` with the stdlib
+The checks read each module under `src/` and `tests/` with the stdlib
 `ast` module: a name that an `import` binds must occur as a name
 somewhere else in the module, or be listed in its `__all__` (a
-re-export).  `from __future__` imports bind no name and are skipped."""
+re-export).  `from __future__` imports bind no name and are skipped.  A
+module under `src/invarc` imports no `_`-prefixed name from another
+module: a name another module needs is public."""
 
 import ast
 import pathlib
@@ -48,6 +51,14 @@ def unused_imports(source):
             if name not in used]
 
 
+def private_imports(source):
+    """(name, line) of every `_`-prefixed, non-dunder name that `source`
+    imports from another module."""
+    return [(a.name, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for a in node.names
+            if a.name.startswith("_") and not a.name.startswith("__")]
+
+
 def test_the_checker_finds_an_unused_import():
     src = ("import os, sys as system\nfrom json import dumps, loads as ld\n"
            "from __future__ import annotations\n"
@@ -60,4 +71,20 @@ def test_no_module_imports_a_name_it_never_uses():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in modules()
              for name, line in unused_imports(path.read_text())]
+    assert found == []
+
+
+def test_the_checker_finds_a_private_import():
+    src = ("from ._records import field, record\nimport _thread\n"
+           "from .pollution import (\n    DependencyGraph, _store_bases)\n"
+           "from . import _tables\nfrom .x import __version__\n"
+           "def f():\n    from .refute import _Array\n")
+    assert private_imports(src) == [("_store_bases", 3), ("_tables", 5),
+                                    ("_Array", 8)]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "invarc").rglob("*.py"))
+             for name, line in private_imports(path.read_text())]
     assert found == []

@@ -78,6 +78,20 @@ def test_struct_member_and_array():
     assert run_source(ast, "f", []).ret == 22
 
 
+def test_stores_through_nested_members():
+    """Stores through `o.in.x`, `(*p).x` and `a[1].x`, where `a` is an
+    array of structs, reach the cells the reads find.  The normalizer
+    rejects a nested member store, so only the source interpreter runs
+    this program."""
+    ast = parse_translation_unit(
+        "struct I { int x; }; struct O { struct I in; int y; };\n"
+        "int f(int v) { struct O o; struct I i; struct I *p = &i;"
+        " struct I a[2]; o.in.x = v; (*p).x = v + 1; a[1].x = v + 2;"
+        " return o.in.x * 100 + i.x * 10 + a[1].x; }")
+    assert run_source(ast, "f", [1]).ret == 123
+    assert run_source(ast, "f", [-2]).ret == -210
+
+
 def test_function_pointer_call():
     ast = parse_translation_unit(
         "int inc(int x) { return x + 1; }\n"
@@ -120,6 +134,23 @@ def test_straightline_agreement(seed, a, b):
     r2 = run_normalized(prog, {"a": a, "b": b})
     assert r1.ret == r2.ret
     assert r1.finals["keep"] == r2.finals["keep"] == a
+
+
+INITIALIZERS = ("int g = 5; int h[2] = {7, 8};\n"
+                "int f(int a) { int b[3] = {a, g, a + g}; int c = b[2] * 2;"
+                " g = g + b[1]; return c + h[1] + b[0]; }")
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+def test_declaration_initializers_agree(a):
+    """A global's scalar and brace initializers and a local's brace
+    initializer set the same values in both interpreters."""
+    ast, prog = norm(INITIALIZERS, "f")
+    want = run_source(ast, "f", [a])
+    got = run_normalized(prog, {"a": a})
+    assert got.ret == want.ret == (a + 5) * 2 + 8 + a
+    assert got.finals["g"] == want.finals["g"] == 10
+    assert got.finals["c"] == want.finals["c"]
 
 
 @settings(max_examples=25, deadline=None)

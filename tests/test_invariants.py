@@ -152,6 +152,17 @@ def test_empty_candidate_list(no_solver):
     assert "x" in rep.polluted
 
 
+def test_a_polluted_renamed_parameter_is_listed(no_solver):
+    """The parameter `x`, which the normalizer renames `$x_1` because a
+    global has its name, is a program variable: polluted, it is listed
+    with `y`, as it would be a candidate when clean."""
+    src = "int x; int f(int x) { int y; y = lib(x); x = y + 1; return x; }"
+    ab, enc = build(src, "f")
+    rep = detect_invariants(ab, enc, lambda: no_solver)
+    assert rep.polluted == ["$x_1", "y"]
+    assert "excluded as polluted: $x_1, y" in rep.to_text()
+
+
 # --- loop candidates settled without a query --------------------------------
 
 def modified(lr):

@@ -5,8 +5,8 @@ independent oracle: boolean reachability via repeated numpy matrix
 squaring over the edge adjacency matrix.  The lazy paths of
 ``analyze_pollution`` and ``abstract_program`` are compared with an
 eager reference: a points-to fixpoint over every assignment, the edge
-set statement by statement, one closure per item and the abstraction's
-walk over the whole program.
+set statement by statement, one closure per item, unioned, and the
+abstraction's walk over the whole program.
 """
 
 import random
@@ -21,14 +21,13 @@ from invarc import normalize as N
 from invarc import pollution
 from invarc.abstraction import _Abstractor, abstract_program
 from invarc.cli import main
-from invarc.diagnostics import ItemNotFound
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.invariants import detect_invariants
 from invarc.normalize import program_text, to_simple_assignments
 from invarc.pipeline import build_pipeline
 from invarc.pollution import (
-    analyze_pollution, build_dependency_graph, initial_labels, propagate,
+    DependencyGraph, analyze_pollution, initial_labels, propagate,
 )
 
 from conftest import ENTRIES, ROOT, corpus_entry, corpus_source
@@ -70,7 +69,7 @@ def numpy_closure(graph, seeds):
 def test_edge_directions_simple():
     prog, _ = pipeline("int f(int a) { int b = a + 1; int c = b * b;"
                        " return c; }", "f")
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     assert ("a", "b") in g.edges
     assert ("b", "c") in g.edges
     assert ("b", "a") not in g.edges
@@ -79,7 +78,7 @@ def test_edge_directions_simple():
 def test_store_edges_to_base():
     prog, _ = pipeline(
         "int f(int a) { int v; int* p = &v; *p = a; return v; }", "f")
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     assert ("a", "v") in g.edges
     assert ("p", "v") in g.edges
 
@@ -89,7 +88,7 @@ def test_unknown_base_falls_back_to_all_compatible():
         "int g1; int g2; double d1;\n"
         "int f(int* p, int a) { int* q1 = &g1; int* q2 = &g2;"
         " double* q3 = &d1; *p = a; return a; }", "f")
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     assert ("a", "g1") in g.edges and ("a", "g2") in g.edges
     assert ("a", "d1") not in g.edges
 
@@ -97,26 +96,27 @@ def test_unknown_base_falls_back_to_all_compatible():
 def test_dump_deterministic_sorted():
     src = corpus_source("sequential_scan.c")
     prog, _ = pipeline(src, corpus_entry("sequential_scan.c"))
-    d1 = build_dependency_graph(prog).dump()
-    d2 = build_dependency_graph(prog).dump()
+    d1 = DependencyGraph(prog).dump()
+    d2 = DependencyGraph(prog).dump()
     assert d1 == d2
     assert d1.rstrip("\n") == "\n".join(sorted(d1.splitlines()))
 
 
 def test_initial_labels_missing_item():
-    src = corpus_source("foo.c")
-    prog, report = pipeline(src, "foo")
-    class FakeItem:
-        kind = "library-call"
-        span = None
-    with pytest.raises(ItemNotFound):
-        initial_labels(prog, FakeItem())
+    """An item no statement realizes, here the library call in `h`,
+    which the entry `f` never calls, has no entry."""
+    prog, report = pipeline("int h(int a) { return lib(a); }"
+                            " int f(int a) { int b = lib(a); return a; }",
+                            "f")
+    _, second = report.unmodelable_items
+    assert initial_labels(prog, pollution._BaseAnalysis(prog)) \
+        == {second: {"$call1"}}
 
 
 def test_propagate_matches_numpy_small():
     prog, _ = pipeline("int f(int a) { int b = a + 1; int c = 2;"
                        " int d = c + b; return d; }", "f")
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     got = propagate(g, {"a"})
     assert got == numpy_closure(g, {"a"})
     assert {"a", "b", "d"} <= got and "c" not in got
@@ -126,7 +126,7 @@ def test_propagate_matches_numpy_small():
 @given(st.integers(0, 100_000))
 def test_propagate_matches_numpy_random(seed):
     prog = random_normalized(seed)
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     verts = sorted(g.vertices)
     if not verts:
         return
@@ -138,7 +138,7 @@ def test_propagate_matches_numpy_random(seed):
 @given(st.integers(0, 100_000), st.data())
 def test_propagate_monotone(seed, data):
     prog = random_normalized(seed)
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     verts = sorted(g.vertices)
     if len(verts) < 2:
         return
@@ -151,7 +151,7 @@ def test_propagate_monotone(seed, data):
 
 def test_seeds_always_in_closure():
     prog, _ = pipeline("int f(int a) { return a; }", "f")
-    g = build_dependency_graph(prog)
+    g = DependencyGraph(prog)
     assert "a" in propagate(g, {"a"})
 
 
@@ -185,7 +185,7 @@ def test_golden_graph_sequential_scan():
     prog, _ = pipeline(src, "SequentialScan")
     from conftest import GOLDEN
     golden = (GOLDEN / "sequential_scan.graph.txt").read_text()
-    assert build_dependency_graph(prog).dump() + "\n" == golden
+    assert DependencyGraph(prog).dump() + "\n" == golden
 
 
 def test_one_points_to_analysis_per_program(monkeypatch):
@@ -237,7 +237,7 @@ def eager_edges(prog, analysis):
             edges |= {(v, s.lhs) for a in s.args for v in N.atom_vars(a)}
         elif isinstance(s, N.NStore):
             srcs = N.atom_vars(s.value) + N.atom_vars(s.ptr)
-            edges |= {(v, b) for b in pollution._store_bases(s, analysis)
+            edges |= {(v, b) for b in pollution.store_bases(s, analysis)
                       for v in srcs}
         elif isinstance(s, N.NUnmodelableCall):
             dsts = pollution._pointer_arg_bases(s, analysis)
@@ -287,35 +287,29 @@ def test_lazy_pollution_matches_the_eager_reference():
     with_items = 0
     for label, src, entry in differential_programs():
         prog, report = pipeline(src, entry)
-        graph, results, union = analyze_pollution(prog, report)
+        graph, labels, union = analyze_pollution(prog, report)
         ab = abstract_program(prog, union, graph)
 
         ref = EagerAnalysis(prog)
         edges = eager_edges(prog, ref)
-        tagged = pollution._tagged_statements(prog)
-        ref_items = []
-        for item in report.unmodelable_items:
-            try:
-                initial = initial_labels(prog, item, ref, tagged)
-            except ItemNotFound:
-                continue
-            ref_items.append((item, initial, reach(edges, initial)))
-        ref_union = set().union(*(p for *_, p in ref_items))
+        ref_labels = initial_labels(prog, ref)
+        ref_union = set().union(*(reach(edges, seeds)
+                                  for seeds in ref_labels.values()))
         ref_ab = _Abstractor(prog, ref_union, ref)
         ref_body = ref_ab.body(prog.body)
 
         assert union == ref_union, label
-        assert [(r.item, r.initial, r.polluted) for r in results] \
-            == ref_items, label
+        assert labels == ref_labels, label
+        for seeds in labels.values():
+            assert propagate(graph, seeds) == reach(edges, seeds), label
         assert ab.removed_stmts == ref_ab.removed, label
         assert ab.havocked == ref_ab.havocked | ref_union, label
         assert program_text(ab.program) == program_text(ref_body), label
         assert graph.analysis.pts == ref.pts, label
         assert graph.analysis.address_taken == ref.address_taken, label
         assert graph.edges == edges, label
-        assert graph.dump() == build_dependency_graph(prog, ref).dump(), \
-            label
-        with_items += bool(ref_items)
+        assert graph.dump() == DependencyGraph(prog, ref).dump(), label
+        with_items += bool(ref_labels)
     assert with_items >= 10
 
 
@@ -324,11 +318,11 @@ def test_item_free_unit_dumps_the_whole_graph(capsys, tmp_path):
            " int *q = &g; *q = b * 2; return b; }")
     prog, report = pipeline(src, "f")
     assert not report.unmodelable_items
-    graph, results, union = analyze_pollution(prog, report)
-    assert (results, union) == ([], set())
+    graph, labels, union = analyze_pollution(prog, report)
+    assert (labels, union) == ({}, set())
     ab = abstract_program(prog, union, graph)
     assert ab.program is prog and ab.havocked == set()
-    dump = build_dependency_graph(prog).dump()
+    dump = DependencyGraph(prog).dump()
     assert "b -> g" in dump
     path = tmp_path / "f.c"
     path.write_text(src)

@@ -118,7 +118,7 @@ def test_keep_artifacts(tmp_path):
     ok.write_text('#!/bin/sh\necho "QUERY:q"\necho unsat\n')
     ok.chmod(ok.stat().st_mode | stat.S_IEXEC)
     cfg = SolverConfig(executable=str(ok), args=(), timeout_ms=5000,
-                       workdir=str(tmp_path / "work"), keep_artifacts=True)
+                       workdir=str(tmp_path / "work"))
     run_solver(script_with(("q", "(not (= x x))")), cfg)
     kept = list((tmp_path / "work").glob("*.smt2"))
     assert kept and "QUERY:q" in kept[0].read_text()
