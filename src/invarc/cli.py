@@ -4,21 +4,20 @@ solve, report.
 Exit codes: 0 analysis completed (regardless of verdicts), 1 usage
 error or an input file that cannot be read as UTF-8 text, 2 parse/type
 error in the input program, 3 solver infrastructure error, 4 `--oracle`
-found a reported invariant that an execution breaks (every input is
-still analysed and reported), 5 internal error: a defect of invarc
-itself.  An error in the analysis of a file is one line on stderr,
-`FILE:LINE:COL: error: MESSAGE`, without `LINE:COL` where it has no
-position in the source; an internal error is `FILE: internal error:
-TYPE: MESSAGE`, with no traceback.
+found a reported invariant that an execution breaks, 5 internal error:
+a defect of invarc itself.  Every input is analysed, whatever became of
+the ones before it, and the run exits with the largest code of any
+input (5 > 4 > 3 > 2 > 1 > 0).  An error in the analysis of a file is
+one line on stderr, `FILE:LINE:COL: error: MESSAGE`, without `LINE:COL`
+where it has no position in the source; an internal error is `FILE:
+internal error: TYPE: MESSAGE`, with no traceback.
 
 The solver is looked for only when a program has a query for it, and
-then once per run.  A program without queries is analysed, and exits 0,
-on a machine with no solver; one with queries exits 3 there.  With
-several inputs, the reports before the first program that needs a
-missing solver are printed before the exit with code 3, and so is every
-`--dump` of that program.  `--solver none` runs no solver: each query
-is only tried by in-process refutation, and a candidate whose query it
-leaves is reported unknown, with a note.
+no more once it is found.  A program without queries is analysed, and
+exits 0, on a machine with no solver; one with queries exits 3 there,
+after printing every `--dump` it asks for.  `--solver none` runs no
+solver: each query is only tried by in-process refutation, and a
+candidate whose query it leaves is reported unknown, with a note.
 """
 
 from __future__ import annotations
@@ -175,6 +174,13 @@ def parse_domain(text):
     return lo, hi
 
 
+def _exit_code(error):
+    """The exit code of an InvarcError (see the module docstring)."""
+    if isinstance(error, InputError):
+        return 1
+    return 3 if isinstance(error, (SolverNotFound, ProtocolError)) else 2
+
+
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -198,21 +204,19 @@ def main(argv=None):
                                 timeout_ms=args.timeout_ms)
         return discover_solver(timeout_ms=args.timeout_ms)
 
-    violated = False
+    code = 0
     for path in args.inputs:
         try:
-            violated |= _analyze_one(args, path, solver)
+            code = max(code, 4 if _analyze_one(args, path, solver) else 0)
         except InvarcError as e:
             sys.stderr.write(f"{e.render(path)}\n")
-            if isinstance(e, InputError):
-                return 1
-            return 3 if isinstance(e, (SolverNotFound, ProtocolError)) else 2
+            code = max(code, _exit_code(e))
         except Exception as e:   # a defect: one line, not a traceback
             msg = " ".join(str(e).splitlines())
             sys.stderr.write(f"{path}: internal error: "
                              f"{type(e).__name__}: {msg}\n")
-            return 5
-    return 4 if violated else 0
+            code = 5
+    return code
 
 
 if __name__ == "__main__":

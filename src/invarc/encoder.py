@@ -403,11 +403,12 @@ class SolverScript:
                 out.append(Term("distinct", tuple(consts), BOOL))
         return out
 
-    def cone(self):
-        """The terms of `main` that the queries can reach, in order."""
-        live = set()
-        for _, q in self.queries:
-            live.update(leaves(q))
+    def cone(self, roots=None):
+        """The terms of `main` that the terms `roots`, by default the
+        queries, reach through definitions and guards, in order."""
+        if roots is None:
+            roots = [q for _, q in self.queries]
+        live = set().union(*map(leaves, roots))
         kept = []
         for t in reversed(self.main):
             if not t.args:

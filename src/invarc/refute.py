@@ -1,21 +1,22 @@
 """In-process refutation of queries by concrete evaluation.
 
 `refute_queries(script)` evaluates the encoder's `SolverScript` itself,
-not text: exactly the terms `render()` emits (the base addresses with
-their `distinct` assertions, and the cone of `main`) and each query's
-asserted term.  It returns the queries it shows to be satisfiable,
-without a solver, each with its model.
+not text, and returns the queries it shows to be satisfiable, without a
+solver, each with its model.
 
 Each assertion of `main` defines one constant from constants declared
 before it (see `SolverScript.define`); the `distinct` assertions are
-checked.  Each trial draws values for free constants, mostly from small
-integers and the script's own integer literals, computes defined ones
-from their definitions, and evaluates the checked assertions and each
-open query's assertion.  Only the constants these depend on are
-evaluated.  Any other constant is either free or defined from earlier
-constants, so the assignment extends to it.  When all the evaluated
-assertions hold, the assignment is part of a model, and the query is
-`sat`: the answer a solver would give.
+checked.  A trial takes the checked assertions and the open queries,
+their cone (`SolverScript.cone`) and the base constants these read, in
+the order `render()` emits them.  It draws each constant with no
+definition there, mostly from small integers and the script's own
+integer literals, computes each defined one (or draws it where the guard
+fails), and evaluates the checked assertions and each open query.  Any
+other constant is either free or defined from earlier constants, so the
+assignment extends to it.  When all the evaluated assertions hold, the
+assignment is part of a model, and the query is `sat`: the answer a
+solver would give.  The cone is taken again only after a query is
+refuted, narrowed to the queries still open.
 
 `detect_invariants` uses it only when there is no solver.  It never
 answers `unsat`, and it answers `sat` only with a model it has checked,
@@ -77,52 +78,6 @@ class _Array:
     __hash__ = None
 
 
-class _Script:
-    """The declarations, definitions, checked assertions and queries of a
-    SolverScript, as `render()` would emit them."""
-
-    def __init__(self, script):
-        types = DATATYPES + tuple(script.datatypes)
-        self.records = {d.name: d for d in types}
-        self.ctors = {d.ctor: len(d.fields) for d in types}
-        self.selectors = {sel: (d.ctor, i) for d in types
-                          for i, (sel, _) in enumerate(d.fields)}
-        bases, main = script.base_terms(), script.cone()
-        terms = bases + main
-        # constant -> sort, and -> declaration index
-        self.sorts = {t.op: t.sort for t in terms if not t.args}
-        self.order = {c: i for i, c in enumerate(self.sorts)}
-        self.checked = [t for t in bases if t.args]    # the `distinct`s
-        self.defs = {}           # constant -> (guard or None, term)
-        self.deps = {}           # constant -> constants its definition reads
-        for t in main:
-            if t.args:
-                sym, guard, value = definition(t)
-                self.defs[sym.op] = (guard, value)
-                self.deps[sym.op] = self.refs(t) - {sym.op}
-        self.queries = [(name, q, self.refs(q))  # + the constants q reads
-                        for name, q in script.queries]
-        terms += [q for _, q in script.queries]
-        self.checked_refs = set().union(*map(self.refs, self.checked))
-        self.literals = {int(leaf) for t in terms for leaf in leaves(t)
-                         if leaf.isdigit()}
-
-    def refs(self, term):
-        """The constants `term` reads."""
-        return {leaf for leaf in leaves(term) if leaf in self.sorts}
-
-    def cone(self, roots):
-        """`roots` and every constant their definitions read, in
-        declaration order."""
-        seen, todo = set(roots), list(roots)
-        while todo:
-            for d in self.deps.get(todo.pop(), ()):
-                if d not in seen:
-                    seen.add(d)
-                    todo.append(d)
-        return sorted(seen, key=self.order.__getitem__)
-
-
 def _div(a, b):
     if b == 0:
         raise _Stuck("division by zero")
@@ -166,38 +121,37 @@ _OPS = {
 
 
 class _Model:
-    """One assignment: drawn free constants, computed defined ones."""
+    """Drawn and computed values of constants, one trial at a time."""
 
-    def __init__(self, script, rng, pool, p_small):
-        self.s = script
+    def __init__(self, script, rng, pool):
+        types = DATATYPES + tuple(script.datatypes)
+        self.records = {d.name: d for d in types}
+        self.ctors = {d.ctor: len(d.fields) for d in types}
+        self.selectors = {sel: (d.ctor, i) for d in types
+                          for i, (sel, _) in enumerate(d.fields)}
         self.rng = rng
         self.pool = pool
-        self.p_small = p_small
         self.values = {}
 
-    def define(self, names):
-        """Evaluate `names` in declaration order, so that each definition
-        finds the constants it reads already evaluated."""
-        for name in names:
-            if name not in self.values:
-                try:
-                    self.values[name] = self._compute(name)
-                except _Stuck:
-                    self.values[name] = _STUCK
-
-    def const(self, name):
-        if name not in self.values:
-            self.values[name] = self._compute(name)
-        value = self.values[name]
-        if value is _STUCK:
-            raise _Stuck(name)
-        return value
-
-    def _compute(self, name):
-        guard, term = self.s.defs.get(name, (None, None))
-        if term is not None and (guard is None or self.eval(guard) is True):
-            return self.eval(term)
-        return self.draw(self.s.sorts[name])
+    def trial(self, terms, defined, p_small):
+        """A new assignment to the constants of `terms`, taken in order
+        (see `_cone`): each constant of `defined` is computed at its
+        definition, or drawn where its guard fails, and any other is
+        drawn at its declaration."""
+        self.p_small = p_small
+        self.values = values = {}
+        for t in terms:
+            sym, guard, value = definition(t) if t.args else (t, None, None)
+            if value is None and sym.op in defined:
+                continue
+            try:
+                if value is not None and (guard is None
+                                          or self.eval(guard) is True):
+                    values[sym.op] = self.eval(value)
+                else:
+                    values[sym.op] = self.draw(sym.sort)
+            except _Stuck:
+                values[sym.op] = _STUCK
 
     def assignment(self):
         return {k: v for k, v in self.values.items() if v is not _STUCK}
@@ -209,8 +163,8 @@ class _Model:
             return Fraction(self._int(), self.rng.choice((1, 2)))
         if sort == BOOL:
             return self.rng.random() < 0.5
-        if sort in self.s.records:
-            d = self.s.records[sort]
+        if sort in self.records:
+            d = self.records[sort]
             return (d.ctor, *(self.draw(f) for _, f in d.fields))
         if sort.op == "Array" and self._infinite(sort.args[0]):
             return _Array(self.draw(sort.args[1]))
@@ -219,7 +173,7 @@ class _Model:
     def _infinite(self, sort):
         if sort in (INT, REAL):
             return True
-        d = self.s.records.get(sort)
+        d = self.records.get(sort)
         return d is not None and any(self._infinite(f) for _, f in d.fields)
 
     def _int(self):
@@ -245,10 +199,10 @@ class _Model:
         if op in FUNCTIONS:
             return self.eval(FUNCTIONS[op],
                              {p.op: v for p, v in zip(PARAMS, vals)})
-        if op in self.s.ctors and self.s.ctors[op] == len(vals):
+        if op in self.ctors and self.ctors[op] == len(vals):
             return (op, *vals)
-        if op in self.s.selectors:
-            ctor, i = self.s.selectors[op]
+        if op in self.selectors:
+            ctor, i = self.selectors[op]
             if len(vals) != 1 or not isinstance(vals[0], tuple) \
                     or vals[0][0] != ctor:
                 raise _Stuck(f"{op} of another constructor")
@@ -270,8 +224,10 @@ class _Model:
     def _atom(self, t, env):
         if env and t in env:
             return env[t]
-        if t in self.s.sorts:
-            return self.const(t)
+        if t in self.values:
+            if self.values[t] is _STUCK:
+                raise _Stuck(t)
+            return self.values[t]
         if t in ("true", "false"):
             return t == "true"
         if t[0].isdigit():
@@ -279,42 +235,55 @@ class _Model:
         raise _Stuck(f"symbol {t}")
 
 
+def _cone(script, bases, roots):
+    """What a trial evaluates to check the terms `roots`: the base
+    constants (of `bases`) that they or their cone read, then their cone
+    (`SolverScript.cone`), in the order `render` emits them; and the
+    constants that cone defines."""
+    main = script.cone(roots)
+    live = {leaf for t in roots + main for leaf in leaves(t)}
+    terms = [t for t in bases if not t.args and t.op in live] + main
+    return terms, {definition(t)[0].op for t in main if t.args}
+
+
 def refute_queries(script):
     """{query name: model} for the queries of a SolverScript that a
     checked assignment satisfies.  A model maps the constants the check
     read to their values; any value of the others extends it.  The other
     queries are left undecided."""
-    script = _Script(script)
-    rng = random.Random(SEED)
-    literals = script.literals
+    bases = script.base_terms()
+    checked = [t for t in bases if t.args]      # the `distinct`s
+    open_queries = dict(script.queries)
+    terms, defined = _cone(script, bases,
+                           checked + list(open_queries.values()))
+    literals = {int(leaf) for t in bases + terms + list(open_queries.values())
+                for leaf in leaves(t) if leaf.isdigit()}
     pool = sorted(set(_SMALL) | literals | {-n for n in literals})
-    open_queries = {name: (query, refs)
-                    for name, query, refs in script.queries}
+    model = _Model(script, random.Random(SEED), pool)
     models = {}
     idle = 0
     for trial in range(TRIALS):
         if not open_queries or idle == PATIENCE:
             break
         idle += 1
-        model = _Model(script, rng, pool, 0.9 if trial % 2 == 0 else 0.5)
-        # open queries only: a narrower cone than the script's slice
-        roots = set(script.checked_refs)
-        for _, refs in open_queries.values():
-            roots |= refs
+        if terms is None:   # a query fell: the cone of the open ones only
+            terms, defined = _cone(script, bases,
+                                   checked + list(open_queries.values()))
         try:
-            model.define(script.cone(roots))
-            if not all(model.eval(a) is True for a in script.checked):
+            model.trial(terms, defined, 0.9 if trial % 2 == 0 else 0.5)
+            if not all(model.eval(a) is True for a in checked):
                 continue
         except (_Stuck, RecursionError):
             continue
         assignment = None
-        for name, (query, _) in list(open_queries.items()):
+        for name, query in list(open_queries.items()):
             try:
                 if model.eval(query) is True:
                     assignment = assignment or model.assignment()
                     models[name] = assignment
                     del open_queries[name]
                     idle = 0
+                    terms = None
             except (_Stuck, RecursionError):
                 pass
     return models

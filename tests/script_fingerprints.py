@@ -76,6 +76,14 @@ def canonical(value):
     return value
 
 
+def models_sha(models):
+    """The sha256 of the models that `refute_queries` returned, each
+    with its constants sorted and its values `canonical`."""
+    return sha(repr(sorted(
+        (name, sorted((c, canonical(v)) for c, v in m.items()))
+        for name, m in models.items())))
+
+
 def fingerprint(source, entry):
     """The sha256 of the rendered script, of the printed unit and
     normalized program, of the verdict list, of the pollution outputs
@@ -89,11 +97,9 @@ def fingerprint(source, entry):
     pollution = repr((report.polluted,
                       [str(s) for s in report.removed_stmts], seeds)) \
         + graph.dump()
-    models = sorted((name, sorted((c, canonical(v)) for c, v in m.items()))
-                    for name, m in refute_queries(enc.script).items())
     return (sha(enc.script.render()), sha(ast_text(ast)),
             sha(program_text(prog)), sha(repr(verdicts)), sha(pollution),
-            sha(repr(models)))
+            models_sha(refute_queries(enc.script)))
 
 
 def main():

@@ -390,6 +390,22 @@ def test_multiple_inputs(capsys, solver_cfg):
     assert out.count("VARIABLE") == 2
 
 
+def test_every_input_is_analysed_and_the_largest_code_wins(capsys,
+                                                          tmp_path):
+    good = tmp_path / "good.c"
+    good.write_text("int f(int a) { int b = a; return b; }\n")
+    bad = tmp_path / "bad.c"
+    bad.write_text("int f( { return 0; }\n")
+    code, out, err = run(capsys, "--entry", "f", "--solver", "none",
+                         str(good), str(bad), str(good))
+    assert code == 2
+    assert out.count("VARIABLE") == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"{bad}:1:8: ")
+    for inputs in ([str(tmp_path / "none.c"), str(bad)],
+                   [str(bad), str(tmp_path / "none.c")]):
+        assert run(capsys, "--solver", "none", *inputs)[0] == 2
+
+
 @pytest.mark.parametrize("module", ["invarc.cli", "invarc"])
 def test_run_as_a_module(module):
     """`python -m` runs the CLI and writes nothing to stderr but errors."""

@@ -13,7 +13,7 @@ from invarc.abstraction import abstract_program
 from invarc.cli import build_pipeline
 from invarc.diagnostics import EncodeError
 from invarc.encoder import BOOL, INT, MEM, SolverScript, definition, \
-    lit_int
+    lit_int, parse_term
 from invarc.frontend import parse_translation_unit
 from invarc.frontend.classify import classify_constructs
 from invarc.normalize import to_simple_assignments
@@ -246,9 +246,10 @@ def slicing_programs():
 
 
 def unsliced(script):
-    """A copy of `script` whose cone is the whole of `main`."""
+    """A copy of `script` whose cone, of any roots, is the whole of
+    `main`."""
     whole = copy.copy(script)
-    whole.cone = lambda: list(script.main)
+    whole.cone = lambda roots=None: list(script.main)
     return whole
 
 
@@ -306,6 +307,24 @@ def test_a_second_definition_is_an_encode_error():
     script.define(x, lit_int(0))
     with pytest.raises(EncodeError, match="x@1 defined twice"):
         script.define(x, lit_int(1))
+
+
+def test_the_cone_of_roots_closes_over_definitions_and_guards():
+    s = SolverScript()
+    a, b, g, c = (s.declare(n, INT) for n in "abgc")
+    s.define(c, parse_term("(+ a 1)"), guard=parse_term("(not (= g 0))"))
+    d = s.declare("d", INT)
+    s.define(d, b)
+    def_c, def_d = s.main[4], s.main[6]
+    assert s.cone([parse_term("(> c 0)")]) == [a, g, c, def_c]
+    assert s.cone([parse_term("(< d c)")]) == [a, b, g, c, def_c, d, def_d]
+    assert s.cone([parse_term("(> 1 0)")]) == []
+    assert s.cone() == []
+    s.add_query("q", "(= d 2)")
+    assert s.cone() == [b, d, def_d]
+    for name in CORPUS_NAMES:
+        script = with_queries(corpus_source(name), corpus_entry(name))
+        assert script.cone() == script.cone([q for _, q in script.queries])
 
 
 # --- solver-checked semantic properties ------------------------------------

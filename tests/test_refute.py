@@ -98,6 +98,17 @@ def test_arrays_of_records_and_of_reals_are_drawn():
                    datatypes=[point]) == {0, 2, 3, 4}
 
 
+def test_the_cone_narrows_as_queries_fall():
+    """A trial evaluates only what the open queries read: once `z > 3`
+    is refuted, `x` and `z` are no longer drawn or computed, so the model
+    of the query refuted later holds `y` alone."""
+    models = refute_queries(script(
+        [("x", INT), ("z", INT), ("y", INT)], ["(= z (+ x 1))"],
+        "(> z 3)", "(< y (- 5000))"))
+    assert set(models["q0"]) == {"x", "y", "z"}
+    assert set(models["q1"]) == {"y"}
+
+
 def test_unsupported_input_decides_nothing():
     # an undeclared function
     assert refuted([], [], "(= (f 1) 1)") == set()

@@ -4,21 +4,19 @@
 program of `DIGEST_GENERATORS`, the sha256 of the models
 `refute_queries` finds on its script: the script `test_smt_digests`
 pins for a generated program, and the CLI's queries for a corpus one.
-Each model is written as `script_fingerprints` writes it: its constants
-sorted, each array as its default and its sorted cells.  The
-refuter draws from a fixed seed, so a change to how it evaluates a
-script that should not change what it finds must keep every digest.  To
-record a deliberate change to the models, run
+The models are hashed as `script_fingerprints` hashes them
+(`models_sha`).  The refuter draws from a fixed seed, so a change to
+how it evaluates a script that should not change what it finds must
+keep every digest.  To record a deliberate change to the models, run
 `PYTHONPATH=src python tests/test_refute_digests.py` from the repository
 root and commit the new file with the change."""
 
-import hashlib
 import json
 
 from conftest import ENTRIES, GOLDEN, corpus_entry, corpus_source, \
     with_queries
 from invarc.refute import refute_queries
-from script_fingerprints import canonical
+from script_fingerprints import models_sha
 from test_smt_digests import digest_programs
 
 DIGESTS = GOLDEN / "refute_digests.json"
@@ -32,14 +30,8 @@ def scripts():
         yield f"{gen}-{seed}", with_queries(src, "gen", result_query=True)
 
 
-def digest(models):
-    text = repr(sorted((name, sorted((c, canonical(v)) for c, v in m.items()))
-                       for name, m in models.items()))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def digests():
-    return {label: digest(refute_queries(script))
+    return {label: models_sha(refute_queries(script))
             for label, script in scripts()}
 
 
