@@ -13,7 +13,8 @@ where it has no position in the source; an internal error is `FILE:
 internal error: TYPE: MESSAGE`, with no traceback.
 
 The solver is looked for only when a program has a query for it, and
-no more once it is found.  A program without queries is analysed, and
+at most once per run: a later file reuses the solver found, or the
+reason none was.  A program without queries is analysed, and
 exits 0, on a machine with no solver; one with queries exits 3 there,
 after printing every `--dump` it asks for.  `--solver none` runs no
 solver: each query is only tried by in-process refutation, and a
@@ -194,15 +195,26 @@ def main(argv=None):
         return 1
 
     @functools.cache
-    def solver():
-        """The configured solver, discovered on first use; None with
-        `--solver none`."""
+    def lookup():
+        """The configured solver, or the SolverNotFound that discovering
+        it raised; None with `--solver none`."""
         if args.solver == "none":
             return None
         if args.solver:
             return SolverConfig(executable=args.solver,
                                 timeout_ms=args.timeout_ms)
-        return discover_solver(timeout_ms=args.timeout_ms)
+        try:
+            return discover_solver(timeout_ms=args.timeout_ms)
+        except SolverNotFound as e:
+            return e
+
+    def solver():
+        """The configured solver, looked for on first use; each file
+        that asks for a missing one gets its own SolverNotFound."""
+        found = lookup()
+        if isinstance(found, SolverNotFound):
+            raise found.with_traceback(None)
+        return found
 
     code = 0
     for path in args.inputs:

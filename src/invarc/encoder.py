@@ -25,12 +25,14 @@ pointer is an `if` chain whose conditions compare the pointer with
 function addresses, distinct constants; its last arm, an unmodelable
 call with no item, leaves the result and memory unconstrained.
 
-An `if` arm or a loop body journals the term each name had before its
-first write there, and undoes its own writes when it ends, so the merge
-that follows visits only the names the arms wrote, and no stage copies
-the whole environment: a loop record holds the non-temporary variables,
-memory and the modified names.  The encoder's work is linear in the
-number of writes; `Encoding.work` counts it.
+`encode_program` binds every name before the first statement, so a
+later write only rebinds it.  An `if` arm or a loop body journals the
+term each name had before its first write there, and undoes its own
+writes when it ends, so the merge that follows visits only the names
+the arms wrote, and no stage copies the whole environment: a loop
+record holds the non-temporary variables, memory and the modified
+names.  The encoder's work is linear in the number of writes;
+`Encoding.work` counts it.
 
 Each assertion the encoder writes defines one fresh symbol from symbols
 declared before it: `(= s t)`, or `(=> g (= s t))` for a division that
@@ -91,7 +93,6 @@ class _Unencodable(Exception):
 
 
 MEM = "%mem"   # pseudo-variable for the threaded memory record
-_ABSENT = object()   # journaled value of a variable with no symbol
 
 
 class Term(namedtuple("Term", ("op", "args", "sort"))):
@@ -301,16 +302,12 @@ def merge(cond, names, env, end1, end2):
 
 
 def _undo(env, before):
-    """Give each name of `before` back its term there, or drop it from
-    `env` where it maps to _ABSENT; returns each name mapped to the term
-    it had in `env` until now."""
+    """Give each name of `before` back its term there; returns each name
+    mapped to the term it had in `env` until now."""
     end = {}
     for var, old in before.items():
         end[var] = env[var]
-        if old is _ABSENT:
-            del env[var]
-        else:
-            env[var] = old
+        env[var] = old
     return end
 
 
@@ -627,7 +624,7 @@ class Encoder:
         since the last write and orders the names as they were bound."""
         env = self.env
         if self.scopes:
-            self.scopes[-1].setdefault(var, env.get(var, _ABSENT))
+            self.scopes[-1].setdefault(var, env[var])
         if var not in env:
             self.rank[var] = self.counter
         env[var] = term
@@ -839,8 +836,6 @@ class Encoder:
         b = self.atom_term(s.args[1])
         if op in ("+", "-") and ADDR in (a.sort, b.sort):
             p, i = (a, b) if a.sort == ADDR else (b, a)
-            if i.sort != INT:
-                raise _Unencodable("pointer arithmetic with non-integer")
             return offset_addr(p, i, op)
         if op in ("+", "-", "*"):
             return binary(op, a, b)
@@ -849,8 +844,6 @@ class Encoder:
             fn = "cdiv" if sort == INT else "/"
             return self.guarded_div(s, Term(fn, (a, b), sort), b)
         if op == "%":
-            if a.sort != INT or b.sort != INT:
-                raise _Unencodable("modulo on non-integers")
             return self.guarded_div(s, Term("cmod", (a, b), INT), b)
         if op in ("<", "<=", ">", ">=", "=="):
             return ite(binary(op, a, b), ONE, ZERO)
@@ -957,11 +950,9 @@ class Encoder:
         if cond is None:
             cond = self.fresh("guard", BOOL)
         then, els = self._arm(s.then), self._arm(s.els)
-        # only a name an arm wrote can differ; one absent before is dropped.
-        # Merge in env order, as the names were first bound.
-        env = self.env
-        names = sorted((then.keys() | els.keys()) & env.keys(),
-                       key=self.rank.__getitem__)
+        # only a name an arm wrote can differ.  Merge in env order, as
+        # the names were first bound.
+        names = sorted(then.keys() | els.keys(), key=self.rank.__getitem__)
         self._merge(cond, names, then, els)
 
     # -- loops --------------------------------------------------------------

@@ -77,10 +77,6 @@ class TypeChecker:
             self.check_type(t.elem, span, member_of)
         elif isinstance(t, PointerType):
             self.check_type(t.target, span)
-        elif isinstance(t, FuncPtrType):
-            if member_of is not None:
-                raise FrontendTypeError(
-                    "function-pointer struct members are unsupported", span)
 
     def struct_def(self, t, span):
         sd = self.ast.struct(t.name)
@@ -237,10 +233,12 @@ class TypeChecker:
             self.require_arith(rt, e.rhs)
             return BOOL
         if op in ("+", "-"):
-            # pointer arithmetic: ptr/array +- integer
-            if self._pointerish(lt) and rt.is_integer():
+            # pointer arithmetic: data pointer/array +- integer, never
+            # a function pointer
+            data = (PointerType, ArrayType)
+            if isinstance(lt, data) and rt.is_integer():
                 return lt if isinstance(lt, PointerType) else PointerType(lt.elem)
-            if op == "+" and lt.is_integer() and self._pointerish(rt):
+            if op == "+" and lt.is_integer() and isinstance(rt, data):
                 return rt if isinstance(rt, PointerType) else PointerType(rt.elem)
         if op in ("+", "-", "*", "/"):
             self.require_arith(lt, e.lhs)
@@ -328,14 +326,9 @@ class TypeChecker:
             return
         if isinstance(dst, DoubleType) and src.is_integer():
             return
-        if dst.is_integer() and isinstance(src, BoolType):
-            return
         if isinstance(dst, (PointerType, FuncPtrType)) and isinstance(src, PointerType) \
                 and src.target == VOID:
             return  # NULL
-        if isinstance(dst, FuncPtrType) and isinstance(src, FuncPtrType) \
-                and dst == src:
-            return
         raise FrontendTypeError(f"cannot assign {src} to {dst}", span)
 
 

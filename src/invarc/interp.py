@@ -124,10 +124,14 @@ def apply_binop(op, a, b):
             return PtrVal(a.cells, a.idx + b)
         if isinstance(b, PtrVal):
             return PtrVal(b.cells, b.idx + a)
+        if a is NULL or b is NULL:
+            raise InterpError("arithmetic on a null pointer")
         return a + b
     if op == "-":
         if isinstance(a, PtrVal):
             return PtrVal(a.cells, a.idx - b)
+        if a is NULL:
+            raise InterpError("arithmetic on a null pointer")
         return a - b
     if op == "*":
         return a * b

@@ -116,8 +116,6 @@ def build_candidates(ab, enc):
                 pairs=[(enc.entry_env[name], enc.exit_env[name])]))
     for lr in enc.loops:
         for name, _ in cvars:
-            if name not in lr.pre:
-                continue
             pre, head, bend = lr.pre[name], lr.head[name], lr.bend[name]
             if head != pre:
                 # modified in the loop: (pre, head) is sat, see above

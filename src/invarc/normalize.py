@@ -270,24 +270,19 @@ class Inliner:
         self.decls[name] = NDecl(name, ctype, kind)
         return name
 
-    def declare(self, name, ctype, kind, span):
-        if name in self.decls:
-            raise NormalizeError(f"duplicate declaration of {name!r}", span)
-        self.decls[name] = NDecl(name, ctype, kind)
-
     def run(self, entry_name):
         fn = self.ast.function(entry_name)
         if fn is None:
             raise NormalizeError(f"no function named {entry_name!r}")
         for g in self.ast.globals:
-            self.declare(g.name, g.ctype, "global", g.span)
+            self.decls[g.name] = NDecl(g.name, g.ctype, "global")
         rename = {}
         for p in fn.params:
             if p.name in self.decls:
                 new = self.fresh(p.name + "_", p.ctype, kind="param")
                 rename[p.name] = new
             else:
-                self.declare(p.name, p.ctype, "param", p.span)
+                self.decls[p.name] = NDecl(p.name, p.ctype, "param")
         body = []
         # global initializers run before the entry body
         for g in self.ast.globals:
@@ -391,7 +386,7 @@ class Inliner:
 
     def fresh_local(self, s, rename, depth):
         if depth == 0 and s.name not in self.decls and not s.name.startswith("$"):
-            self.declare(s.name, s.ctype, "local", s.span)
+            self.decls[s.name] = NDecl(s.name, s.ctype, "local")
             rename[s.name] = s.name
             return s.name
         new = self.fresh(s.name + "_", s.ctype)
@@ -429,8 +424,6 @@ class Inliner:
     def _rewrite(self, e, rename, depth, pre, drop_value=False):
         """`e` with its calls hoisted into `pre` and its names renamed;
         `e` itself when it holds no call and no renamed name."""
-        if e is None:
-            return None
         if isinstance(e, Call):
             return self.hoist_call(e, rename, depth, pre, drop_value)
         if isinstance(e, Name):
@@ -602,12 +595,9 @@ class Lowerer:
         if isinstance(s, IfStmt):
             out = []
             cond = self.cond(s.cond, out)
-            then = self.lower_block(s.then.stmts if isinstance(s.then, CompoundStmt)
-                                    else [s.then])
-            els = []
-            if s.els is not None:
-                els = self.lower_block(s.els.stmts if isinstance(s.els, CompoundStmt)
-                                       else [s.els])
+            # the inliner makes each arm a block
+            then = self.lower_block(s.then.stmts)
+            els = self.lower_block(s.els.stmts) if s.els is not None else []
             out.append(NIf(cond=cond, then=then, els=els, span=s.span))
             return out
         if isinstance(s, WhileStmt):
@@ -646,9 +636,6 @@ class Lowerer:
             return out
         if isinstance(t, Index):
             base = self.atom(t.arr, out)
-            if not isinstance(base, VarRef):
-                raise UnsupportedExpression("array store needs a named base",
-                                            s.span)
             idx = self.atom(t.index, out)
             v = self.atom(s.value, out)
             pt = self.fresh("p", PointerType(t.ctype))
@@ -661,9 +648,6 @@ class Lowerer:
             pt = self.fresh("p", PointerType(t.ctype))
             if t.arrow:
                 p = self.atom(t.obj, out)
-                if not isinstance(p, VarRef):
-                    raise UnsupportedExpression("member store needs a named base",
-                                                s.span)
                 st = NAssign(lhs=pt, op="pmember_addr", args=[p], fld=t.name,
                              span=s.span)
             else:
@@ -731,8 +715,6 @@ class Lowerer:
             # materialize the member value, then take the temporary's address;
             # the true base is kept for base-variable resolution
             val = self.atom(inner, out)
-            if not isinstance(val, VarRef):
-                raise UnsupportedExpression("cannot take this address", span)
             hint = self._true_base(inner)
             return NAssign(lhs=lhs, op="addr", args=[val], span=span,
                            item=self._find_item(e.span), base_hint=hint)

@@ -143,8 +143,6 @@ class _BaseAnalysis:
         a = s.args[0]
         if s.op in ("addr", "member_addr"):
             return ("var", a.name)
-        if not isinstance(a, N.VarRef):
-            return None
         if s.op == "elem_addr" and isinstance(self._decl_type(a.name),
                                               ArrayType):
             return ("var", a.name)

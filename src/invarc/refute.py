@@ -2,7 +2,9 @@
 
 `refute_queries(script)` evaluates the encoder's `SolverScript` itself,
 not text, and returns the queries it shows to be satisfiable, without a
-solver, each with its model.
+solver, each with its model.  It evaluates only the operators and the
+leaf terms that the encoder writes: no `=>` (`definition` takes a guard
+apart first), and no `true` or `false`.
 
 Each assertion of `main` defines one constant from constants declared
 before it (see `SolverScript.define`); the `distinct` assertions are
@@ -188,8 +190,12 @@ class _Model:
         if op == "ite":
             return self.eval(args[1] if self.eval(args[0], env) is True
                              else args[2], env)
-        if op in ("and", "or", "=>"):
-            return self._connective(op, args, env)
+        if op in ("and", "or"):
+            want = op == "or"
+            for a in args:
+                if (self.eval(a, env) is True) == want:
+                    return want
+            return not want
         vals = [self.eval(a, env) for a in args]
         if op in _OPS:
             try:
@@ -209,18 +215,6 @@ class _Model:
             return vals[0][1 + i]
         raise _Stuck(f"operator {op}")
 
-    def _connective(self, op, args, env):
-        if op == "=>":
-            if len(args) != 2:
-                raise _Stuck("=> of more than two")
-            return self.eval(args[0], env) is not True \
-                or self.eval(args[1], env) is True
-        want = op == "or"
-        for a in args:
-            if (self.eval(a, env) is True) == want:
-                return want
-        return not want
-
     def _atom(self, t, env):
         if env and t in env:
             return env[t]
@@ -228,8 +222,6 @@ class _Model:
             if self.values[t] is _STUCK:
                 raise _Stuck(t)
             return self.values[t]
-        if t in ("true", "false"):
-            return t == "true"
         if t[0].isdigit():
             return Fraction(t) if "." in t else int(t)
         raise _Stuck(f"symbol {t}")

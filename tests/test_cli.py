@@ -10,8 +10,10 @@ import tempfile
 import pytest
 
 from invarc import cli
-from invarc.cli import main, parse_domain
+from invarc.cli import build_pipeline, main, parse_domain
+from invarc.diagnostics import SolverNotFound
 from invarc.frontend.parser import MAX_NESTING, MAX_OPERATORS
+from invarc.invariants import execute
 
 from conftest import CORPUS, ROOT, make_executable
 
@@ -44,6 +46,19 @@ def test_entry_defaults_to_single_function(capsys, solver_cfg):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["program"] == "SequentialScan"
+
+
+def test_entry_defaults_to_main_among_several(capsys, tmp_path):
+    two = "int h(int a) { return a; }\nint k(int b) { return b; }\n"
+    src = tmp_path / "main.c"
+    src.write_text(two + "int main(int c) { int d = h(c); return d; }\n")
+    code, out, _ = run(capsys, str(src), "--solver", "none", "--format",
+                       "json")
+    assert code == 0 and json.loads(out)["program"] == "main"
+    src.write_text(two)
+    code, out, err = run(capsys, str(src), "--solver", "none")
+    assert (code, out) == (2, "")
+    assert err == f"{src}: error: multiple functions (h, k): use --entry\n"
 
 
 def test_dump_stages(capsys, solver_cfg):
@@ -266,6 +281,103 @@ def test_rejected_construct_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+# each error that typecheck or the normalizer reports for source text:
+# (source, position, message)
+REJECTED = [
+    ("int f(int a) { int x; int x; return a; }", "1:27",
+     "redefinition of 'x'"),
+    ("int f; int f(int a) { return a; }", "1:12", "redefinition of 'f'"),
+    ("struct S { int x; };\nstruct S { int y; };\n"
+     "int f(int a) { return a; }", "2:1", "duplicate struct 'S'"),
+    ("int f(int a) { struct T t; return a; }", "1:25", "unknown struct 'T'"),
+    ("struct T *g(int a) { return NULL; }\n"
+     "int f(int a) { return g(a)->x; }", "2:27", "unknown struct 'T'"),
+    ("struct S { int x; struct S s; };\nint f(int a) { return a; }", "1:1",
+     "struct 'S' contains itself"),
+    ("void f(int a) { return a; }", "1:17", "void function returns a value"),
+    ("int f(int a) { return; }", "1:16", "non-void function returns nothing"),
+    ("int f(int a) { int x = {1}; return a; }", "1:20",
+     "brace initializer needs an array type"),
+    ("int f(int a) { int x[1] = {1, 2}; return a; }", "1:20",
+     "too many initializers"),
+    ("int f(int a) { return y; }", "1:23", "use of undeclared identifier 'y'"),
+    ("int f(int a) { int x[2]; double d = 1.0; x[d] = 1; return a; }",
+     "1:43", "array index must be an integer"),
+    ("int f(int a) { return a[0]; }", "1:24", "cannot index value of type int"),
+    ("int f(int *p) { int *q = -p; return 0; }", "1:26",
+     "unary minus needs arithmetic operand"),
+    ("int f(int a) { int x[2]; int *p = &x; return a; }", "1:35",
+     "address of whole array is unsupported"),
+    ("int f(int a) { int b = *NULL; return a; }", "1:24",
+     "cannot dereference void pointer"),
+    ("int f(int a) { return *a; }", "1:23",
+     "cannot dereference value of type int"),
+    ("int f(int *p) { if (p < p) { return 1; } return 0; }", "1:23",
+     "invalid pointer comparison"),
+    ("int f(int a) { double d = 1.0; int b = a % d; return a; }", "1:42",
+     "% needs integer operands"),
+    ("int f(int a) { return a->x; }", "1:24", "-> needs a pointer to struct"),
+    ("int f(int a) { return a.x; }", "1:24", ". needs a struct value"),
+    ("struct S { int x; };\nint f(int a) { struct S s; return s.y; }",
+     "2:36", "struct 'S' has no member 'y'"),
+    ("int f(int a) { return a(1); }", "1:24",
+     "called object is not a function"),
+    ("int g(int x) { return x; }\nint f(int a) { return g(a, a); }", "2:24",
+     "call expects 1 arguments, got 2"),
+    ("int f(int *p) { int b = p * 2; return 0; }", "1:25",
+     "arithmetic operand has type int*"),
+    # `+` and `-` take a data pointer, never a function pointer
+    *((f"int f(int a) {{ int (*fp)(int); fp = f; fp = {e}; return a; }}",
+       f"1:{45 + e.index('fp')}", "arithmetic operand has type int (*)(int)")
+      for e in ("fp + 1", "1 + fp", "fp - 1")),
+    ("struct S { int x; };\n"
+     "int f(int a) { struct S s; if (s) { return 1; } return a; }", "2:32",
+     "condition has non-scalar type struct S"),
+    ("int f(int a) { f = 1; return a; }", "1:16",
+     "expression is not an lvalue"),
+    ("int f(int *p) { int b = p; return b; }", "1:21",
+     "cannot assign int* to int"),
+    ("struct T { int x; };\nstruct S { struct T t; };\n"
+     "int f(int a) { struct S s; s.t.x = a; return a; }", "3:28",
+     "nested member store is unsupported"),
+    ("int f(int *p) { int *q = &*p; return 0; }", "1:22",
+     "cannot take this address"),
+]
+
+
+@pytest.mark.parametrize("source,pos,msg", REJECTED,
+                         ids=[f"{m}@{p}" for _, p, m in REJECTED])
+def test_each_rejection_is_one_error_line(capsys, tmp_path, source, pos,
+                                          msg):
+    bad = tmp_path / "bad.c"
+    bad.write_text(source + "\n")
+    code, out, err = run(capsys, str(bad), "--entry", "f", "--solver", "none")
+    assert (code, out) == (2, "")
+    assert err == f"{bad}:{pos}: error: {msg}\n"
+
+
+NULL_ARITHMETIC = {
+    "loop.c": "int f(int a) { int *p = NULL; int i = 0;"
+              " while (i < a) { p = p + 1; i = i + 1; } return a; }\n",
+    "plus.c": "int f(int a) { int *p = 1 + NULL; return a; }\n",
+    "minus.c": "int f(int a) { int *p = NULL - 1; return a; }\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_ARITHMETIC))
+def test_arithmetic_on_null_gives_up_the_run(capsys, tmp_path, name):
+    """`+` or `-` on NULL traps in the interpreter, so the settling run
+    and the oracle's runs give up, as on any trap."""
+    src = tmp_path / name
+    src.write_text(NULL_ARITHMETIC[name])
+    for argv in ((), ("--oracle",)):
+        code, out, err = run(capsys, str(src), "--solver", "none", *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("VARIABLE")
+    ast, *_, enc = build_pipeline(NULL_ARITHMETIC[name])
+    assert execute(ast, "f", [1], enc.loop_spans(), 10_000) is None
+
+
 @pytest.mark.parametrize("source", ["", "// no code\n", "int g;\n"])
 def test_a_unit_without_a_function_exit_code(capsys, tmp_path, source):
     bad = tmp_path / "none.c"
@@ -376,6 +488,12 @@ def test_domain_parsing():
         parse_domain("abc")
 
 
+def test_an_empty_domain_is_a_usage_error(capsys):
+    code, out, err = run(capsys, FOO, "--entry", "foo", "--domain", "3..1")
+    assert (code, out) == (1, "")
+    assert err == "error: bad domain '3..1': lower bound above upper\n"
+
+
 def test_oracle_flag(capsys, solver_cfg):
     code, out, _ = run(capsys, str(CORPUS / "foo.c"), "--entry", "foo",
                        "--oracle", "--domain=-2..2")
@@ -404,6 +522,20 @@ def test_every_input_is_analysed_and_the_largest_code_wins(capsys,
     for inputs in ([str(tmp_path / "none.c"), str(bad)],
                    [str(bad), str(tmp_path / "none.c")]):
         assert run(capsys, "--solver", "none", *inputs)[0] == 2
+
+
+def test_the_solver_is_looked_for_once_per_run(capsys, monkeypatch):
+    """A missing solver is looked for once, and each file with queries
+    still ends with its own line."""
+    calls = []
+
+    def missing(timeout_ms):
+        calls.append(timeout_ms)
+        raise SolverNotFound("no SMT solver found: none here")
+    monkeypatch.setattr(cli, "discover_solver", missing)
+    code, out, err = run(capsys, "--entry", "foo", FOO, FOO, FOO)
+    assert (code, out, len(calls)) == (3, "", 1)
+    assert err == f"{FOO}: error: no SMT solver found: none here\n" * 3
 
 
 @pytest.mark.parametrize("module", ["invarc.cli", "invarc"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from invarc.cli import main
 from invarc.diagnostics import FrontendTypeError, ParseFailure, \
     RejectedConstruct, Span
 from invarc.frontend import parse_translation_unit
@@ -293,6 +294,25 @@ def test_classify_nested_member_address():
     report = classify_constructs(parse_translation_unit(src))
     kinds = [it.kind for it in report.unmodelable_items]
     assert "address-of-member" in kinds
+
+
+def test_classify_address_of_a_struct_with_nested_members(capsys,
+                                                          tmp_path):
+    """`&s` of a struct holding a struct or an array is an item, and the
+    pipeline pollutes the pointer and the struct; `&q` of a flat struct
+    is none."""
+    src = ("struct T { int x; };\nstruct S { struct T t; int y; };\n"
+           "struct Q { int x; };\n"
+           "int f(int a) { struct S s; struct S *p = &s; struct Q q;"
+           " struct Q *r = &q; int b = a; s.y = a; p->y = b; return a; }\n")
+    report = classify_constructs(parse_translation_unit(src))
+    assert [(it.kind, it.span.line, it.span.col)
+            for it in report.unmodelable_items] == \
+        [("address-of-aggregate-with-nested-members", 4, 42)]
+    path = tmp_path / "agg.c"
+    path.write_text(src)
+    assert main([str(path), "--solver", "none"]) == 0
+    assert capsys.readouterr().out.endswith("excluded as polluted: p, s\n")
 
 
 def test_classify_walks_a_global_initializer_list():

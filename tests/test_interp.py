@@ -153,6 +153,31 @@ def test_declaration_initializers_agree(a):
     assert got.finals["c"] == want.finals["c"]
 
 
+DROPPED_CALLS = """int g;
+int inc(int d) { g = g + 1; return d + g; }
+void bump(int d) { g = g + d; }
+int dbl(int x) { return x * 2; }
+int f(int a) {
+  inc(a);
+  bump(a);
+  int r = (&dbl)(a);
+  return r + g;
+}
+"""
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+def test_dropped_void_and_parenthesized_calls_agree(a):
+    """An inlined call whose value is dropped, a call to a `void`
+    function and a call through `(&dbl)` write `g` and return as the
+    source's calls do."""
+    ast, prog = norm(DROPPED_CALLS, "f")
+    want = run_source(ast, "f", [a])
+    got = run_normalized(prog, {"a": a})
+    assert got.ret == want.ret == 3 * a + 1
+    assert got.finals["g"] == want.finals["g"] == a + 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(-3, 3), st.integers(-3, 3),
        st.integers(-3, 3))

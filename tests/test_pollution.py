@@ -93,6 +93,20 @@ def test_unknown_base_falls_back_to_all_compatible():
     assert ("a", "d1") not in g.edges
 
 
+def test_a_pointer_loaded_from_memory_may_point_anywhere():
+    """`p = arr[0]` reads a pointer from memory, and `q = p` copies that
+    unknown target: a store through `q` falls back to every address-taken
+    variable of its pointee type."""
+    prog, _ = pipeline(
+        "int g1; int g2; double d1;\n"
+        "int f(int a) { int *arr[2]; int *r = &g2; double *s = &d1;"
+        " arr[0] = &g1; int *p = arr[0]; int *q = p; *q = a; return a; }",
+        "f")
+    g = DependencyGraph(prog)
+    assert g.analysis.pts["p"] is g.analysis.pts["q"] is pollution.TOP
+    assert {b for a, b in g.edges if a == "a"} == {"g1", "g2", "$result"}
+
+
 def test_dump_deterministic_sorted():
     src = corpus_source("sequential_scan.c")
     prog, _ = pipeline(src, corpus_entry("sequential_scan.c"))

@@ -112,7 +112,8 @@ def test_the_cone_narrows_as_queries_fall():
 def test_unsupported_input_decides_nothing():
     # an undeclared function
     assert refuted([], [], "(= (f 1) 1)") == set()
-    # true => (true => false) is false; ill-sorted terms are not evaluated.
+    # `=>` and `true`, which the encoder never writes, are not evaluated,
+    # nor are ill-sorted terms.
     assert refuted([("x", INT)], [], "(=> true true false)", "(not 1 2)",
                    "(< (select x 1) 3)") == set()
 
