@@ -177,6 +177,8 @@ class TypeChecker:
             if isinstance(at, ArrayType):
                 return at.elem
             if isinstance(at, PointerType):
+                if at.target == VOID:
+                    raise FrontendTypeError("cannot index void pointer", e.span)
                 return at.target
             raise FrontendTypeError(f"cannot index value of type {at}", e.span)
         if isinstance(e, Call):

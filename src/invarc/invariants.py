@@ -109,8 +109,7 @@ def build_candidates(ab, enc):
     cands = []
     cvars = _candidate_vars(prog, enc, ab.havocked)
     for name, decl in cvars:
-        if decl.kind in ("param", "global") and name in enc.entry_env \
-                and name in enc.exit_env:
+        if decl.kind in ("param", "global") and name in enc.exit_env:
             cands.append(Candidate(
                 variable=name, kind="entry-exit",
                 pairs=[(enc.entry_env[name], enc.exit_env[name])]))

@@ -304,6 +304,11 @@ REJECTED = [
     ("int f(int a) { int x[2]; double d = 1.0; x[d] = 1; return a; }",
      "1:43", "array index must be an integer"),
     ("int f(int a) { return a[0]; }", "1:24", "cannot index value of type int"),
+    # a literal base never reaches the lowerer's stores and addresses
+    ("int f(int a) { NULL[0] = NULL[0]; return a; }", "1:20",
+     "cannot index void pointer"),
+    ("int f(int a) { int *x = &NULL[0]; return a; }", "1:30",
+     "cannot index void pointer"),
     ("int f(int *p) { int *q = -p; return 0; }", "1:26",
      "unary minus needs arithmetic operand"),
     ("int f(int a) { int x[2]; int *p = &x; return a; }", "1:35",
